@@ -47,9 +47,11 @@ from repro.engine.stats import EngineStats
 from repro.engine.wal import (
     WalError,
     WriteAheadLog,
+    batch_record,
     delete_record,
     insert_record,
     merge_record,
+    op_runs,
     update_record,
 )
 from repro.io.state_json import decode_value
@@ -330,7 +332,9 @@ class Database:
                 )
             )
 
-    def _wal_append(self, record: dict, op: str, scheme: str | None) -> None:
+    def _wal_append(
+        self, record: dict, op: str, scheme: str | None, rows: int = 1
+    ) -> None:
         """Durably log one accepted mutation (write-ahead: the caller
         has validated it and applies it only after this returns).  A
         storage fault propagates and leaves the mutation unapplied."""
@@ -344,7 +348,7 @@ class Database:
                     kind="wal-append",
                     rule=paper_rule("wal-append"),
                     outcome="logged",
-                    rows=1,
+                    rows=rows,
                 )
             )
 
@@ -761,18 +765,25 @@ class Database:
         arrive in any order.  On any violation the whole batch rolls
         back and the same :class:`ConstraintViolationError` the per-row
         path would raise is re-raised.
+
+        With a log attached, an accepted batch is one ``batch`` record
+        (:func:`~repro.engine.wal.batch_record`), whichever path
+        accepted it; a rejected one logs nothing.
         """
         timed = self._timed
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
-        if (
-            self._slotted
-            and self._undo_log is None
-            and self.wal is None
-            and self.tracer is None
-        ):
-            rows = rows if isinstance(rows, list) else list(rows)
-            fast = bulk_insert_many(self, scheme_name, rows)
+        rows = rows if isinstance(rows, list) else list(rows)
+        if self._slotted and self._undo_log is None:
+            log = None
+            if self.wal is not None:
+                log = lambda: self._wal_append(  # noqa: E731
+                    batch_record([("insert", scheme_name, rows)]),
+                    "insert_many",
+                    scheme_name,
+                    len(rows),
+                )
+            fast = bulk_insert_many(self, scheme_name, rows, log)
             if fast is not None:
                 if timed:
                     self._observe_ok(
@@ -781,21 +792,24 @@ class Database:
                 return fast
         stored: list[Tuple] = []
         try:
-            with self.transaction():
+            with _TransactionContext(self, bracket=False):
                 for row in rows:
                     t = self._check_shape(table, row)
                     self._check_null_constraints(scheme_name, t)
                     pk = self._check_keys(table, t, replacing=None)
-                    if self.wal is not None:
-                        self._wal_append(
-                            insert_record(scheme_name, t.mapping),
-                            "insert",
-                            scheme_name,
-                        )
                     self._store(table, t, pk)
                     stored.append(t)
                 for t in stored:
                     self._check_references_out(scheme_name, t)
+                if self.wal is not None and stored:
+                    self._wal_append(
+                        batch_record(
+                            [("insert", scheme_name, [t.mapping for t in stored])]
+                        ),
+                        "insert_many",
+                        scheme_name,
+                        len(stored),
+                    )
         except ConstraintViolationError as exc:
             if timed:
                 self._observe_reject("insert_many", scheme_name, exc, start)
@@ -833,18 +847,20 @@ class Database:
         references left by deletes/updates raise ``restrict-batch``.
 
         Returns one entry per operation: the stored :class:`Tuple` for
-        inserts/updates, ``None`` for deletes.
+        inserts/updates, ``None`` for deletes.  With a log attached, an
+        accepted batch is one ``batch`` record, as for
+        :meth:`insert_many`.
         """
         timed = self._timed
         start = perf_counter() if timed else 0.0
-        if (
-            self._slotted
-            and self._undo_log is None
-            and self.wal is None
-            and self.tracer is None
-        ):
+        if self._slotted and self._undo_log is None:
             ops = ops if isinstance(ops, list) else list(ops)
-            fast = bulk_apply(self, ops)
+            log = None
+            if self.wal is not None:
+                log = lambda: self._wal_append(  # noqa: E731
+                    batch_record(op_runs(ops)), "apply_batch", None, len(ops)
+                )
+            fast = bulk_apply(self, ops, log)
             if fast is not None:
                 if timed:
                     self._observe_ok(
@@ -862,11 +878,26 @@ class Database:
         return results
 
     def _apply_batch(self, ops: Iterable[tuple]) -> list[Tuple | None]:
-        with self.transaction():
-            results, pending_out, pending_in, n_ops = self._apply_ops(ops)
+        """The row-at-a-time batch: apply under the undo journal, verify
+        the deferred checks, then log the one ``batch`` record -- a
+        failed append unwinds the batch like any other error."""
+        with _TransactionContext(self, bracket=False):
+            results, pending_out, pending_in, applied = self._apply_ops(ops)
             self._verify_deferred(pending_out, pending_in)
-        self.stats.bulk_rows += n_ops
+            self._log_applied(applied)
+        self.stats.bulk_rows += len(applied)
         return results
+
+    def _log_applied(self, applied: list[tuple]) -> None:
+        """Append the ``batch`` record of a row-path batch's normalized
+        ops (nothing for an empty batch or a log-less engine)."""
+        if self.wal is not None and applied:
+            self._wal_append(
+                batch_record(op_runs(applied)),
+                "apply_batch",
+                None,
+                len(applied),
+            )
 
     def _apply_ops(
         self, ops: Iterable[tuple]
@@ -874,39 +905,34 @@ class Database:
         list[Tuple | None],
         list[tuple[str, Tuple]],
         list[tuple[CompiledReference, tuple[Any, ...]]],
-        int,
+        list[tuple],
     ]:
         """Apply a batch's operations with per-op immediate checks,
         accumulating the deferred reference checks.
 
-        Returns ``(results, pending_out, pending_in, n_ops)``.  The
-        caller owns the enclosing transaction and the deferred
-        verification.
+        Returns ``(results, pending_out, pending_in, applied)``, where
+        ``applied`` holds the ops normalized for logging (stored rows,
+        tuple keys, plain-dict updates).  The caller owns the enclosing
+        transaction, the deferred verification and the log append.
         """
         results: list[Tuple | None] = []
         pending_out: list[tuple[str, Tuple]] = []
         pending_in: list[tuple[CompiledReference, tuple[Any, ...]]] = []
-        n_ops = 0
+        applied: list[tuple] = []
         for op in ops:
             kind = op[0]
-            n_ops += 1
             if kind == "insert":
                 _, scheme_name, row = op
                 table = self.table(scheme_name)
                 t = self._check_shape(table, row)
                 self._check_null_constraints(scheme_name, t)
                 pk = self._check_keys(table, t, replacing=None)
-                if self.wal is not None:
-                    self._wal_append(
-                        insert_record(scheme_name, t.mapping),
-                        "insert",
-                        scheme_name,
-                    )
                 self._store(table, t, pk)
                 pending_out.append((scheme_name, t))
                 self.stats.inserts += 1
                 self.stats.count_scheme_mutation(scheme_name)
                 results.append(t)
+                applied.append(("insert", scheme_name, t.mapping))
             elif kind == "delete":
                 _, scheme_name, pk = op
                 if not isinstance(pk, tuple):
@@ -922,16 +948,11 @@ class Database:
                     value = ref.extract(old_values)
                     if not any(v is NULL for v in value):
                         pending_in.append((ref, value))
-                if self.wal is not None:
-                    self._wal_append(
-                        delete_record(scheme_name, pk),
-                        "delete",
-                        scheme_name,
-                    )
                 self._unstore(table, pk, old)
                 self.stats.deletes += 1
                 self.stats.count_scheme_mutation(scheme_name)
                 results.append(None)
+                applied.append(("delete", scheme_name, pk))
             elif kind == "update":
                 _, scheme_name, pk, updates = op
                 if not isinstance(pk, tuple):
@@ -942,7 +963,8 @@ class Database:
                     raise KeyError(
                         f"{scheme_name}: no row with key {pk!r}"
                     )
-                t = old.with_values(dict(updates))
+                updates = dict(updates)
+                t = old.with_values(updates)
                 self._check_null_constraints(scheme_name, t)
                 new_pk = self._check_keys(table, t, replacing=pk)
                 old_values = old.mapping
@@ -957,21 +979,16 @@ class Database:
                         value = ref.extract(old_values)
                         if not any(v is NULL for v in value):
                             pending_in.append((ref, value))
-                if self.wal is not None:
-                    self._wal_append(
-                        update_record(scheme_name, pk, dict(updates)),
-                        "update",
-                        scheme_name,
-                    )
                 self._unstore(table, pk, old)
                 self._store(table, t, new_pk)
                 pending_out.append((scheme_name, t))
                 self.stats.updates += 1
                 self.stats.count_scheme_mutation(scheme_name)
                 results.append(t)
+                applied.append(("update", scheme_name, pk, updates))
             else:
                 raise ValueError(f"unknown batch operation {kind!r}")
-        return results, pending_out, pending_in, n_ops
+        return results, pending_out, pending_in, applied
 
     def _verify_deferred(
         self,
@@ -1078,14 +1095,15 @@ class Database:
         ctx = self.transaction()
         ctx.__enter__()
         try:
-            results, pending_out, pending_in, n_ops = self._apply_ops(ops)
+            results, pending_out, pending_in, applied = self._apply_ops(ops)
             requirements = self._verify_deferred(
                 pending_out, pending_in, collect_remote=True
             )
+            self._log_applied(applied)
         except BaseException as exc:
             ctx.__exit__(type(exc), exc, exc.__traceback__)
             raise
-        self.stats.bulk_rows += n_ops
+        self.stats.bulk_rows += len(applied)
         return PreparedBatch(self, ctx, results, requirements)
 
     def load_state(self, state: DatabaseState, validate: bool = True) -> None:
@@ -1520,47 +1538,52 @@ class _TransactionContext:
     records only.  A commit marker that cannot be written durably rolls
     the whole transaction back in memory and re-raises, so memory never
     runs ahead of what the log can prove committed.
+
+    ``bracket=False`` is the row-path bulk scope: undo journal only, no
+    markers.  Its body logs the batch's one self-committing record as
+    its last step, so a failed append unwinds it like any other error.
     """
 
-    def __init__(self, db: Database):
+    def __init__(self, db: Database, bracket: bool = True):
         self._db = db
+        self._wal = db.wal if bracket else None
         self._mark: int | None = None
         self._wal_mark: int | None = None
         self._outermost = False
 
     def __enter__(self) -> "Database":
-        db = self._db
+        db, wal = self._db, self._wal
         if db._undo_log is None:
             db._undo_log = []
             self._outermost = True
-            if db.wal is not None:
+            if wal is not None:
                 try:
-                    db.wal.begin()
+                    wal.begin()
                 except Exception:
                     db._undo_log = None
                     raise
         self._mark = len(db._undo_log)
-        if db.wal is not None:
-            self._wal_mark = db.wal.next_lsn
+        if wal is not None:
+            self._wal_mark = wal.next_lsn
         return db
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         assert self._mark is not None
-        db = self._db
+        db, wal = self._db, self._wal
         if exc_type is not None:
             db._rollback_to(self._mark)
-            if db.wal is not None:
+            if wal is not None:
                 if self._outermost:
-                    db.wal.abort()
+                    wal.abort()
                 else:
-                    db.wal.rollback(self._wal_mark)
+                    wal.rollback(self._wal_mark)
             if self._outermost:
                 db._undo_log = None
             return False
         if self._outermost:
-            if db.wal is not None:
+            if wal is not None:
                 try:
-                    db.wal.commit()
+                    wal.commit()
                 except Exception:
                     # The group is not durably committed; undo it so the
                     # in-memory state matches what recovery will rebuild.

@@ -14,8 +14,11 @@ validated mutations are ever logged, see :mod:`repro.engine.wal`):
    ``Database.load_state`` -- without per-record validation, since the
    image was consistent when written.
 3. **Replay** the committed records in log order.  Bare mutation
-   records (written outside a transaction) re-apply directly; a
-   ``begin``..``commit`` group replays through ``apply_batch``, whose
+   records (written outside a transaction) re-apply directly, and a
+   bare ``batch`` record (one whole ``insert_many``/``apply_batch``)
+   through ``apply_batch``; a ``begin``..``commit`` group -- its
+   ``batch`` records expanded in place -- replays through
+   ``apply_batch`` as well, whose
    deferred reference checking accepts exactly the groups the original
    transaction accepted.  A group with no ``commit`` (trailing or
    ``abort``-ed) is rolled back: its records are dropped, and a
@@ -46,6 +49,7 @@ from repro.engine.wal import (
     WalError,
     WriteAheadLog,
     decode_batch_op,
+    decode_ops,
     parse_wal,
 )
 from repro.obs.rules import paper_rule
@@ -109,9 +113,9 @@ class WalApplier:
     :meth:`feed` per record, applying each committed group the moment
     its ``commit`` marker lands.  Semantics are identical either way --
     snapshot/``load_state`` images seed the state, bare mutations apply
-    directly, ``begin``..``commit`` groups buffer and replay atomically
-    through ``apply_batch``, ``abort``/``rollback`` drop what they
-    cancel.
+    directly, ``batch`` records and ``begin``..``commit`` groups
+    replay atomically through ``apply_batch``, ``abort``/``rollback``
+    drop what they cancel.
 
     :meth:`seal` ends the stream: a trailing group with no ``commit``
     (the crash took it) is dropped, and its transaction id is returned
@@ -369,22 +373,27 @@ def _replay_merge(db, report: RecoveryReport, record: dict) -> None:
 
 
 def _replay_bare(db, report: RecoveryReport, record: dict) -> None:
-    """Re-apply one auto-committed mutation record.
+    """Re-apply one auto-committed mutation or ``batch`` record.
 
     Only validated mutations are logged, and replay walks the same
     state trajectory the original run did, so a rejection here means
-    the log is corrupt in a way the checksums could not see.
+    the log is corrupt in a way the checksums could not see.  A batch
+    replays through ``apply_batch``: the deferred reference checks
+    that accepted it originally accept it again.
     """
     from repro.engine.database import ConstraintViolationError
 
-    op = decode_batch_op(record)
     try:
-        if op[0] == "insert":
-            db.insert(op[1], op[2])
-        elif op[0] == "update":
-            db.update(op[1], op[2], op[3])
+        if record["op"] == "batch":
+            db.apply_batch(decode_ops(record))
         else:
-            db.delete(op[1], op[2])
+            op = decode_batch_op(record)
+            if op[0] == "insert":
+                db.insert(op[1], op[2])
+            elif op[0] == "update":
+                db.update(op[1], op[2], op[3])
+            else:
+                db.delete(op[1], op[2])
     except (ConstraintViolationError, KeyError) as exc:
         raise RecoveryError(
             f"logged record lsn={record.get('lsn')} was rejected on "
@@ -423,7 +432,7 @@ def _replay_group(
         return
     if buffered:
         try:
-            db.apply_batch([decode_batch_op(r) for r in buffered])
+            db.apply_batch([op for r in buffered for op in decode_ops(r)])
         except (ConstraintViolationError, KeyError) as exc:
             raise RecoveryError(
                 f"committed transaction {txn} was rejected on replay: "

@@ -22,23 +22,32 @@ the fast path cannot accept touches nothing.
 
 Fallback discipline.  Every entry point returns ``None`` whenever the
 batch cannot be *proven* acceptable by the columnar checks alone: any
-shape/key/null/reference problem, an operation mix the fast checks do
-not model, or an engine running with a WAL, tracer, or open outer
-transaction.  The caller then re-runs the ordinary row-at-a-time path
+shape/key/null/reference problem, or an operation mix the fast checks
+do not model.  The caller then re-runs the ordinary row-at-a-time path
 from scratch on the untouched state, which raises exactly the error
 (and performs exactly the rollback bookkeeping) the per-row semantics
 promise.  The fast path is therefore never authoritative about
 rejection, only about acceptance -- the property the differential
-tests in ``tests/engine/test_differential.py`` pin down.
+tests in ``tests/engine/test_differential.py`` pin down.  (An open
+outer transaction also sends a batch down the row path: the fast path
+keeps no undo journal.)
+
+Durability.  Validation and commit are separate phases, and each entry
+point takes a ``log`` callable that runs between them: after every
+columnar check has passed and before any table is touched.  The
+database passes the append of the batch's one write-ahead-log record,
+so a storage fault there propagates with the state untouched -- the
+write-ahead rule, at batch granularity.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import deque
+from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.engine.plans import attr_extractor, contains_null
 from repro.relational.tuples import NULL, Tuple
@@ -221,69 +230,91 @@ def _commit_inserts(db, prepared) -> None:
                     bucket[pk] = None
 
 
-def bulk_insert_many(db, scheme_name: str, rows) -> list[Tuple] | None:
+def bulk_insert_many(
+    db, scheme_name: str, rows, log: Callable[[], None] | None = None
+) -> list[Tuple] | None:
     """Fast path for :meth:`Database.insert_many`.
 
     Returns the stored tuples in row order, or ``None`` to send the
     batch down the row-at-a-time path (which also reports any error).
+    ``log`` runs once the batch has validated, before it is committed.
     """
     table = db._tables.get(scheme_name)
     if table is None:
         return None
-    # A big batch allocates tens of thousands of tracked containers;
-    # without a pause, generational collections walk the whole database
-    # heap mid-batch and roughly double the per-row cost.
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
+    with _gc_paused():
         try:
             prepared = _validate_inserts(db, [(table, rows)])
         except (AttributeError, KeyError, TypeError):
             return None  # malformed rows: the slow path raises canonically
         if prepared is None:
             return None
+        if log is not None:
+            log()
         _commit_inserts(db, prepared)
-    finally:
-        if paused:
-            gc.enable()
-    ts = prepared[0][3]
-    db.stats.inserts += len(ts)
-    db.stats.bulk_rows += len(ts)
-    if ts:
-        name = prepared[0][0].scheme.name
-        db.stats.scheme_mutations[name] = (
-            db.stats.scheme_mutations.get(name, 0) + len(ts)
-        )
-    return ts
+    _count_inserts(db, prepared)
+    return prepared[0][3]
 
 
-def bulk_apply(db, ops) -> list[Tuple | None] | None:
+def bulk_apply(
+    db, ops, log: Callable[[], None] | None = None
+) -> list[Tuple | None] | None:
     """Fast path for :meth:`Database.apply_batch`.
 
     Handles all-insert and all-delete batches; anything mixed, malformed
-    or unprovable returns ``None`` for the slow path.
+    or unprovable returns ``None`` for the slow path.  ``log`` runs
+    once the batch has validated, before it is committed.
     """
+    if not ops:
+        return None  # let the slow path produce its []
+    with _gc_paused():
+        try:
+            first = ops[0][0]
+            if first == "insert":
+                validated = _validate_batch_inserts(db, ops)
+            elif first == "delete":
+                validated = _validate_deletes(db, ops)
+            else:
+                return None
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+            return None
+        if validated is None:
+            return None
+        if log is not None:
+            log()
+        return validated()
+
+
+@contextmanager
+def _gc_paused():
+    """Hold off the cyclic collector for one batch: a big batch
+    allocates tens of thousands of tracked containers, and without a
+    pause generational collections walk the whole database heap
+    mid-batch and roughly double the per-row cost."""
     paused = gc.isenabled()
     if paused:
-        gc.disable()  # see bulk_insert_many: no mid-batch collections
+        gc.disable()
     try:
-        if not ops:
-            return None  # let the slow path produce its []
-        first = ops[0][0]
-        if first == "insert":
-            return _apply_inserts(db, ops)
-        if first == "delete":
-            return _apply_deletes(db, ops)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
-        return None
+        yield
     finally:
         if paused:
             gc.enable()
-    return None
 
 
-def _apply_inserts(db, ops) -> list[Tuple | None] | None:
+def _count_inserts(db, prepared) -> None:
+    stats = db.stats
+    for table, _rows, _new, ts in prepared:
+        stats.inserts += len(ts)
+        stats.bulk_rows += len(ts)
+        if ts:
+            name = table.scheme.name
+            stats.scheme_mutations[name] = (
+                stats.scheme_mutations.get(name, 0) + len(ts)
+            )
+
+
+def _validate_batch_inserts(db, ops):
+    """Validate an all-insert batch; its commit thunk, or ``None``."""
     groups: dict[str, list] = {}
     order: list[tuple[str, int]] = []
     for kind, scheme_name, row in ops:
@@ -303,22 +334,20 @@ def _apply_inserts(db, ops) -> list[Tuple | None] | None:
     prepared = _validate_inserts(db, glist)
     if prepared is None:
         return None
-    _commit_inserts(db, prepared)
-    stored = {
-        table.scheme.name: ts for table, _rows, _new, ts in prepared
-    }
-    db.stats.inserts += len(ops)
-    db.stats.bulk_rows += len(ops)
-    for table, _rows, _new, ts in prepared:
-        if ts:
-            name = table.scheme.name
-            db.stats.scheme_mutations[name] = (
-                db.stats.scheme_mutations.get(name, 0) + len(ts)
-            )
-    return [stored[s][i] for s, i in order]
+
+    def commit() -> list[Tuple | None]:
+        _commit_inserts(db, prepared)
+        _count_inserts(db, prepared)
+        stored = {
+            table.scheme.name: ts for table, _rows, _new, ts in prepared
+        }
+        return [stored[s][i] for s, i in order]
+
+    return commit
 
 
-def _apply_deletes(db, ops) -> list[None] | None:
+def _validate_deletes(db, ops):
+    """Validate an all-delete batch; its commit thunk, or ``None``."""
     # Group the batch's keys by scheme, normalizing scalar keys the way
     # the slow path does; a missing row or an intra-batch duplicate is a
     # slow-path matter (KeyError with the canonical message).
@@ -421,8 +450,12 @@ def _apply_deletes(db, ops) -> list[None] | None:
                         )
                     if not alive:
                         return None  # slow path raises restrict-batch
-    # Commit: bulk row removal plus the exact index maintenance
-    # ``Database._unstore_raw`` performs per row.
+    return lambda: _commit_deletes(db, deleted, len(ops))
+
+
+def _commit_deletes(db, deleted, n_ops: int) -> list[None]:
+    """Bulk row removal plus the exact index maintenance
+    ``Database._unstore_raw`` performs per row."""
     for scheme_name, (table, olds) in deleted.items():
         trows = table.rows
         plan = table.plan
@@ -451,7 +484,6 @@ def _apply_deletes(db, ops) -> list[None] | None:
                     bucket.pop(pk, None)
                     if not bucket:
                         del gindex[value]
-    n_ops = len(ops)
     db.stats.deletes += n_ops
     db.stats.bulk_rows += n_ops
     for scheme_name, (table, olds) in deleted.items():

@@ -27,10 +27,13 @@ values use the same ``{"$null": true}`` marker as
 null-synchronization/part-null equivalence class it left.
 
 Record kinds (the ``op`` field): ``header``, ``insert``, ``update``,
-``delete``, ``load_state``, ``begin``/``commit``/``abort``/``rollback``
-(transaction markers) and ``snapshot`` (the checkpoint image, in the
+``delete``, ``batch`` (one whole ``insert_many``/``apply_batch``, see
+:func:`batch_record`), ``load_state``, ``merge``,
+``begin``/``commit``/``abort``/``rollback`` (transaction markers) and
+``snapshot`` (the checkpoint image, in the
 :func:`repro.io.state_json.state_to_dict` format).  Every record
-carries a monotonically increasing ``lsn``.
+carries a monotonically increasing ``lsn``.  Version 2 logs add the
+``batch`` kind; a version 1 log holds none and recovers unchanged.
 
 Write-ahead discipline
 ----------------------
@@ -41,10 +44,12 @@ violating mutation and the in-memory state never holds a mutation the
 log lost.  Mutations outside a transaction are committed the moment
 their record is durable; mutations inside one are bracketed by
 ``begin``/``commit`` markers and are rolled back at recovery when the
-``commit`` is missing.  A failed append poisons the log (every later
-append raises :class:`WalError`): after a storage fault the process
-must crash and recover, exactly like the DBMSs of Section 5.1 after a
-failed ``ROLLBACK TRANSACTION``.
+``commit`` is missing.  A bulk mutation is one ``batch`` record,
+appended once the whole batch has validated: its checksum makes it
+atomic, so it needs no bracket of its own.  A failed append poisons
+the log (every later append raises :class:`WalError`): after a storage
+fault the process must crash and recover, exactly like the DBMSs of
+Section 5.1 after a failed ``ROLLBACK TRANSACTION``.
 
 The file layer is abstracted behind the :class:`Storage` protocol so
 tests can inject :class:`repro.engine.faults.FaultyStorage` and crash
@@ -71,10 +76,12 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Mapping, Protocol, Sequence
 
-from repro.io.state_json import decode_value, encode_value
+from repro.io.state_json import NULL_MARKER, decode_value, encode_value
+from repro.relational.tuples import NULL
 
-#: Format version stamped into every ``header`` record.
-WAL_VERSION = 1
+#: Format version stamped into every ``header`` record (2 added the
+#: ``batch`` record; version 1 logs still recover).
+WAL_VERSION = 2
 
 #: Bytes of the ``llllllll cccccccc `` record prefix.
 _PREFIX_LEN = 18
@@ -273,11 +280,24 @@ class FileStorage:
 # -- record encoding ----------------------------------------------------------
 
 
+def _encode_null(value: Any) -> Any:
+    if value is NULL:
+        return dict(NULL_MARKER)
+    raise TypeError(
+        f"object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
+#: Compact, key-sorted JSON; a ``NULL`` anywhere in the payload becomes
+#: the null marker, so bulk records can carry rows as stored.
+_encoder = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_encode_null
+)
+
+
 def encode_record(payload: Mapping[str, Any]) -> bytes:
     """One wire-format line: ``llllllll cccccccc <compact json>\\n``."""
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+    body = _encoder.encode(payload).encode("utf-8")
     return b"%08x %08x " % (len(body), zlib.crc32(body)) + body + b"\n"
 
 
@@ -410,6 +430,73 @@ def merge_record(
         "merged_name": merged_name,
         "remove": True,
     }
+
+
+def op_runs(ops: Sequence[tuple]) -> list[tuple[str, str, list]]:
+    """Group ``apply_batch`` op tuples into :func:`batch_record` runs:
+    maximal stretches of consecutive ops with the same kind and scheme,
+    in batch order.  Scalar primary keys become 1-tuples."""
+    runs: list[tuple[str, str, list]] = []
+    kind = scheme = None
+    items: list = []
+    for op in ops:
+        if op[0] != kind or op[1] != scheme:
+            kind, scheme, items = op[0], op[1], []
+            runs.append((kind, scheme, items))
+        if kind == "insert":
+            items.append(op[2])
+            continue
+        pk = op[2] if isinstance(op[2], tuple) else (op[2],)
+        items.append(pk if kind == "delete" else (pk, op[3]))
+    return runs
+
+
+def batch_record(runs: Sequence[tuple[str, str, Sequence]]) -> dict:
+    """The log payload of one accepted ``insert_many``/``apply_batch``.
+
+    ``runs`` lists ``(kind, scheme, items)`` stretches in batch order
+    (see :func:`op_runs`); an item is the row mapping of an insert, the
+    primary key of a delete, or a ``(pk, updates)`` pair of an update.
+    The payload holds the caller's objects as they are -- the encoder
+    writes a ``NULL`` anywhere as the null marker -- so logging a batch
+    costs one JSON pass, not a per-value Python loop.  Replay applies
+    the decoded ops with ``apply_batch`` (:func:`decode_ops`), whose
+    deferred reference checks accept exactly what the original batch
+    accepted.
+    """
+    return {"op": "batch", "runs": [list(run) for run in runs]}
+
+
+def decode_ops(record: Mapping[str, Any]) -> list[tuple]:
+    """A mutation or ``batch`` record as the ``apply_batch`` op tuples
+    it replays as."""
+    if record["op"] != "batch":
+        return [decode_batch_op(record)]
+    ops: list[tuple] = []
+    for kind, scheme, items in record["runs"]:
+        if kind == "insert":
+            ops.extend(
+                ("insert", scheme, {k: decode_value(v) for k, v in row.items()})
+                for row in items
+            )
+        elif kind == "delete":
+            ops.extend(
+                ("delete", scheme, tuple(map(decode_value, pk)))
+                for pk in items
+            )
+        elif kind == "update":
+            ops.extend(
+                (
+                    "update",
+                    scheme,
+                    tuple(map(decode_value, pk)),
+                    {k: decode_value(v) for k, v in updates.items()},
+                )
+                for pk, updates in items
+            )
+        else:
+            raise WalError(f"batch run kind {kind!r} is not a mutation")
+    return ops
 
 
 def decode_batch_op(record: Mapping[str, Any]) -> tuple:

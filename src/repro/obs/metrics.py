@@ -154,16 +154,23 @@ class _FixedBucketHistogram:
         return self.max_seen
 
     def to_dict(self) -> dict:
-        """A JSON-ready summary (in the observed unit, not seconds)."""
+        """A JSON-ready summary in the observed unit, to six significant
+        digits -- fixed decimals would read a sub-millisecond value
+        observed in seconds as 0."""
         if self.count == 0:
             return {"count": 0}
         return {
             "count": self.count,
-            "sum": round(self.total, 3),
-            "p50": round(self.quantile(0.50), 3),
-            "p99": round(self.quantile(0.99), 3),
-            "max": round(self.max_seen, 3),
+            "sum": _significant(self.total),
+            "p50": _significant(self.quantile(0.50)),
+            "p99": _significant(self.quantile(0.99)),
+            "max": _significant(self.max_seen),
         }
+
+
+def _significant(value: float, digits: int = 6) -> float:
+    """``value`` rounded to ``digits`` significant digits."""
+    return float(f"{value:.{digits}g}")
 
 
 class _Family:

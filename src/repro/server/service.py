@@ -1025,11 +1025,11 @@ class DatabaseService:
         re-log through the replica's *own* WAL (its lsns, its group
         markers), so the local log is independently recoverable.
 
-        Bare inserts -- the bulk of any write-heavy stream -- redo
-        through :meth:`Database.redo_insert`, which trusts the
-        primary's validation instead of re-running every constraint
-        probe; everything else takes the applier's validating replay,
-        where divergence (a record the primary committed but this
+        Bare inserts redo through :meth:`Database.redo_insert`, which
+        trusts the primary's validation instead of re-running every
+        constraint probe; everything else -- ``batch`` records
+        included, which ``apply_batch`` replays on its columnar path --
+        takes the applier's validating replay, where divergence (a record the primary committed but this
         state rejects) raises :class:`RecoveryError` and the replica
         loop treats it as fatal.
         """

@@ -116,12 +116,19 @@ class Supervisor:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn every worker and block until the whole fleet is ready."""
+        """Spawn every worker and block until the whole fleet is ready.
+
+        The SIGTERM/SIGINT drain handlers go in before the readiness
+        line: a caller may stop the fleet the moment it reads it, and
+        the default action would kill the supervisor and orphan every
+        worker."""
         for i in range(self.n_workers):
             self._spawn(i)
         for i, event in enumerate(self._ready):
             if not event.wait(self.ready_timeout):
                 raise RuntimeError(f"worker {i} failed to become ready")
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(sig, lambda *_: self.drain())
         print(
             f"fleet listening on {self.host}:{self.port} "
             f"workers={self.n_workers}",
@@ -129,9 +136,8 @@ class Supervisor:
         )
 
     def run_forever(self) -> int:
-        """Install signal handlers and supervise until drained."""
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(sig, lambda *_: self.drain())
+        """Supervise until drained (:meth:`start` installed the signal
+        handlers that drain)."""
         self._done.wait()
         print("fleet drained", flush=True)
         return 1 if any(self._exit_codes) else 0

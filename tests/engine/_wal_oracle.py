@@ -6,18 +6,22 @@ surviving bytes with :func:`repro.engine.wal.parse_wal` and apply the
 committed records, in log order, to the scan-based
 :class:`~repro.engine.oracle.OracleDatabase` -- buffering transaction
 groups until their ``commit`` marker, dropping aborted/unterminated
-groups and records cancelled by ``rollback`` markers.  Nothing in this
-interpreter shares code with :mod:`repro.engine.recovery`, so agreement
-between the two is evidence, not tautology.
+groups and records cancelled by ``rollback`` markers.  A ``batch``
+record (one whole ``insert_many``/``apply_batch``) is self-committing:
+its runs of inserts, deletes and updates apply in order.  Nothing in
+this interpreter shares code with :mod:`repro.engine.recovery` -- it
+decodes every record kind itself -- so agreement between the two is
+evidence, not tautology.
 
-The oracle applies a committed group's records in order (it has no
-deferred reference checking), so test workloads keep their batches
-order-safe: parents before children, children deleted before parents.
+The oracle applies a committed group's records, and a batch's ops, in
+order (it has no deferred reference checking), so test workloads keep
+their batches order-safe: parents before children, children deleted
+before parents.
 """
 
 from repro.engine.oracle import OracleDatabase
-from repro.engine.wal import decode_batch_op, parse_wal
-from repro.io.state_json import state_from_dict
+from repro.engine.wal import parse_wal
+from repro.io.state_json import decode_value, state_from_dict
 
 
 def oracle_replay(
@@ -91,11 +95,29 @@ def _apply(oracle: OracleDatabase, record: dict) -> OracleDatabase:
         )
         merged.load_state(simplified.forward.apply(oracle.state()))
         return merged
-    op = decode_batch_op(record)
-    if op[0] == "insert":
-        oracle.insert(op[1], op[2])
-    elif op[0] == "update":
-        oracle.update(op[1], op[2], op[3])
+    if record["op"] == "batch":
+        runs = record["runs"]
+    elif record["op"] == "insert":
+        runs = [("insert", record["scheme"], [record["row"]])]
+    elif record["op"] == "delete":
+        runs = [("delete", record["scheme"], [record["pk"]])]
     else:
-        oracle.delete(op[1], op[2])
+        runs = [("update", record["scheme"], [(record["pk"], record["updates"])])]
+    for kind, scheme, items in runs:
+        for item in items:
+            if kind == "insert":
+                oracle.insert(scheme, _values(item))
+            elif kind == "delete":
+                oracle.delete(scheme, _key(item))
+            else:
+                pk, updates = item
+                oracle.update(scheme, _key(pk), _values(updates))
     return oracle
+
+
+def _values(encoded: dict) -> dict:
+    return {k: decode_value(v) for k, v in encoded.items()}
+
+
+def _key(encoded: list) -> tuple:
+    return tuple(decode_value(v) for v in encoded)

@@ -11,6 +11,8 @@ import pytest
 from repro.constraints.inclusion import InclusionDependency
 from repro.constraints.nulls import nulls_not_allowed
 from repro.engine.database import ConstraintViolationError, Database
+from repro.engine.wal import MemoryStorage, WriteAheadLog, parse_wal
+from repro.obs.trace import RingBufferTracer
 from repro.relational.attributes import Attribute, Domain
 from repro.relational.schema import RelationScheme, RelationalSchema
 from repro.relational.tuples import NULL
@@ -171,3 +173,76 @@ class TestApplyBatch:
         )
         checker = ConsistencyChecker(university_schema)
         assert checker.is_consistent(uni_db.state())
+
+
+class TestDurableBulkPath:
+    """With a write-ahead log (and a tracer) attached, an accepted batch
+    still takes the columnar path and logs exactly one record."""
+
+    @pytest.fixture
+    def durable(self, university_schema):
+        events = RingBufferTracer()
+        db = Database(
+            university_schema,
+            wal=WriteAheadLog(MemoryStorage()),
+            tracer=events,
+        )
+        return db, events
+
+    def test_insert_many_adopts_rows_and_logs_one_record(self, durable):
+        db, events = durable
+        rows = [{"C.NR": f"c{i}"} for i in range(5)]
+        stored = db.insert_many("COURSE", rows)
+        # Adoption (the row dict *is* the tuple's mapping) only happens
+        # on the columnar path; the row path copies.
+        assert all(t.mapping is r for t, r in zip(stored, rows))
+        ops = [r["op"] for r in parse_wal(db.wal.storage.read()).records]
+        assert ops == ["header", "batch"]
+        assert [(e.event, e.rows) for e in events.events] == [
+            ("wal", 5),
+            ("mutation", 5),
+        ]
+
+    def test_all_insert_and_all_delete_batches_log_one_record(self, durable):
+        db, events = durable
+        rows = [{"P.SSN": "s1"}, {"S.SSN": "s1"}]
+        stored = db.apply_batch(
+            [("insert", "PERSON", rows[0]), ("insert", "STUDENT", rows[1])]
+        )
+        assert [t.mapping for t in stored] == rows
+        assert all(t.mapping is r for t, r in zip(stored, rows))
+        db.apply_batch(
+            [("delete", "STUDENT", "s1"), ("delete", "PERSON", ("s1",))]
+        )
+        ops = [r["op"] for r in parse_wal(db.wal.storage.read()).records]
+        assert ops == ["header", "batch", "batch"]
+        assert db.count("PERSON") == db.count("STUDENT") == 0
+
+    def test_fallback_batch_logs_one_record(self, durable):
+        db, events = durable
+        db.apply_batch(
+            [
+                ("insert", "COURSE", {"C.NR": "c1"}),
+                ("insert", "DEPARTMENT", {"D.NAME": "cs"}),
+                ("insert", "OFFER", {"O.C.NR": "c1", "O.D.NAME": "cs"}),
+                ("update", "OFFER", ("c1",), {"O.D.NAME": "cs"}),
+            ]
+        )
+        ops = [r["op"] for r in parse_wal(db.wal.storage.read()).records]
+        assert ops == ["header", "batch"]
+        summary = [e for e in events.events if e.event in ("wal", "mutation")]
+        assert [(e.event, e.op, e.rows) for e in summary] == [
+            ("wal", "apply_batch", 4),
+            ("mutation", "apply_batch", 4),
+        ]
+
+    def test_rejected_batch_logs_nothing(self, durable):
+        db, _events = durable
+        for batch in (
+            lambda: db.insert_many("TEACH", [{"T.C.NR": "x", "T.F.SSN": "y"}]),
+            lambda: db.apply_batch([("delete", "COURSE", ("ghost",))]),
+        ):
+            with pytest.raises((ConstraintViolationError, KeyError)):
+                batch()
+        ops = [r["op"] for r in parse_wal(db.wal.storage.read()).records]
+        assert ops == ["header"]

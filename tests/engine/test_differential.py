@@ -15,6 +15,8 @@ import pytest
 
 from repro.engine.database import ConstraintViolationError, Database
 from repro.engine.oracle import OracleDatabase
+from repro.engine.recovery import recover_database
+from repro.engine.wal import MemoryStorage, WriteAheadLog
 from repro.engine.query import QueryEngine
 from repro.relational.tuples import NULL
 from repro.workloads.random_schemas import RandomSchemaParams, random_schema
@@ -476,14 +478,16 @@ def _seed_base_state(rng, schema, required, databases, oracle, n=60):
             db.insert(name, dict(row))
 
 
-def _random_batch(rng, schema, required, oracle, n_ops=40):
+def _random_batch(rng, schema, required, oracle, n_ops=40, only=None):
     """A mixed insert/delete/update batch; deletes and updates mostly
-    target live rows so constraint machinery actually fires."""
+    target live rows so constraint machinery actually fires.  ``only``
+    ("insert" or "delete") draws a single-kind batch instead -- the
+    shapes the columnar path can accept."""
     ops = []
     for _ in range(n_ops):
         name = rng.choice(list(schema.scheme_names))
         scheme = schema.scheme(name)
-        roll = rng.random()
+        roll = {None: rng.random(), "insert": 0.0, "delete": 0.7}[only]
         if roll < 0.6:
             ops.append(
                 ("insert", name, _random_row(rng, scheme, required[name]))
@@ -506,23 +510,48 @@ def _random_batch(rng, schema, required, oracle, n_ops=40):
     return ops
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    null_semantics=st.sampled_from(["distinct", "identical"]),
-)
-def test_slotted_apply_batch_matches_dict_row_paths(seed, null_semantics):
+def _engine_pair(schema, null_semantics, wal):
+    """The slotted engine and its dict-row reference, optionally each
+    with a write-ahead log over memory."""
+    return tuple(
+        Database(
+            schema,
+            null_semantics=null_semantics,
+            slotted=slotted,
+            wal=WriteAheadLog(MemoryStorage()) if wal else None,
+        )
+        for slotted in (True, False)
+    )
+
+
+def _assert_logs_agree(schema, null_semantics, fast, slow):
+    """With a log attached, a batch's record no longer depends on the
+    path that accepted it: both logs are byte-identical, and each
+    recovers to the live state."""
+    data = fast.wal.storage.read()
+    assert data == slow.wal.storage.read()
+    for db in (fast, slow):
+        recovered = recover_database(
+            schema, storage=MemoryStorage(data), null_semantics=null_semantics
+        ).database
+        assert recovered.state() == db.state()
+
+
+def _check_apply_batch_paths(seed, null_semantics, wal=False, shapes=None):
     schema = random_schema(PARAMS, seed=seed % 7).schema
     rng = random.Random(seed)
-    fast = Database(schema, null_semantics=null_semantics, slotted=True)
-    slow = Database(schema, null_semantics=null_semantics, slotted=False)
+    fast, slow = _engine_pair(schema, null_semantics, wal)
     oracle = OracleDatabase(schema, null_semantics=null_semantics)
     required = {s.name: _required_attrs(schema, s.name) for s in schema.schemes}
     _seed_base_state(rng, schema, required, (fast, slow), oracle)
     assert fast.state() == slow.state() == oracle.state()
 
-    for _ in range(3):
-        ops = _random_batch(rng, schema, required, oracle)
+    for only in shapes or (None, None, None):
+        # Small single-kind batches: over the tiny value pool a long one
+        # is nearly always rejected, and then no path is exercised but
+        # the rejection.
+        n_ops = 40 if only is None else rng.randint(1, 4)
+        ops = _random_batch(rng, schema, required, oracle, n_ops, only)
         fast_ops = [
             (op[0], op[1], dict(op[2])) + tuple(op[3:])
             if op[0] == "insert"
@@ -545,18 +574,14 @@ def test_slotted_apply_batch_matches_dict_row_paths(seed, null_semantics):
                         oracle.update(op[1], op[2], op[3])
                 except (ConstraintViolationError, KeyError):
                     pass  # batch order may differ from sequential order
+    if wal:
+        _assert_logs_agree(schema, null_semantics, fast, slow)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    null_semantics=st.sampled_from(["distinct", "identical"]),
-)
-def test_slotted_insert_many_matches_dict_row_paths(seed, null_semantics):
+def _check_insert_many_paths(seed, null_semantics, wal=False, max_rows=50):
     schema = random_schema(PARAMS, seed=seed % 7).schema
     rng = random.Random(seed * 31 + 7)
-    fast = Database(schema, null_semantics=null_semantics, slotted=True)
-    slow = Database(schema, null_semantics=null_semantics, slotted=False)
+    fast, slow = _engine_pair(schema, null_semantics, wal)
     oracle = OracleDatabase(schema, null_semantics=null_semantics)
     required = {s.name: _required_attrs(schema, s.name) for s in schema.schemes}
     _seed_base_state(rng, schema, required, (fast, slow), oracle)
@@ -565,7 +590,7 @@ def test_slotted_insert_many_matches_dict_row_paths(seed, null_semantics):
     scheme = schema.scheme(name)
     rows = [
         _random_row(rng, scheme, required[name])
-        for _ in range(rng.randint(1, 50))
+        for _ in range(rng.randint(1, max_rows))
     ]
     ok = _apply_both(
         lambda: fast.insert_many(name, [dict(r) for r in rows]),
@@ -586,6 +611,53 @@ def test_slotted_insert_many_matches_dict_row_paths(seed, null_semantics):
                 break
         if oracle_ok:
             assert fast.state() == oracle.state()
+    if wal:
+        _assert_logs_agree(schema, null_semantics, fast, slow)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    null_semantics=st.sampled_from(["distinct", "identical"]),
+)
+def test_slotted_apply_batch_matches_dict_row_paths(seed, null_semantics):
+    _check_apply_batch_paths(seed, null_semantics)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    null_semantics=st.sampled_from(["distinct", "identical"]),
+)
+def test_slotted_insert_many_matches_dict_row_paths(seed, null_semantics):
+    _check_insert_many_paths(seed, null_semantics)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    null_semantics=st.sampled_from(["distinct", "identical"]),
+)
+def test_slotted_apply_batch_matches_dict_row_paths_with_wal(
+    seed, null_semantics
+):
+    """All-insert, all-delete (the columnar shapes) and mixed batches
+    under a log: same results and errors, byte-identical logs, and
+    recovery of either log equals the live state."""
+    _check_apply_batch_paths(
+        seed, null_semantics, wal=True, shapes=("insert", "delete", None)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    null_semantics=st.sampled_from(["distinct", "identical"]),
+)
+def test_slotted_insert_many_matches_dict_row_paths_with_wal(
+    seed, null_semantics
+):
+    _check_insert_many_paths(seed, null_semantics, wal=True, max_rows=4)
 
 
 # -- crash-recovery property test ----------------------------------------------

@@ -167,10 +167,28 @@ def test_fault_on_checkpoint_keeps_old_log(schema):
 
 
 def test_insert_many_fault_rolls_back_whole_batch(schema):
-    # Sites: 0 header, 1 begin, 2/3/4 inserts -> fault on the third row.
-    db = Database(schema, wal=WriteAheadLog(FaultyStorage(fail_at=4)))
+    # Sites: 0 header, 1 the batch's one record -> nothing is applied.
+    db = Database(schema, wal=WriteAheadLog(FaultyStorage(fail_at=1)))
     with pytest.raises(InjectedFault):
         db.insert_many(
             "COURSE", [{"C.NR": f"c{i}"} for i in range(3)]
         )
     assert db.count("COURSE") == 0
+
+
+def test_row_path_batch_fault_unwinds_the_applied_batch(schema):
+    """The row-at-a-time path applies first and logs last: a failed
+    append must undo every row it already stored."""
+    db = Database(
+        schema, wal=WriteAheadLog(FaultyStorage(fail_at=2)), slotted=False
+    )
+    db.insert("COURSE", {"C.NR": "c0"})
+    with pytest.raises(InjectedFault):
+        db.apply_batch(
+            [
+                ("insert", "COURSE", {"C.NR": "c1"}),
+                ("delete", "COURSE", ("c0",)),
+            ]
+        )
+    assert sorted(t["C.NR"] for t in db.scan("COURSE")) == ["c0"]
+    assert db.stats.bulk_rows == 0

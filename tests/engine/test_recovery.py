@@ -35,7 +35,7 @@ from repro.engine.wal import (
 )
 from repro.io.state_json import state_from_dict, state_to_dict
 from repro.obs.trace import RingBufferTracer
-from repro.relational.tuples import NULL
+from repro.relational.tuples import NULL, Tuple
 from repro.workloads.university import university_relational, university_state
 
 from tests.engine._wal_oracle import oracle_replay
@@ -50,9 +50,12 @@ class _ScriptAbort(Exception):
 def _mutation_script(db: Database) -> None:
     """A deterministic workload covering every logged mutation path:
     bare inserts/updates/deletes, an explicit transaction, a rejected
-    op (never logged), ``insert_many``, ``apply_batch``, an aborted
-    transaction, a checkpoint, post-checkpoint mutations, and a nested
-    transaction with an inner rollback.
+    op (never logged), ``insert_many``, ``apply_batch`` (mixed, and
+    all-insert/all-delete on the columnar path), a batch of engine
+    ``Tuple`` rows the row path has to prove, a batch inside an explicit
+    transaction, a committed and an aborted two-phase prepare, an
+    aborted transaction, a checkpoint, post-checkpoint mutations, and a
+    nested transaction with an inner rollback.
 
     Batches are order-safe (parents before children) so the scan-oracle
     interpreter can replay committed groups record by record.
@@ -83,6 +86,27 @@ def _mutation_script(db: Database) -> None:
             ("update", "OFFER", ("c2",), {"O.D.NAME": "math"}),
         ]
     )
+    db.apply_batch(
+        [
+            ("insert", "PERSON", {"P.SSN": "s5"}),
+            ("insert", "STUDENT", {"S.SSN": "s5"}),
+            ("insert", "COURSE", {"C.NR": "c3"}),
+        ]
+    )
+    db.apply_batch(
+        [("delete", "STUDENT", ("s5",)), ("delete", "PERSON", ("s5",))]
+    )
+    db.insert_many("DEPARTMENT", [Tuple({"D.NAME": "ee"})])
+    with db.transaction():
+        db.insert_many("COURSE", [{"C.NR": "c4"}, {"C.NR": "c5"}])
+        db.insert("OFFER", {"O.C.NR": "c4", "O.D.NAME": "ee"})
+    db.apply_batch_prepare(
+        [
+            ("insert", "COURSE", {"C.NR": "c6"}),
+            ("insert", "OFFER", {"O.C.NR": "c6", "O.D.NAME": "cs"}),
+        ]
+    ).commit()
+    db.apply_batch_prepare([("insert", "COURSE", {"C.NR": "c7"})]).abort()
     try:
         with db.transaction():
             db.insert("PERSON", {"P.SSN": "doomed"})

@@ -19,13 +19,17 @@ from repro.engine.wal import (
     WAL_VERSION,
     WalError,
     WriteAheadLog,
+    batch_record,
     decode_batch_op,
+    decode_ops,
     delete_record,
     encode_record,
     insert_record,
+    op_runs,
     parse_wal,
     update_record,
 )
+from repro.engine.recovery import recover_database
 from repro.relational.tuples import NULL
 from repro.workloads.university import university_relational
 
@@ -53,7 +57,7 @@ GOLDEN_RECORDS = [
     ),
     (
         {"op": "header", "version": WAL_VERSION, "lsn": 1},
-        b'00000023 fa1bcc46 {"lsn":1,"op":"header","version":1}\n',
+        b'00000023 d1369f85 {"lsn":1,"op":"header","version":2}\n',
     ),
     (
         {"op": "begin", "txn": 1, "lsn": 5},
@@ -109,6 +113,79 @@ def test_golden_null_round_trips_as_null():
 def test_decode_batch_op_rejects_non_mutations():
     with pytest.raises(WalError):
         decode_batch_op({"op": "header", "version": 1})
+
+
+#: One whole ``apply_batch`` as a single record: consecutive ops of one
+#: kind and scheme share a run, keys are lists, and a NULL inside a row
+#: is the same marker the single-row records use.
+GOLDEN_BATCH_OPS = [
+    ("insert", "OFFER", {"O.C.NR": "c1", "O.D.NAME": NULL}),
+    ("insert", "OFFER", {"O.C.NR": "c2", "O.D.NAME": "cs"}),
+    ("delete", "COURSE", "c9"),
+    ("update", "OFFER", ("c2",), {"O.D.NAME": "math"}),
+]
+GOLDEN_BATCH_BYTES = (
+    b'000000ce 0c12dfdd {"lsn":11,"op":"batch","runs":[["insert","OFFER",'
+    b'[{"O.C.NR":"c1","O.D.NAME":{"$null":true}},{"O.C.NR":"c2",'
+    b'"O.D.NAME":"cs"}]],["delete","COURSE",[["c9"]]],["update","OFFER",'
+    b'[[["c2"],{"O.D.NAME":"math"}]]]]}\n'
+)
+
+
+def test_golden_batch_record_bytes():
+    payload = dict(batch_record(op_runs(GOLDEN_BATCH_OPS)), lsn=11)
+    assert encode_record(payload) == GOLDEN_BATCH_BYTES
+    (record,) = parse_wal(GOLDEN_BATCH_BYTES).records
+    ops = decode_ops(record)
+    assert ops == [
+        ("insert", "OFFER", {"O.C.NR": "c1", "O.D.NAME": NULL}),
+        ("insert", "OFFER", {"O.C.NR": "c2", "O.D.NAME": "cs"}),
+        ("delete", "COURSE", ("c9",)),
+        ("update", "OFFER", ("c2",), {"O.D.NAME": "math"}),
+    ]
+    assert ops[0][2]["O.D.NAME"] is NULL
+
+
+def test_decode_ops_wraps_single_records_and_rejects_bad_runs():
+    record = parse_wal(GOLDEN_RECORDS[2][1]).records[0]
+    assert decode_ops(record) == [("delete", "OFFER", ("c1",))]
+    with pytest.raises(WalError):
+        decode_ops({"op": "batch", "runs": [["merge", "OFFER", []]]})
+
+
+def test_version_1_log_still_recovers():
+    """A log written before the ``batch`` record existed (per-op
+    records, ``insert_many``/``apply_batch`` as begin..commit groups,
+    a checkpoint, an inner rollback, an aborted group) recovers to the
+    state its writer held, and keeps accepting appends."""
+    path = os.path.join(os.path.dirname(__file__), "data", "wal_v1.log")
+    with open(path, "rb") as f:
+        data = f.read()
+    records = parse_wal(data).records
+    assert records[0] == {"op": "header", "version": 1, "lsn": 5}
+    assert "batch" not in {r["op"] for r in records}
+    schema = university_relational()
+    db = recover_database(schema, storage=MemoryStorage(data)).database
+    keys = {
+        name: sorted(tuple(t.mapping.values()) for t in db.scan(name))
+        for name in schema.scheme_names
+    }
+    assert keys == {
+        "PERSON": [("s1",), ("s2",)],
+        "FACULTY": [("s1",)],
+        "STUDENT": [],
+        "COURSE": [("c0",), ("c1",)],
+        "DEPARTMENT": [("cs",), ("math",)],
+        "OFFER": [("c0", "math"), ("c1", "cs")],
+        "TEACH": [("c0", "s1")],
+        "ASSIST": [],
+    }
+    assert db.recovery_report.transactions_replayed == 3
+    assert db.recovery_report.transactions_rolled_back == 1
+    # The resumed v1 log takes version-2 batch records and recovers again.
+    db.insert_many("COURSE", [{"C.NR": "c7"}, {"C.NR": "c8"}])
+    again = recover_database(schema, storage=MemoryStorage(db.wal.storage.read()))
+    assert again.database.state() == db.state()
 
 
 # -- parsing -------------------------------------------------------------------

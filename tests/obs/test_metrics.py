@@ -183,3 +183,21 @@ def test_snapshot_shape():
     assert by_name["g"]["samples"][0]["value"] == 3.0
     hist_value = by_name["h_seconds"]["samples"][0]["value"]
     assert hist_value["count"] == 1
+
+
+def test_snapshot_keeps_sub_millisecond_observations():
+    """A 0.2 ms observation in seconds must not summarize to 0: the
+    fixed-bucket summary keeps significant digits, and the default
+    latency histogram reports microseconds."""
+    reg = MetricsRegistry()
+    fixed = reg.histogram(
+        "sync_seconds", "Syncs.", buckets=(0.0001, 0.001, 0.01)
+    )
+    latency = reg.histogram("wal_sync_seconds", "WAL syncs.")
+    for h in (fixed, latency):
+        h.observe(0.0002)
+    by_name = {f["name"]: f["samples"][0]["value"] for f in reg.snapshot()}
+    assert by_name["sync_seconds"]["p50"] == pytest.approx(0.0002)
+    assert by_name["sync_seconds"]["sum"] == pytest.approx(0.0002)
+    assert by_name["sync_seconds"]["max"] == pytest.approx(0.0002)
+    assert 200 <= by_name["wal_sync_seconds"]["p50_us"] <= 256

@@ -29,6 +29,7 @@ from repro.engine.wal import (
     WalCursor,
     WriteAheadLog,
     insert_record,
+    parse_wal,
 )
 from repro.io import relational_schema_to_dict, state_to_dict
 from repro.server import ServerConfig, ServerProcess, ServerThread
@@ -243,6 +244,38 @@ def test_read_your_writes_routes_through_replica():
                 assert client.get("COURSE", "mine") == {"C.NR": "mine"}
                 status = _await_applied(replica.port, client.last_lsn)
                 assert status["applied_lsn"] >= client.last_lsn
+
+
+def test_replica_converges_on_streamed_batch_records():
+    """Each bulk mutation ships as one self-committing ``batch`` record:
+    an ``insert_many``, an all-delete ``apply_batch`` (both on the
+    primary's columnar path) and a mixed batch the primary proves on
+    its row path all replay on the replica, which re-logs them as
+    batches of its own and ends on exactly the primary's rows."""
+    with ServerThread(_database(), ServerConfig()) as primary:
+        with Client(port=primary.port, timeout=30) as c:
+            c.insert("DEPARTMENT", {"D.NAME": "cs"})
+            base_lsn = c.last_lsn
+        with _replica_thread(primary) as replica:
+            _await_applied(replica.port, base_lsn)  # now streaming
+            with Client(port=primary.port, timeout=30) as c:
+                c.insert_many("COURSE", [{"C.NR": f"k{i}"} for i in range(20)])
+                c.apply_batch([("delete", "COURSE", f"k{i}") for i in range(10)])
+                c.apply_batch(
+                    [
+                        ("insert", "OFFER", {"O.C.NR": "k10", "O.D.NAME": "cs"}),
+                        ("insert", "DEPARTMENT", {"D.NAME": "math"}),
+                        ("update", "OFFER", ("k10",), {"O.D.NAME": "math"}),
+                        ("delete", "COURSE", ("k11",)),
+                    ]
+                )
+                lsn = c.last_lsn
+            _await_applied(replica.port, lsn)
+            assert replica.db.state() == primary.db.state()
+            assert replica.db.count("COURSE") == 9
+            for db in (primary.db, replica.db):
+                records = parse_wal(db.wal.storage.read()).records
+                assert [r["op"] for r in records].count("batch") == 3
 
 
 # -- subprocess: SIGKILL the primary, promote, lose nothing --------------------

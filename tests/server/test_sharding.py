@@ -13,6 +13,8 @@ prepare.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import threading
 import time
 
@@ -25,7 +27,7 @@ from repro.server.protocol import (
     RemoteError,
 )
 from repro.server.router import shard_of
-from repro.server.supervisor import FleetProcess
+from repro.server.supervisor import FleetProcess, _pid_alive
 from repro.workloads.university import university_relational
 
 WORKERS = 2
@@ -296,3 +298,30 @@ def test_concurrent_sharded_writers_make_progress(fleet, sclient):
         for per_thread in acked:
             for ssn in per_thread:
                 assert c.get("STUDENT", (ssn,)) is not None, ssn
+
+
+def test_sigterm_right_after_readiness_drains_the_fleet(tmp_path):
+    """The supervisor installs its drain handlers before it prints the
+    readiness line, so a SIGTERM sent the moment the line appears
+    drains every worker instead of killing the supervisor and
+    orphaning them."""
+    schema_file = tmp_path / "university.json"
+    schema_file.write_text(
+        json.dumps(relational_schema_to_dict(university_relational()))
+    )
+    fleet = FleetProcess(str(schema_file), workers=WORKERS)
+    pids: list[int] = []
+    try:
+        fleet.wait_ready()
+        fleet.proc.send_signal(signal.SIGTERM)
+        pids = list(fleet.worker_pids.values())
+        fleet.proc.wait(timeout=60)
+        assert fleet.stop() == 0  # exited already: joins the reader
+        assert "fleet drained" in fleet.lines
+        assert len(pids) == WORKERS
+        assert not [pid for pid in pids if _pid_alive(pid)]
+    finally:
+        for pid in pids:  # never leave an orphaned worker behind
+            if _pid_alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        fleet.stop()
