@@ -6,9 +6,11 @@ asyncio server.  Concurrency comes from many clients (one per thread or
 process), which is exactly the shape the server's group-commit path is
 built for.
 
-Rows and primary keys travel in the engine's own value encoding
-(``NULL`` as the ``{"$null": true}`` marker), so what a method returns
-is what :meth:`Database.get` would return in-process, as a plain dict.
+Rows and primary keys go on the wire as given: the frame encoder writes
+``NULL`` as the ``{"$null": true}`` marker, and responses are decoded
+back (:func:`~repro.server.protocol.decode_rows`), so what a method
+returns is what :meth:`Database.get` would return in-process, as a
+plain dict.
 Server-side rejections come back as exceptions:
 :class:`~repro.server.protocol.RemoteConstraintViolation` for
 constraint violations (carrying ``constraint``/``kind``/``rule``/
@@ -39,9 +41,8 @@ from repro.server.protocol import (
     RemoteError,
     decode_frame,
     decode_row,
+    decode_rows,
     encode_frame,
-    encode_pk,
-    encode_row,
     raise_error,
     request_frame,
 )
@@ -61,10 +62,14 @@ __all__ = [
 
 
 def _wire_pk(pk: Any) -> list:
-    """A primary key (scalar or tuple) in wire form."""
-    if not isinstance(pk, tuple):
-        pk = (pk,)
-    return encode_pk(pk)
+    """A primary key (scalar or tuple) as a wire array."""
+    return list(pk) if isinstance(pk, tuple) else [pk]
+
+
+def _wire_row(row: Mapping[str, Any]) -> dict[str, Any]:
+    """A row (any mapping, an engine :class:`Tuple` included) as a
+    plain dict the frame encoder can write."""
+    return row if type(row) is dict else dict(row)
 
 
 def _wire_ops(ops: Iterable[tuple]) -> list[list]:
@@ -73,10 +78,10 @@ def _wire_ops(ops: Iterable[tuple]) -> list[list]:
     for op in ops:
         kind = op[0] if op else None
         if kind == "insert" and len(op) == 3:
-            wire.append(["insert", op[1], encode_row(op[2])])
+            wire.append(["insert", op[1], _wire_row(op[2])])
         elif kind == "update" and len(op) == 4:
             wire.append(
-                ["update", op[1], _wire_pk(op[2]), encode_row(op[3])]
+                ["update", op[1], _wire_pk(op[2]), _wire_row(op[3])]
             )
         elif kind == "delete" and len(op) == 3:
             wire.append(["delete", op[1], _wire_pk(op[2])])
@@ -208,7 +213,7 @@ class Client:
     ) -> dict[str, Any]:
         """Insert one row; returns the stored row."""
         return decode_row(
-            self.call("insert", scheme=scheme, row=encode_row(row))
+            self.call("insert", scheme=scheme, row=_wire_row(row))
         )
 
     def update(
@@ -220,7 +225,7 @@ class Client:
                 "update",
                 scheme=scheme,
                 pk=_wire_pk(pk),
-                updates=encode_row(updates),
+                updates=_wire_row(updates),
             )
         )
 
@@ -233,18 +238,15 @@ class Client:
     ) -> list[dict[str, Any]]:
         """Insert many rows of one scheme atomically."""
         result = self.call(
-            "insert_many",
-            scheme=scheme,
-            rows=[encode_row(r) for r in rows],
+            "insert_many", scheme=scheme, rows=list(map(_wire_row, rows))
         )
-        return [decode_row(r) for r in result]
+        return decode_rows(result)
 
     def apply_batch(self, ops: Iterable[tuple]) -> list[dict[str, Any] | None]:
         """Apply a mixed mutation batch atomically (engine-style op
         tuples: ``("insert", scheme, row)``, ``("update", scheme, pk,
         updates)``, ``("delete", scheme, pk)``)."""
-        result = self.call("apply_batch", ops=_wire_ops(ops))
-        return [decode_row(r) if r is not None else None for r in result]
+        return decode_rows(self.call("apply_batch", ops=_wire_ops(ops)))
 
     # -- reads -----------------------------------------------------------
 
@@ -290,7 +292,7 @@ class Client:
             via=list(via),
             target_attrs=list(target_attrs),
         )
-        return [decode_row(r) for r in result]
+        return decode_rows(result)
 
     def check(self) -> dict[str, Any]:
         """Full-state consistency check:
@@ -643,7 +645,7 @@ class ShardedClient:
     def insert(self, scheme: str, row: Mapping[str, Any]) -> dict[str, Any]:
         """Insert one row (routed; two-phase only when the scheme has
         outgoing references another shard may have to satisfy)."""
-        wire = encode_row(row)
+        wire = _wire_row(row)
         if not self.shard_map.refs_out.get(scheme, True):
             shard = self.shard_map.shard_of_row(scheme, wire)
             return decode_row(
@@ -667,11 +669,11 @@ class ShardedClient:
                     "update",
                     scheme=scheme,
                     pk=_wire_pk(pk),
-                    updates=encode_row(updates),
+                    updates=_wire_row(updates),
                 )
             )
         results = self._two_phase(
-            [["update", scheme, _wire_pk(pk), encode_row(updates)]]
+            [["update", scheme, _wire_pk(pk), _wire_row(updates)]]
         )
         assert results[0] is not None
         return results[0]
@@ -692,7 +694,7 @@ class ShardedClient:
         """Insert many rows of one scheme atomically (per batch: a
         multi-shard batch uses the two-phase protocol so rejection
         stays all-or-nothing)."""
-        wire_rows = [encode_row(r) for r in rows]
+        wire_rows = list(map(_wire_row, rows))
         if not self.shard_map.refs_out.get(scheme, True):
             by_shard: dict[int, list[int]] = {}
             for i, w in enumerate(wire_rows):
@@ -701,10 +703,11 @@ class ShardedClient:
                 ).append(i)
             if len(by_shard) == 1:
                 ((shard, _),) = by_shard.items()
-                result = self.shard_client(shard).call(
-                    "insert_many", scheme=scheme, rows=wire_rows
+                return decode_rows(
+                    self.shard_client(shard).call(
+                        "insert_many", scheme=scheme, rows=wire_rows
+                    )
                 )
-                return [decode_row(r) for r in result]
         results = self._two_phase(
             [["insert", scheme, w] for w in wire_rows]
         )
@@ -795,10 +798,10 @@ class ShardedClient:
                 except Exception as exc:  # commit the rest, then report
                     failure = failure or exc
                     continue
-                for (index, _op), row in zip(groups[shard], rows):
-                    results[index] = (
-                        decode_row(row) if row is not None else None
-                    )
+                for (index, _op), row in zip(
+                    groups[shard], decode_rows(rows)
+                ):
+                    results[index] = row
             if failure is not None:
                 raise failure
             return results
@@ -832,10 +835,9 @@ class ShardedClient:
     ) -> bool:
         """Whether any shard holds a row of ``scheme`` carrying
         ``value`` under ``attrs``."""
-        wire = encode_pk(tuple(value))
         return any(
             self.shard_client(s).call(
-                "exists", scheme=scheme, attrs=list(attrs), value=wire
+                "exists", scheme=scheme, attrs=list(attrs), value=list(value)
             )["exists"]
             for s in self.shard_map.shards()
         )

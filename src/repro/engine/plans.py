@@ -116,9 +116,10 @@ class CompiledReference:
 
     For an *outgoing* reference of scheme ``S`` (``S = lhs``):
     ``extract`` projects an ``S`` row onto the foreign-key attributes,
-    ``scheme``/``attrs`` name the referenced side, and ``is_pk`` says the
+    ``scheme``/``attrs`` name the referenced side, ``is_pk`` says the
     referenced attributes are that scheme's primary key (so existence is
-    answered by its row dict).
+    answered by its row dict), and ``watch`` is the set of foreign-key
+    attributes whose assignment needs a new existence probe.
 
     For an *incoming* reference of scheme ``S`` (``S = rhs``):
     ``extract`` projects an ``S`` row onto the referenced attributes,
@@ -159,6 +160,7 @@ class SchemeAccessPlan:
         "attr_set",
         "pk",
         "candidate_keys",
+        "key_attrs",
         "null_checks",
         "bulk_null_checks",
         "outgoing",
@@ -178,6 +180,10 @@ class SchemeAccessPlan:
                 tuple(a.name for a in key) for key in scheme.candidate_keys
             )
             if names != scheme.key_names
+        )
+        #: Every attribute of the primary key or a candidate key.
+        self.key_attrs: frozenset[str] = frozenset(scheme.key_names).union(
+            *(names for names, _extract in self.candidate_keys)
         )
         #: Null constraints as ``(constraint, compiled check)`` pairs, in
         #: schema declaration order (violation order matters).

@@ -20,6 +20,14 @@ journaling, no undo log -- and applied with bulk ``dict.update`` /
 ``dict.__delitem__`` runs only after every check has passed, so a batch
 the fast path cannot accept touches nothing.
 
+Batch shapes.  Three shapes take the columnar path: ``insert_many``,
+an all-insert ``apply_batch``, and an ``apply_batch`` of updates and
+deletes in any mix.  An update/delete batch qualifies when every key
+appears in it once and no update assigns a primary- or candidate-key
+attribute; its merged rows get the null checks, the new foreign-key
+values one existence probe each against the final state, and the
+values that deletes and updates take away the restrict check.
+
 Fallback discipline.  Every entry point returns ``None`` whenever the
 batch cannot be *proven* acceptable by the columnar checks alone: any
 shape/key/null/reference problem, or an operation mix the fast checks
@@ -45,16 +53,17 @@ from __future__ import annotations
 import gc
 from collections import deque
 from contextlib import contextmanager
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, filterfalse, repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.engine.plans import attr_extractor, contains_null
+from repro.engine.plans import contains_null
 from repro.relational.tuples import NULL, Tuple
 
 _new_tuple = object.__new__
 _set_values = Tuple.__dict__["_values"].__set__
 _set_hash = Tuple.__dict__["_hash"].__set__
+_get_values = attrgetter("_values")
 #: Drains a map object without building a list -- the cheapest way to
 #: run a C-level setter over every element.
 _consume = deque(maxlen=0).extend
@@ -140,9 +149,8 @@ def _validate_inserts(db, groups):
         if not table.rows.keys().isdisjoint(new):
             return None  # primary-key clash with stored rows
         for _constraint, check in plan.bulk_null_checks:
-            for r in rows:
-                if not check(r):
-                    return None
+            if not all(map(check, rows)):
+                return None
         for key_names, extract in plan.candidate_keys:
             if identical:
                 vals = [extract(r) for r in rows]
@@ -162,23 +170,16 @@ def _validate_inserts(db, groups):
     # foreign-key value, against stored rows plus the batch itself.
     for table, rows, _new, _ts in prepared:
         for ref in table.plan.outgoing:
-            extract = ref.extract
-            vals = set()
-            for r in rows:
-                v = extract(r)
-                if not contains_null(v):
-                    vals.add(v)
+            vals = _total_values(ref.ind.lhs_attrs, rows)
             if not vals:
                 continue
             rtable = db._tables[ref.scheme]
             batch_new = new_by_scheme.get(ref.scheme)
             if ref.is_pk:
-                rrows = rtable.rows
-                for v in vals:
-                    if v in rrows:
-                        continue
-                    if batch_new is not None and v in batch_new[0]:
-                        continue
+                missing = vals.difference(rtable.rows)
+                if missing and (
+                    batch_new is None or not batch_new[0].keys() >= missing
+                ):
                     return None  # dangling reference
             else:
                 gindex = rtable.group_indexes.get(ref.attrs)
@@ -190,14 +191,32 @@ def _validate_inserts(db, groups):
                         continue
                     if batch_new is not None:
                         if inbatch is None:
-                            rex = attr_extractor(ref.attrs)
-                            inbatch = {
-                                rex(t._values) for t in batch_new[1]
-                            }
+                            inbatch = set(
+                                _project(
+                                    ref.attrs, map(_get_values, batch_new[1])
+                                )
+                            )
                         if v in inbatch:
                             continue
                     return None
     return prepared
+
+
+def _project(attrs: tuple[str, ...], rows) -> list[tuple]:
+    """Each row's value tuple under ``attrs``, in C loops."""
+    if len(attrs) == 1:
+        return list(zip(map(itemgetter(attrs[0]), rows)))
+    return list(map(itemgetter(*attrs), rows))
+
+
+def _total_values(attrs: tuple[str, ...], rows) -> set:
+    """The distinct values of ``rows`` under ``attrs`` that contain no
+    ``NULL`` (a partly-null value binds no reference)."""
+    vals = set(_project(attrs, rows))
+    if len(attrs) == 1:
+        vals.discard((NULL,))
+        return vals
+    return {v for v in vals if not contains_null(v)}
 
 
 def _commit_inserts(db, prepared) -> None:
@@ -218,16 +237,7 @@ def _commit_inserts(db, prepared) -> None:
                     if not contains_null(v := extract(r))
                 )
         for attrs, gindex in table.group_indexes.items():
-            extract = table.group_extractors[attrs]
-            for pk, r in zip(new, rows):
-                value = extract(r)
-                if contains_null(value):
-                    continue
-                bucket = gindex.get(value)
-                if bucket is None:
-                    gindex[value] = {pk: None}
-                else:
-                    bucket[pk] = None
+            _file(gindex, list(new), _project(attrs, rows))
 
 
 def bulk_insert_many(
@@ -261,21 +271,19 @@ def bulk_apply(
 ) -> list[Tuple | None] | None:
     """Fast path for :meth:`Database.apply_batch`.
 
-    Handles all-insert and all-delete batches; anything mixed, malformed
-    or unprovable returns ``None`` for the slow path.  ``log`` runs
-    once the batch has validated, before it is committed.
+    Handles all-insert batches and batches of updates and deletes;
+    anything else, malformed or unprovable returns ``None`` for the
+    slow path.  ``log`` runs once the batch has validated, before it is
+    committed.
     """
     if not ops:
         return None  # let the slow path produce its []
     with _gc_paused():
         try:
-            first = ops[0][0]
-            if first == "insert":
+            if ops[0][0] == "insert":
                 validated = _validate_batch_inserts(db, ops)
-            elif first == "delete":
-                validated = _validate_deletes(db, ops)
             else:
-                return None
+                validated = _validate_changes(db, ops)
         except (AttributeError, IndexError, KeyError, TypeError, ValueError):
             return None
         if validated is None:
@@ -346,21 +354,46 @@ def _validate_batch_inserts(db, ops):
     return commit
 
 
-def _validate_deletes(db, ops):
-    """Validate an all-delete batch; its commit thunk, or ``None``."""
-    # Group the batch's keys by scheme, normalizing scalar keys the way
-    # the slow path does; a missing row or an intra-batch duplicate is a
-    # slow-path matter (KeyError with the canonical message).
-    groups: dict[str, list[tuple]] = {}
-    for kind, scheme_name, pk in ops:
-        if kind != "delete":
-            return None  # mixed batch: slow path
-        pks = groups.get(scheme_name)
-        if pks is None:
-            pks = groups[scheme_name] = []
-        pks.append(pk if isinstance(pk, tuple) else (pk,))
+def _validate_changes(db, ops):
+    """Validate a batch of updates and deletes; its commit thunk, or
+    ``None``.
+
+    Taken only when every key appears once in the batch and no update
+    touches a primary- or candidate-key attribute: then every op sees
+    its pre-state row, keys cannot move or collide, and the row path's
+    per-op key checks pass by construction.  What is left is checked
+    against the pre-state with in-batch adjustments: null checks on the
+    merged rows, the foreign-key values updates assign against the
+    final state, and restrict for the values deletes and updates take
+    away.
+    """
+    # Group keys by scheme, normalizing scalar keys the way the slow
+    # path does; a missing row or a repeated key is a slow-path matter
+    # (KeyError with the canonical message, or sequential semantics).
+    deletes: dict[str, list[tuple]] = {}
+    updates: dict[str, tuple[list, list, list]] = {}
+    for i, op in enumerate(ops):
+        kind = op[0]
+        if kind == "delete":
+            _, scheme_name, pk = op
+            pks = deletes.get(scheme_name)
+            if pks is None:
+                pks = deletes[scheme_name] = []
+            pks.append(pk if isinstance(pk, tuple) else (pk,))
+        elif kind == "update":
+            _, scheme_name, pk, changes = op
+            if type(changes) is not dict:
+                return None  # the log writes update maps as given
+            entry = updates.get(scheme_name)
+            if entry is None:
+                entry = updates[scheme_name] = ([], [], [])
+            entry[0].append(pk if isinstance(pk, tuple) else (pk,))
+            entry[1].append(changes)
+            entry[2].append(i)
+        else:
+            return None  # inserts mixed in: slow path
     deleted: dict[str, tuple] = {}
-    for scheme_name, pks in groups.items():
+    for scheme_name, pks in deletes.items():
         table = db._tables.get(scheme_name)
         if table is None:
             return None
@@ -371,50 +404,159 @@ def _validate_deletes(db, ops):
         if len(olds) != len(pks) or not olds.keys() <= table.rows.keys():
             return None
         deleted[scheme_name] = (table, olds)
-    # Deferred restrict verification, evaluated on the *pre*-state with
-    # in-batch adjustments (a child blocks iff it is not itself deleted;
-    # a blocked value is still fine iff a non-deleted row keeps it
-    # alive).  Nothing has been mutated yet, so bailing out needs no
-    # restore and the slow path sees the original state and raises the
-    # canonical ``restrict-batch`` error.
-    for scheme_name, (table, olds) in deleted.items():
+    updated: dict[str, _Edit] = {}
+    for scheme_name, (pks, changes, positions) in updates.items():
+        edit = _prepare_updates(db, scheme_name, pks, changes, positions)
+        if edit is None:
+            return None
+        entry = deleted.get(scheme_name)
+        if entry is not None and not edit.keys.keys().isdisjoint(entry[1]):
+            return None  # one row both updated and deleted
+        updated[scheme_name] = edit
+    if not _outgoing_hold(db, deleted, updated):
+        return None
+    if not _restrict_holds(db, deleted, updated):
+        return None
+    return lambda: _commit_changes(db, deleted, updated, len(ops))
+
+
+class _Edit:
+    """One scheme's share of a validated update batch."""
+
+    __slots__ = ("table", "keys", "olds", "merged", "attrs", "positions")
+
+    def __init__(self, table, keys, olds, merged, attrs, positions):
+        self.table = table
+        #: The updated keys (a dict, for set tests) in batch order.
+        self.keys: dict[tuple, None] = keys
+        self.olds: list[Tuple] = olds
+        #: Each old row's values with its update applied.
+        self.merged: list[dict[str, Any]] = merged
+        #: Every attribute some update of this scheme assigns.
+        self.attrs: frozenset[str] = attrs
+        #: Each update's position in the batch (for the results).
+        self.positions: list[int] = positions
+
+    def moved(self, attrs: Sequence[str]):
+        """Keys whose value under ``attrs`` the batch may change (every
+        updated key, if any update assigns one of ``attrs``)."""
+        return self.keys if not self.attrs.isdisjoint(attrs) else ()
+
+
+def _prepare_updates(db, scheme_name, pks, changes, positions):
+    """Merge one scheme's updates into its pre-state rows and run the
+    null checks on them; the :class:`_Edit`, or ``None``."""
+    table = db._tables.get(scheme_name)
+    if table is None:
+        return None
+    plan = table.plan
+    rows = table.rows
+    keys = dict.fromkeys(pks)
+    if len(keys) != len(pks) or not keys.keys() <= rows.keys():
+        return None  # a repeated or missing key
+    attrs = frozenset().union(*changes)
+    if not attrs <= plan.attr_set or not attrs.isdisjoint(plan.key_attrs):
+        return None  # an unknown attribute, or a key would change
+    olds = list(map(rows.__getitem__, pks))
+    merged = list(map(dict, map(_get_values, olds)))
+    _consume(map(dict.update, merged, changes))
+    # Key attributes keep their (total) stored values, so the
+    # key-only nulls-not-allowed checks hold as for inserts.
+    for _constraint, check in plan.bulk_null_checks:
+        if not all(map(check, merged)):
+            return None
+    return _Edit(table, keys, olds, merged, attrs, positions)
+
+
+def _outgoing_hold(db, deleted, updated) -> bool:
+    """Every reference an update assigns holds in the final state: one
+    probe per distinct new value, and a provider the batch deletes (or
+    may change) does not count.  A reference no update assigns keeps
+    its stored, valid value; should the batch take that value's
+    provider away, the restrict check sees the row as a blocking
+    child."""
+    for edit in updated.values():
+        for ref in edit.table.plan.outgoing:
+            if edit.attrs.isdisjoint(ref.watch):
+                continue
+            vals = _total_values(ref.ind.lhs_attrs, edit.merged)
+            if not vals:
+                continue
+            rtable = db._tables[ref.scheme]
+            entry = deleted.get(ref.scheme)
+            rdead = entry[1] if entry is not None else {}
+            if ref.is_pk:
+                # Updates never change keys: the providers are the
+                # stored rows the batch does not delete.
+                if not (
+                    rtable.rows.keys() >= vals and rdead.keys().isdisjoint(vals)
+                ):
+                    return False
+                continue
+            gindex = rtable.group_indexes.get(ref.attrs)
+            if gindex is None:
+                return False  # unindexed group: slow path scans
+            redit = updated.get(ref.scheme)
+            moved = redit.moved(ref.attrs) if redit is not None else ()
+            for v in vals:
+                bucket = gindex.get(v)
+                if not bucket or all(
+                    pk in rdead or pk in moved for pk in bucket
+                ):
+                    return False
+    return True
+
+
+def _restrict_holds(db, deleted, updated) -> bool:
+    """Deferred restrict verification for the values deletes remove and
+    updates change away, evaluated on the *pre*-state with in-batch
+    adjustments: a child blocks iff it is not itself deleted (an
+    updated child still counts as referencing its old value -- safe,
+    since the slow path then decides); a blocked value is still fine
+    iff a row the batch neither deletes nor changes keeps it alive.
+    Nothing has been mutated, so bailing out needs no restore and the
+    slow path raises the canonical ``restrict-batch`` error."""
+    for scheme_name in deleted.keys() | updated.keys():
+        entry = deleted.get(scheme_name)
+        edit = updated.get(scheme_name)
+        table = entry[0] if entry is not None else edit.table
+        olds = entry[1] if entry is not None else {}
         plan = table.plan
         if not plan.incoming:
             continue
-        dead = olds
         by_attrs: dict[tuple, list] = {}
         for ref in plan.incoming:
             by_attrs.setdefault(tuple(ref.ind.rhs_attrs), []).append(ref)
         for rhs_attrs, refs in by_attrs.items():
             rhs_is_pk = rhs_attrs == plan.key_names
+            gone = olds
             # One extraction pass per referenced column group, shared by
             # every inclusion dependency over it -- and free when the
             # group *is* the primary key: the deleted-keys dict already
             # holds exactly the disappearing values (with cached
-            # hashes).
+            # hashes), and updates never change keys.
             if rhs_is_pk:
-                vals = olds
-            elif len(rhs_attrs) == 1:
-                nm = rhs_attrs[0]
-                vals = {
-                    (v,)
-                    for o in olds.values()
-                    if (v := o._values[nm]) is not NULL
-                }
+                vals = olds.keys()
             else:
-                extract = refs[0].extract
-                vals = set()
-                for o in olds.values():
-                    v = extract(o._values)
-                    if not contains_null(v):
-                        vals.add(v)
+                vals = _total_values(
+                    rhs_attrs, map(_get_values, olds.values())
+                )
+                if edit is not None and edit.moved(rhs_attrs):
+                    extract = refs[0].extract
+                    gone = dict(olds)
+                    for pk, old, new in zip(edit.keys, edit.olds, edit.merged):
+                        v = extract(old._values)
+                        if v != extract(new):
+                            gone[pk] = old
+                            if not contains_null(v):
+                                vals.add(v)
             if not vals:
                 continue
             gindex = None
             if not rhs_is_pk:
                 gindex = table.group_indexes.get(rhs_attrs)
                 if gindex is None:
-                    return None
+                    return False
             for ref in refs:
                 ctable = db._tables[ref.scheme]
                 centry = deleted.get(ref.scheme)
@@ -424,16 +566,11 @@ def _validate_deletes(db, ops):
                 else:
                     container = ctable.group_indexes.get(ref.attrs)
                     if container is None:
-                        return None
+                        return False
                 # Values both disappearing and referenced by this child
-                # table, found by scanning the smaller side -- the
-                # common no-conflict batch costs one C-level membership
-                # pass.
-                if len(container) < len(vals):
-                    suspects = [v for v in container if v in vals]
-                else:
-                    suspects = [v for v in vals if v in container]
-                for v in suspects:
+                # table: a C-level intersection that walks the smaller
+                # side, so the common no-conflict batch costs one pass.
+                for v in container.keys() & vals:
                     if ref.is_pk:
                         blocked = v not in cdead
                     else:
@@ -442,21 +579,93 @@ def _validate_deletes(db, ops):
                     if not blocked:
                         continue  # every referencing child dies too
                     if rhs_is_pk:
-                        alive = v in table.rows and v not in dead
+                        alive = v in table.rows and v not in gone
                     else:
                         bucket = gindex.get(v)
                         alive = bucket is not None and any(
-                            pk not in dead for pk in bucket
+                            pk not in gone for pk in bucket
                         )
                     if not alive:
-                        return None  # slow path raises restrict-batch
-    return lambda: _commit_deletes(db, deleted, len(ops))
+                        return False
+    return True
 
 
-def _commit_deletes(db, deleted, n_ops: int) -> list[None]:
+def _commit_changes(db, deleted, updated, n_ops: int) -> list[Tuple | None]:
+    """Apply a validated update/delete batch: bulk row removal and
+    replacement plus the index maintenance ``Database._unstore_raw`` /
+    ``_store_raw`` perform per row."""
+    _commit_deletes(deleted)
+    results: list[Tuple | None] = [None] * n_ops
+    for edit in updated.values():
+        table = edit.table
+        ts = list(map(_new_tuple, repeat(Tuple, len(edit.merged))))
+        _consume(map(_set_values, ts, edit.merged))
+        _consume(map(_set_hash, ts, repeat(None)))
+        # Replaced in place: unlike the row path's unstore/store, an
+        # updated row keeps its position in the table's scan order.
+        table.rows.update(zip(edit.keys, ts))
+        table.version += 1
+        # Key indexes need no work: updates never change key values.
+        for attrs, gindex in table.group_indexes.items():
+            if not edit.attrs.isdisjoint(attrs):
+                keys = list(edit.keys)
+                olds = map(_get_values, edit.olds)
+                _unfile(gindex, keys, _project(attrs, olds))
+                _file(gindex, keys, _project(attrs, edit.merged))
+        for i, t in zip(edit.positions, ts):
+            results[i] = t
+    stats = db.stats
+    stats.bulk_rows += n_ops
+    for scheme_name, (_table, olds) in deleted.items():
+        stats.deletes += len(olds)
+        stats.scheme_mutations[scheme_name] = (
+            stats.scheme_mutations.get(scheme_name, 0) + len(olds)
+        )
+    for scheme_name, edit in updated.items():
+        stats.updates += len(edit.keys)
+        stats.scheme_mutations[scheme_name] = (
+            stats.scheme_mutations.get(scheme_name, 0) + len(edit.keys)
+        )
+    return results
+
+
+def _unfile(gindex, keys: list, values: list) -> None:
+    """Take each key out of its ``values`` bucket of a group index,
+    dropping buckets left empty -- C loops, unless a value has a
+    ``NULL`` (it has no bucket) or the index lacks one."""
+    distinct = set(values)
+    if NULL in chain.from_iterable(distinct) or not gindex.keys() >= distinct:
+        for pk, value in zip(keys, values):
+            bucket = gindex.get(value)
+            if bucket is not None:
+                bucket.pop(pk, None)
+                if not bucket:
+                    del gindex[value]
+        return
+    _consume(map(dict.pop, map(gindex.__getitem__, values), keys, repeat(None)))
+    _consume(map(gindex.__delitem__, filterfalse(gindex.__getitem__, distinct)))
+
+
+def _file(gindex, keys: list, values: list) -> None:
+    """Add each key to its ``values`` bucket of a group index; a value
+    with a ``NULL`` gets none."""
+    distinct = set(values)
+    if NULL in chain.from_iterable(distinct):
+        kept = [(k, v) for k, v in zip(keys, values) if not contains_null(v)]
+        keys = [k for k, _v in kept]
+        values = [v for _k, v in kept]
+        distinct = set(values)
+    for value in distinct.difference(gindex):
+        gindex[value] = {}
+    _consume(
+        map(dict.__setitem__, map(gindex.__getitem__, values), keys, repeat(None))
+    )
+
+
+def _commit_deletes(deleted) -> None:
     """Bulk row removal plus the exact index maintenance
     ``Database._unstore_raw`` performs per row."""
-    for scheme_name, (table, olds) in deleted.items():
+    for table, olds in deleted.values():
         trows = table.rows
         plan = table.plan
         if len(olds) * 2 >= len(trows):
@@ -466,8 +675,7 @@ def _commit_deletes(db, deleted, n_ops: int) -> list[None]:
                 pk: t for pk, t in trows.items() if pk not in olds
             }
         else:
-            for pk in olds:
-                del trows[pk]
+            _consume(map(trows.__delitem__, olds))
         table.version += 1
         for key_names, extract in plan.candidate_keys:
             index = table.key_indexes[key_names]
@@ -476,18 +684,5 @@ def _commit_deletes(db, deleted, n_ops: int) -> list[None]:
                 if index.get(value) == pk:
                     del index[value]
         for attrs, gindex in table.group_indexes.items():
-            extract = table.group_extractors[attrs]
-            for pk, old in olds.items():
-                value = extract(old._values)
-                bucket = gindex.get(value)
-                if bucket is not None:
-                    bucket.pop(pk, None)
-                    if not bucket:
-                        del gindex[value]
-    db.stats.deletes += n_ops
-    db.stats.bulk_rows += n_ops
-    for scheme_name, (table, olds) in deleted.items():
-        db.stats.scheme_mutations[scheme_name] = (
-            db.stats.scheme_mutations.get(scheme_name, 0) + len(olds)
-        )
-    return [None] * n_ops
+            olds_values = map(_get_values, olds.values())
+            _unfile(gindex, list(olds), _project(attrs, olds_values))

@@ -76,8 +76,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Mapping, Protocol, Sequence
 
-from repro.io.state_json import NULL_MARKER, decode_value, encode_value
-from repro.relational.tuples import NULL
+from repro.io.state_json import decode_value, encode_value, null_default
 
 #: Format version stamped into every ``header`` record (2 added the
 #: ``batch`` record; version 1 logs still recover).
@@ -280,18 +279,15 @@ class FileStorage:
 # -- record encoding ----------------------------------------------------------
 
 
-def _encode_null(value: Any) -> Any:
-    if value is NULL:
-        return dict(NULL_MARKER)
-    raise TypeError(
-        f"object of type {type(value).__name__} is not JSON serializable"
-    )
-
-
 #: Compact, key-sorted JSON; a ``NULL`` anywhere in the payload becomes
-#: the null marker, so bulk records can carry rows as stored.
+#: the null marker, so bulk records can carry rows as stored.  Records
+#: are trees of rows and keys, so the encoder skips the cycle check
+#: (its per-container bookkeeping is about half the encoding time).
 _encoder = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), default=_encode_null
+    sort_keys=True,
+    separators=(",", ":"),
+    default=null_default,
+    check_circular=False,
 )
 
 

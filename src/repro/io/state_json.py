@@ -37,10 +37,23 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(value, Mapping) and value.get("$null") is True:
+    """Inverse of :func:`encode_value`.  Parsed JSON holds no mapping
+    but ``dict``, so the exact check is the cheap ``dict`` one."""
+    if isinstance(value, dict) and value.get("$null") is True:
         return NULL
     return value
+
+
+def null_default(value: Any) -> Any:
+    """The ``default`` hook of a :class:`json.JSONEncoder` that writes
+    ``NULL`` anywhere in a payload as the marker object, so payloads
+    can hold values as the engine stores them (the write-ahead log and
+    the server's wire frames both encode this way)."""
+    if value is NULL:
+        return dict(NULL_MARKER)
+    raise TypeError(
+        f"object of type {type(value).__name__} is not JSON serializable"
+    )
 
 
 def state_to_dict(state: DatabaseState) -> dict[str, Any]:

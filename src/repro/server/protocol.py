@@ -43,10 +43,17 @@ parameters), ``wal-error`` (the log refused; the server needs crash
 recovery), ``overloaded`` (connection limit), ``shutting-down`` (the
 server is draining) and ``server-error`` (anything else).
 
-Attribute values travel through :func:`repro.io.state_json.encode_value`
-/ :func:`~repro.io.state_json.decode_value`, so the ``NULL`` marker
-``{"$null": true}`` round-trips exactly as it does in state files and
-the write-ahead log.
+Attribute values are JSON scalars, except that ``NULL`` travels as the
+marker ``{"$null": true}`` -- the same form state files and the
+write-ahead log use.  On the way out, :func:`encode_frame`'s JSON
+encoder writes the marker wherever it meets ``NULL`` (its ``default``
+hook), so rows go into frames exactly as the engine stores them, with
+no per-value pass.  On the way in, :func:`decode_rows` runs one C-level
+type probe over a batch's values: a JSON object can only be a marker,
+so a batch whose values hold none is handed over as parsed, and the
+engine adopts those row dicts as its stored rows without copying them.
+Only a batch that carries a marker is decoded value by value
+(:func:`decode_row`).
 
 Verbs (dispatched by :mod:`repro.server.service`):
 
@@ -143,9 +150,10 @@ that writes to the wrong end of the pair learns where to go.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Iterable, Mapping
 
-from repro.io.state_json import decode_value, encode_value
+from repro.io.state_json import decode_value, encode_value, null_default
 
 #: Hard cap on one frame's length in bytes (newline included).  A
 #: JSON-lines protocol has no other framing, so an unbounded line is an
@@ -253,22 +261,39 @@ def decode_row(row: Mapping[str, Any]) -> dict[str, Any]:
     return {k: decode_value(v) for k, v in row.items()}
 
 
-def encode_pk(pk: tuple[Any, ...]) -> list[Any]:
-    """A primary-key value tuple in wire form."""
-    return [encode_value(v) for v in pk]
+def decode_rows(rows: list) -> list:
+    """Wire rows (``None`` entries allowed) with every marker decoded.
+
+    One C-level pass collects the types of all values; only a JSON
+    object can be a marker, so when none is present ``rows`` itself is
+    returned, uncopied.  Otherwise every row goes through
+    :func:`decode_row`.
+    """
+    values = chain.from_iterable(map(dict.values, filter(None, rows)))
+    if dict not in set(map(type, values)):
+        return rows
+    return [decode_row(r) if r is not None else None for r in rows]
 
 
 def decode_pk(pk: Iterable[Any]) -> tuple[Any, ...]:
-    """Inverse of :func:`encode_pk`."""
+    """A wire-form primary key as the engine's value tuple."""
     return tuple(decode_value(v) for v in pk)
 
 
 # -- framing -------------------------------------------------------------------
 
 
+#: Compact JSON that writes a ``NULL`` anywhere as the null marker.
+#: Frames are trees, so the cycle check (about half of the encoding
+#: time of a bulk response) is skipped.
+_encoder = json.JSONEncoder(
+    separators=(",", ":"), default=null_default, check_circular=False
+)
+
+
 def encode_frame(frame: Mapping[str, Any]) -> bytes:
-    """One wire line: compact JSON + newline."""
-    return json.dumps(frame, separators=(",", ":")).encode("utf-8") + b"\n"
+    """One wire line: compact JSON + newline (``NULL`` as the marker)."""
+    return _encoder.encode(frame).encode("utf-8") + b"\n"
 
 
 def decode_frame(line: bytes | str) -> dict[str, Any]:

@@ -9,9 +9,10 @@ H-Store/VoltDB-style systems).
 
 The partitioning function must be computable on both ends of the wire
 without sharing any process state, so it hashes the *wire form* of the
-key -- the JSON-encodable values produced by
-:func:`repro.server.protocol.encode_pk` -- with CRC-32 over a canonical
-JSON rendering.  (``hash()`` is per-process randomized for strings and
+key -- its JSON rendering, ``NULL`` written as the ``{"$null": true}``
+marker -- with CRC-32 over a canonical JSON rendering.  A key hashes
+the same whether its values are still engine values or already parsed
+off the wire.  (``hash()`` is per-process randomized for strings and
 therefore useless across processes.)
 
 :class:`ShardMap` is the client-side picture of a fleet, built from a
@@ -28,19 +29,23 @@ import json
 import zlib
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from repro.io.state_json import null_default
+
+#: The canonical rendering keys are hashed over: compact, key-sorted.
+_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=null_default
+)
+
 
 def shard_of(scheme: str, pk_wire: Sequence[Any], n_shards: int) -> int:
-    """The worker index owning ``scheme``'s row with wire-form key
-    ``pk_wire``.
+    """The worker index owning ``scheme``'s row with key ``pk_wire``.
 
     Deterministic across processes and runs: CRC-32 of the canonical
     (sorted-key, compact) JSON of ``[scheme, pk_wire]``.
     """
     if n_shards <= 1:
         return 0
-    canonical = json.dumps(
-        [scheme, list(pk_wire)], separators=(",", ":"), sort_keys=True
-    )
+    canonical = _canonical.encode([scheme, list(pk_wire)])
     return zlib.crc32(canonical.encode("utf-8")) % n_shards
 
 

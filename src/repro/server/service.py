@@ -44,6 +44,8 @@ import sys
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import is_, itemgetter
 from time import perf_counter, time
 from typing import Any, Mapping
 
@@ -63,8 +65,7 @@ from repro.server.protocol import (
     ProtocolError,
     decode_pk,
     decode_row,
-    encode_pk,
-    encode_row,
+    decode_rows,
     error_frame,
     ok_frame,
     violation_frame,
@@ -124,8 +125,81 @@ def _require(frame: Mapping[str, Any], key: str, kind: type) -> Any:
     return value
 
 
+#: The exact wire shape of each batch op: ``(kind, length, type of
+#: element 2, type of the last element)``.
+_OP_SHAPES = frozenset(
+    (
+        ("insert", 3, dict, dict),
+        ("update", 4, list, dict),
+        ("delete", 3, list, list),
+    )
+)
+
+
+def _op_tuple(raw: list) -> tuple:
+    """One well-formed, marker-free wire op as an engine op tuple."""
+    if raw[0] == "insert":
+        return ("insert", raw[1], raw[2])
+    if raw[0] == "update":
+        return ("update", raw[1], tuple(raw[2]), raw[3])
+    return ("delete", raw[1], tuple(raw[2]))
+
+
+def _plain_batch_ops(raw_ops: list) -> list[tuple] | None:
+    """The engine op tuples of a well-formed batch that carries no
+    ``NULL`` marker, built by C-level passes over the ops; ``None``
+    for anything else.
+
+    Shape is proved batch-wide with exact types (every op is a list,
+    and its kind, length and element types form one of
+    :data:`_OP_SHAPES`); one type probe over every row value and key
+    component then finds any marker, since only a marker is a JSON
+    object.  Rows are passed on as parsed.
+    """
+    if set(map(type, raw_ops)) != {list}:
+        return None  # empty batch, or some op is not an array
+    try:
+        kinds = list(map(itemgetter(0), raw_ops))
+        thirds = list(map(itemgetter(2), raw_ops))
+        lasts = list(map(itemgetter(-1), raw_ops))
+        shapes = set(
+            zip(kinds, map(len, raw_ops), map(type, thirds), map(type, lasts))
+        )
+    except (IndexError, TypeError):
+        return None  # a short op, or an unhashable kind
+    if not shapes <= _OP_SHAPES:
+        return None
+    # Row dicts are the dict-typed last elements (insert rows, update
+    # maps); keys are the list-typed third elements (update, delete).
+    rows = compress(lasts, map(is_, map(type, lasts), repeat(dict)))
+    pks = compress(thirds, map(is_, map(type, thirds), repeat(list)))
+    values = chain(
+        chain.from_iterable(map(dict.values, rows)),
+        chain.from_iterable(pks),
+    )
+    if dict in set(map(type, values)):
+        return None  # a marker somewhere: decode value by value
+    schemes = map(itemgetter(1), raw_ops)
+    if len(shapes) > 1:
+        return list(map(_op_tuple, raw_ops))
+    if kinds[0] == "insert":
+        return list(zip(kinds, schemes, thirds))
+    keys = map(tuple, thirds)
+    if kinds[0] == "delete":
+        return list(zip(kinds, schemes, keys))
+    return list(zip(kinds, schemes, keys, lasts))
+
+
 def _decode_batch_ops(raw_ops: list) -> list[tuple]:
-    """Wire-form ``apply_batch`` op arrays as engine op tuples."""
+    """Wire-form ``apply_batch`` op arrays as engine op tuples.
+
+    A well-formed, marker-free batch converts without a per-value loop
+    (:func:`_plain_batch_ops`); anything else is decoded op by op,
+    which also names the first malformed op.
+    """
+    plain = _plain_batch_ops(raw_ops)
+    if plain is not None:
+        return plain
     ops: list[tuple] = []
     for i, raw in enumerate(raw_ops):
         if not isinstance(raw, list) or not raw:
@@ -149,6 +223,13 @@ def _decode_batch_ops(raw_ops: list) -> list[tuple]:
                 f"ops[{i}] is not a valid insert/update/delete op array"
             )
     return ops
+
+
+def _result_rows(results: list) -> list:
+    """A bulk result in response form: each stored row's mapping as it
+    is (:func:`~repro.server.protocol.encode_frame` writes any
+    ``NULL`` in it), ``None`` for a delete."""
+    return [t.mapping if t is not None else None for t in results]
 
 
 class ServerMetrics:
@@ -1238,9 +1319,7 @@ class DatabaseService:
                     _require(frame, "scheme", str),
                     decode_pk(_require(frame, "pk", list)),
                 )
-                return ok_frame(
-                    request_id, encode_row(t.mapping) if t else None
-                )
+                return ok_frame(request_id, t.mapping if t else None)
             if verb == "topology":
                 return ok_frame(request_id, self._topology())
             if verb == "exists":
@@ -1422,7 +1501,7 @@ class DatabaseService:
             _require(frame, "target_scheme", str),
             target_attrs,
         )
-        return encode_row(t.mapping) if t else None
+        return t.mapping if t else None
 
     def _find_referencing(self, frame: Mapping[str, Any]):
         target = self._source_row(frame)
@@ -1432,7 +1511,7 @@ class DatabaseService:
             _require(frame, "via", list),
             _require(frame, "target_attrs", list),
         )
-        return [encode_row(t.mapping) for t in rows]
+        return [t.mapping for t in rows]
 
     # -- the single-writer group-commit pipeline ---------------------------
 
@@ -1571,7 +1650,7 @@ class DatabaseService:
                 "kind": r["kind"],
                 "scheme": r["scheme"],
                 "attrs": r["attrs"],
-                "value": encode_pk(tuple(r["value"])),
+                "value": list(r["value"]),
                 "constraint": r["constraint"],
                 **(
                     {
@@ -1656,13 +1735,7 @@ class DatabaseService:
         else:
             self.prepare_commits += 1
             self._observe_prepare("committed")
-            outcome = ok_frame(
-                drequest_id,
-                [
-                    encode_row(t.mapping) if t is not None else None
-                    for t in results
-                ],
-            )
+            outcome = ok_frame(drequest_id, _result_rows(results))
             if self.db.wal is not None:
                 outcome["lsn"] = self.db.wal.next_lsn - 1
                 if span is not None:
@@ -1911,14 +1984,14 @@ class DatabaseService:
                 _require(frame, "scheme", str),
                 decode_row(_require(frame, "row", dict)),
             )
-            return encode_row(t.mapping)
+            return t.mapping
         if verb == "update":
             t = self.db.update(
                 _require(frame, "scheme", str),
                 decode_pk(_require(frame, "pk", list)),
                 decode_row(_require(frame, "updates", dict)),
             )
-            return encode_row(t.mapping)
+            return t.mapping
         if verb == "delete":
             self.db.delete(
                 _require(frame, "scheme", str),
@@ -1927,21 +2000,18 @@ class DatabaseService:
             return None
         if verb == "insert_many":
             raw_rows = _require(frame, "rows", list)
-            if not all(isinstance(r, dict) for r in raw_rows):
+            if not set(map(type, raw_rows)) <= {dict}:
                 raise ProtocolError("every element of 'rows' must be a row")
             stored = self.db.insert_many(
-                _require(frame, "scheme", str),
-                [decode_row(r) for r in raw_rows],
+                _require(frame, "scheme", str), decode_rows(raw_rows)
             )
-            return [encode_row(t.mapping) for t in stored]
+            return _result_rows(stored)
         if verb == "apply_batch":
-            results = self.db.apply_batch(
-                _decode_batch_ops(_require(frame, "ops", list))
+            return _result_rows(
+                self.db.apply_batch(
+                    _decode_batch_ops(_require(frame, "ops", list))
+                )
             )
-            return [
-                encode_row(t.mapping) if t is not None else None
-                for t in results
-            ]
         if verb == "apply_merge":
             return self._apply_merge(frame)
         raise ProtocolError(f"unhandled mutation verb {verb!r}")

@@ -128,7 +128,7 @@ class Supervisor:
             if not event.wait(self.ready_timeout):
                 raise RuntimeError(f"worker {i} failed to become ready")
         for sig in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(sig, lambda *_: self.drain())
+            signal.signal(sig, self._on_signal)
         print(
             f"fleet listening on {self.host}:{self.port} "
             f"workers={self.n_workers}",
@@ -139,8 +139,22 @@ class Supervisor:
         """Supervise until drained (:meth:`start` installed the signal
         handlers that drain)."""
         self._done.wait()
+        # Drained: a late stop signal must not kill the exiting process
+        # (interpreter teardown would restore the default action).
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(sig, signal.SIG_IGN)
         print("fleet drained", flush=True)
         return 1 if any(self._exit_codes) else 0
+
+    def _on_signal(self, *_: Any) -> None:
+        """SIGTERM/SIGINT: start the drain, unless one is under way.
+
+        Handlers run on the main thread, so a second signal arriving
+        mid-drain interrupts that very drain: waiting for it to finish
+        there (as :meth:`drain` does when called twice) would block
+        forever."""
+        if not self._draining.is_set():
+            self.drain()
 
     def drain(self) -> None:
         """SIGTERM every worker and reap the fleet (idempotent)."""

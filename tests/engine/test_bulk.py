@@ -246,3 +246,135 @@ class TestDurableBulkPath:
                 batch()
         ops = [r["op"] for r in parse_wal(db.wal.storage.read()).records]
         assert ops == ["header"]
+
+
+class TestColumnarUpdates:
+    """Update/delete batches take the columnar path when no key changes
+    and no key repeats; everything else is the row path's to decide."""
+
+    @pytest.fixture
+    def served(self, university_schema, monkeypatch):
+        """A durable database with a department, two courses, their
+        offers, a teacher and an assistant -- and a row path that
+        records whether it ran."""
+        db = Database(university_schema, wal=WriteAheadLog(MemoryStorage()))
+        for scheme, row in (
+            ("DEPARTMENT", {"D.NAME": "cs"}),
+            ("DEPARTMENT", {"D.NAME": "math"}),
+            ("PERSON", {"P.SSN": "p1"}),
+            ("PERSON", {"P.SSN": "p2"}),
+            ("FACULTY", {"F.SSN": "p1"}),
+            ("FACULTY", {"F.SSN": "p2"}),
+            ("STUDENT", {"S.SSN": "p2"}),
+            ("COURSE", {"C.NR": "c1"}),
+            ("COURSE", {"C.NR": "c2"}),
+            ("OFFER", {"O.C.NR": "c1", "O.D.NAME": "cs"}),
+            ("OFFER", {"O.C.NR": "c2", "O.D.NAME": "cs"}),
+            ("TEACH", {"T.C.NR": "c1", "T.F.SSN": "p1"}),
+            ("ASSIST", {"A.C.NR": "c1", "A.S.SSN": "p2"}),
+        ):
+            db.insert(scheme, row)
+        row_path = []
+        original = db._apply_batch
+
+        def spy(ops):
+            row_path.append(len(ops))
+            return original(ops)
+
+        monkeypatch.setattr(db, "_apply_batch", spy)
+        return db, row_path
+
+    def test_update_delete_batch_is_columnar_and_logs_one_record(
+        self, served
+    ):
+        db, row_path = served
+        before = parse_wal(db.wal.storage.read()).records
+        results = db.apply_batch(
+            [
+                ("update", "OFFER", ("c1",), {"O.D.NAME": "math"}),
+                ("delete", "ASSIST", "c1"),
+                ("update", "TEACH", "c1", {"T.F.SSN": "p2"}),
+            ]
+        )
+        assert row_path == []
+        assert [r.mapping if r else r for r in results] == [
+            {"O.C.NR": "c1", "O.D.NAME": "math"},
+            None,
+            {"T.C.NR": "c1", "T.F.SSN": "p2"},
+        ]
+        assert db.get("OFFER", "c1") is results[0]
+        assert db.count("ASSIST") == 0
+        after = parse_wal(db.wal.storage.read()).records
+        assert [r["op"] for r in after[len(before):]] == ["batch"]
+        # The group index follows the changed value.
+        index = db.table("OFFER").group_indexes[("O.D.NAME",)]
+        assert list(index[("math",)]) == [("c1",)]
+        assert list(index[("cs",)]) == [("c2",)]
+        assert (db.stats.updates, db.stats.deletes) == (2, 1)
+
+    def test_update_to_a_provider_deleted_in_the_batch_is_rejected(
+        self, served
+    ):
+        db, row_path = served
+        with pytest.raises(ConstraintViolationError, match="O.D.NAME"):
+            db.apply_batch(
+                [
+                    ("update", "OFFER", "c2", {"O.D.NAME": "math"}),
+                    ("delete", "DEPARTMENT", "math"),
+                ]
+            )
+        assert row_path == [2]  # the row path decided, and rolled back
+        assert db.get("OFFER", "c2")["O.D.NAME"] == "cs"
+        assert db.count("DEPARTMENT") == 2
+
+    def test_dangling_update_is_rejected_by_the_row_path(self, served):
+        db, row_path = served
+        with pytest.raises(ConstraintViolationError, match="no DEPARTMENT"):
+            db.apply_batch([("update", "OFFER", "c1", {"O.D.NAME": "ee"})])
+        assert row_path == [1]
+
+    def test_restricted_delete_next_to_updates_is_rejected(self, served):
+        db, row_path = served
+        with pytest.raises(ConstraintViolationError, match="restrict-batch"):
+            db.apply_batch(
+                [
+                    ("update", "OFFER", "c2", {"O.D.NAME": "math"}),
+                    ("delete", "FACULTY", "p2"),
+                    ("delete", "FACULTY", "p1"),  # TEACH c1 needs it
+                ]
+            )
+        assert row_path == [3]
+        assert db.count("FACULTY") == 2
+        assert db.get("OFFER", "c2")["O.D.NAME"] == "cs"
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            # a key attribute changes
+            [("update", "OFFER", "c1", {"O.C.NR": "c3"})],
+            # one key twice
+            [
+                ("update", "OFFER", "c1", {"O.D.NAME": "math"}),
+                ("update", "OFFER", "c1", {"O.D.NAME": "cs"}),
+            ],
+            # updated and deleted
+            [
+                ("update", "ASSIST", "c1", {"A.S.SSN": "p2"}),
+                ("delete", "ASSIST", "c1"),
+            ],
+            # inserts mixed in
+            [
+                ("insert", "COURSE", {"C.NR": "c3"}),
+                ("update", "OFFER", "c1", {"O.D.NAME": "math"}),
+            ],
+        ],
+    )
+    def test_shapes_the_columnar_checks_do_not_model_fall_back(
+        self, served, ops
+    ):
+        db, row_path = served
+        try:
+            db.apply_batch(ops)
+        except (ConstraintViolationError, KeyError):
+            pass
+        assert row_path == [len(ops)]

@@ -481,13 +481,21 @@ def _seed_base_state(rng, schema, required, databases, oracle, n=60):
 def _random_batch(rng, schema, required, oracle, n_ops=40, only=None):
     """A mixed insert/delete/update batch; deletes and updates mostly
     target live rows so constraint machinery actually fires.  ``only``
-    ("insert" or "delete") draws a single-kind batch instead -- the
-    shapes the columnar path can accept."""
+    ("insert", "delete" or "update_delete") draws a batch of just those
+    kinds instead -- the shapes the columnar path can accept.  An
+    "update_delete" update mostly leaves key attributes alone, as the
+    columnar path requires; the rest exercise its fallback."""
     ops = []
     for _ in range(n_ops):
         name = rng.choice(list(schema.scheme_names))
         scheme = schema.scheme(name)
-        roll = {None: rng.random(), "insert": 0.0, "delete": 0.7}[only]
+        r = rng.random()
+        roll = {
+            None: r,
+            "insert": 0.0,
+            "delete": 0.7,
+            "update_delete": 0.6 + 0.4 * r,
+        }[only]
         if roll < 0.6:
             ops.append(
                 ("insert", name, _random_row(rng, scheme, required[name]))
@@ -501,10 +509,16 @@ def _random_batch(rng, schema, required, oracle, n_ops=40, only=None):
         if roll < 0.85:
             ops.append(("delete", name, pk))
         else:
+            keys = {a.name for key in scheme.candidate_keys for a in key}
             updates = {
                 a.name: _random_value(rng, a.name, a.name not in required[name])
                 for a in scheme.attributes
                 if rng.random() < 0.5
+                and (
+                    only != "update_delete"
+                    or a.name not in keys
+                    or rng.random() < 0.1
+                )
             }
             ops.append(("update", name, pk, updates))
     return ops
@@ -641,11 +655,29 @@ def test_slotted_insert_many_matches_dict_row_paths(seed, null_semantics):
 def test_slotted_apply_batch_matches_dict_row_paths_with_wal(
     seed, null_semantics
 ):
-    """All-insert, all-delete (the columnar shapes) and mixed batches
-    under a log: same results and errors, byte-identical logs, and
-    recovery of either log equals the live state."""
+    """All-insert, all-delete, update/delete (the columnar shapes) and
+    mixed batches under a log: same results and errors, byte-identical
+    logs, and recovery of either log equals the live state."""
     _check_apply_batch_paths(
-        seed, null_semantics, wal=True, shapes=("insert", "delete", None)
+        seed,
+        null_semantics,
+        wal=True,
+        shapes=("insert", "delete", "update_delete", None),
+    )
+
+
+@pytest.mark.parametrize("null_semantics", ["distinct", "identical"])
+@pytest.mark.parametrize("seed", range(6))
+def test_columnar_update_delete_batches_match_row_path_with_wal(
+    seed, null_semantics
+):
+    """Runs of update/delete batches -- rewired and nulled references,
+    restricted deletes, key-touching and repeated-key fallbacks --
+    under both null semantics: the columnar and row paths agree on
+    every result and error, their logs are byte-identical, and both
+    recover to the live state."""
+    _check_apply_batch_paths(
+        seed, null_semantics, wal=True, shapes=("update_delete",) * 12
     )
 
 

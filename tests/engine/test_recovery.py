@@ -54,8 +54,10 @@ def _mutation_script(db: Database) -> None:
     all-insert/all-delete on the columnar path), a batch of engine
     ``Tuple`` rows the row path has to prove, a batch inside an explicit
     transaction, a committed and an aborted two-phase prepare, an
-    aborted transaction, a checkpoint, post-checkpoint mutations, and a
-    nested transaction with an inner rollback.
+    aborted transaction, a checkpoint, post-checkpoint mutations, a
+    nested transaction with an inner rollback, and last an update/delete
+    batch on the columnar path (last, so every earlier site keeps its
+    index).
 
     Batches are order-safe (parents before children) so the scan-oracle
     interpreter can replay committed groups record by record.
@@ -126,6 +128,13 @@ def _mutation_script(db: Database) -> None:
         except _ScriptAbort:
             pass
         db.insert("OFFER", {"O.C.NR": "c9", "O.D.NAME": "cs"})
+    db.apply_batch(
+        [
+            ("update", "OFFER", ("c9",), {"O.D.NAME": "math"}),
+            ("update", "TEACH", ("c1",), {"T.F.SSN": "s1"}),
+            ("delete", "COURSE", ("m2",)),
+        ]
+    )
 
 
 def _run_until_crash(schema, storage, preload=None) -> bool:

@@ -14,7 +14,8 @@ from repro.io import (
 )
 from repro.io.eer_json import EERDecodeError
 from repro.io.relational_json import SchemaDecodeError
-from repro.io.state_json import StateDecodeError
+from repro.io.state_json import StateDecodeError, decode_value
+from repro.relational.tuples import NULL
 from repro.workloads.registry import registry_eer, registry_state, registry_translation
 from repro.workloads.university import (
     university_eer,
@@ -188,3 +189,15 @@ class TestStateRoundTrip:
     def test_encoding_is_deterministic(self, university_schema):
         state = university_state(n_courses=6, seed=1)
         assert state_to_dict(state) == state_to_dict(state)
+
+
+def test_decode_value_marker_and_plain_dicts():
+    """The null marker decodes to ``NULL``; any other dict -- and any
+    scalar -- passes through as it is."""
+    assert decode_value({"$null": True}) is NULL
+    other = {"$null": False}
+    assert decode_value(other) is other
+    plain = {"a": 1}
+    assert decode_value(plain) is plain
+    assert decode_value("x") == "x"
+    assert decode_value(None) is None

@@ -252,3 +252,48 @@ def test_sigterm_drain_prints_json_summary_to_stderr(tmp_path):
     assert summary["checkpoints"] == 1
     names = {f["name"] for f in summary["server"]["metrics"]}
     assert "repro_server_violations_total" in names
+
+
+def test_client_round_trips_null_through_bulk_verbs():
+    """A nullable non-key attribute set to ``NULL`` survives
+    ``insert_many`` and an ``apply_batch`` update both ways: the client
+    sends rows as given, the frame encoder writes the marker, the
+    server stores a real ``NULL``, and results decode back to it."""
+    from repro.constraints.nulls import nulls_not_allowed
+    from repro.engine.database import Database
+    from repro.relational.attributes import Attribute, Domain
+    from repro.relational.schema import RelationScheme, RelationalSchema
+    from repro.server import ServerThread
+
+    item = Attribute("I.ID", Domain("id"))
+    note = Attribute("I.NOTE", Domain("note"))
+    schema = RelationalSchema(
+        schemes=(RelationScheme("ITEM", (item, note), (item,)),),
+        inds=(),
+        null_constraints=(nulls_not_allowed("ITEM", ["I.ID"]),),
+    )
+    db = Database(schema)
+    with ServerThread(db) as served, Client(port=served.port, timeout=30) as c:
+        stored = c.insert_many(
+            "ITEM",
+            [{"I.ID": "i1", "I.NOTE": NULL}, {"I.ID": "i2", "I.NOTE": "n"}],
+        )
+        assert stored == [
+            {"I.ID": "i1", "I.NOTE": NULL},
+            {"I.ID": "i2", "I.NOTE": "n"},
+        ]
+        assert stored[0]["I.NOTE"] is NULL
+        results = c.apply_batch(
+            [
+                ("update", "ITEM", "i2", {"I.NOTE": NULL}),
+                ("update", "ITEM", ("i1",), {"I.NOTE": "m"}),
+            ]
+        )
+        assert results == [
+            {"I.ID": "i2", "I.NOTE": NULL},
+            {"I.ID": "i1", "I.NOTE": "m"},
+        ]
+        assert results[0]["I.NOTE"] is NULL
+        assert c.get("ITEM", "i2")["I.NOTE"] is NULL
+    assert db.get("ITEM", "i2")["I.NOTE"] is NULL
+    assert db.get("ITEM", "i1")["I.NOTE"] == "m"

@@ -325,3 +325,36 @@ def test_sigterm_right_after_readiness_drains_the_fleet(tmp_path):
             if _pid_alive(pid):
                 os.kill(pid, signal.SIGKILL)
         fleet.stop()
+
+
+def test_second_sigterm_during_drain_exits_cleanly(tmp_path):
+    """A second SIGTERM (or a second Ctrl-C) landing while the fleet
+    drains must not re-enter the drain from the signal handler, where
+    it would wait for itself forever: the supervisor exits 0 and no
+    worker is left alive."""
+    schema_file = tmp_path / "university.json"
+    schema_file.write_text(
+        json.dumps(relational_schema_to_dict(university_relational()))
+    )
+    fleet = FleetProcess(
+        str(schema_file), workers=WORKERS, wal=str(tmp_path / "fleet.wal")
+    )
+    pids: list[int] = []
+    try:
+        fleet.wait_ready()
+        pids = list(fleet.worker_pids.values())
+        fleet.proc.send_signal(signal.SIGTERM)
+        time.sleep(0.05)  # usually mid-drain; after it, still ignored
+        fleet.proc.send_signal(signal.SIGTERM)
+        assert fleet.proc.wait(timeout=60) == 0
+        assert fleet.stop() == 0  # exited already: joins the reader
+        assert "fleet drained" in fleet.lines
+        assert len(pids) == WORKERS
+        assert not [pid for pid in pids if _pid_alive(pid)]
+    finally:
+        for pid in pids:  # never leave an orphaned worker behind
+            if _pid_alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        if fleet.proc.poll() is None:
+            fleet.proc.kill()
+            fleet.proc.wait(timeout=60)
