@@ -614,6 +614,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.engine.database import Database
     from repro.engine.recovery import RecoveryError, recover_database
     from repro.engine.wal import FileStorage, WalError, WriteAheadLog
+    from repro.obs.spans import Span
     from repro.server.server import ServerConfig
     from repro.server.server import serve as serve_async
 
@@ -630,7 +631,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if workers and args.worker_index is None:
         args.workers = workers
         return _serve_fleet(args)
-    tracer, trace_path = _open_tracer(args.trace)
+    recover_span = None
     if args.wal is not None:
         storage = FileStorage(
             args.wal, fsync=args.fsync, buffered=True
@@ -638,24 +639,26 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if os.path.exists(args.wal) and os.path.getsize(args.wal) > 0:
             # A log with history: recover through it so the server
             # starts from the committed state (and owns the repaired
-            # log, still in buffered group-commit mode).
+            # log, still in buffered group-commit mode).  With a span
+            # sink, recovery's events land on a root span.
+            if args.span_sink is not None:
+                recover_span = Span.start("server:recover", kind="server")
             try:
                 result = recover_database(
-                    schema, storage=storage, tracer=tracer
+                    schema, storage=storage, tracer=recover_span
                 )
             except (RecoveryError, WalError, OSError) as exc:
                 raise CliError(f"cannot recover {args.wal}: {exc}")
             db = result.database
+            db.set_tracer(None)
             print(
                 f"recovered {db.state().total_size()} tuple(s) "
                 f"from {args.wal}"
             )
         else:
-            db = Database(
-                schema, tracer=tracer, wal=WriteAheadLog(storage)
-            )
+            db = Database(schema, wal=WriteAheadLog(storage))
     else:
-        db = Database(schema, tracer=tracer)
+        db = Database(schema)
         print("warning: no --wal; state is not durable", file=sys.stderr)
     sockets = []
     shard = None
@@ -705,10 +708,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         span_sample=args.span_sample,
         slow_ms=args.slow_ms,
     )
-    try:
-        server = asyncio.run(serve_async(db, config))
-    finally:
-        _close_tracer(tracer, trace_path)
+    server = asyncio.run(serve_async(db, config, recover_span=recover_span))
     snap = db.stats.snapshot()
     print(
         f"drained: {server.sessions_opened} session(s), "
@@ -732,11 +732,6 @@ def _serve_fleet(args: argparse.Namespace) -> int:
     processes (see :mod:`repro.server.supervisor`)."""
     from repro.server.supervisor import Supervisor
 
-    if args.trace:
-        raise CliError(
-            "--trace is not supported with --workers; trace individual "
-            "workers via their own serve invocations"
-        )
     if args.metrics_port is not None:
         raise CliError(
             "--metrics-port is not supported with --workers; scrape "
@@ -1354,7 +1349,6 @@ def build_parser() -> argparse.ArgumentParser:
         "port (0: pick a free one, printed in the 'metrics on' line; "
         "default: disabled)",
     )
-    p.add_argument("--trace", **trace_kwargs)
     p.add_argument(
         "--span-sink",
         metavar="FILE",

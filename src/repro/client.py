@@ -111,10 +111,6 @@ class Client:
         #: already inside a trace opens a sampled ``client:<verb>`` root
         #: span and sends its context on the wire.
         self.span_sink = span_sink
-        #: The ``trace_id`` the server echoed in the most recent
-        #: response (client-supplied or server-generated) -- the handle
-        #: for correlating this request with the server's trace events.
-        self.last_trace_id: str | None = None
         #: The WAL ``lsn`` of this connection's most recent acknowledged
         #: mutation (0 before the first one) -- the watermark
         #: :class:`ReplicatedClient` waits for on a replica before a
@@ -140,16 +136,10 @@ class Client:
         self,
         verb: str,
         *,
-        trace_id: str | None = None,
         span_ctx: str | None = None,
         **params: Any,
     ) -> Any:
         """One request/response round trip; the raw ``result`` value.
-
-        ``trace_id`` (optional) is sent with the request and stamped
-        onto every engine trace event the server emits for it; the
-        server echoes it (or a generated id) back and it is kept in
-        :attr:`last_trace_id`.
 
         ``span_ctx`` (optional) is an encoded span context
         (:func:`repro.obs.spans.encode_context`) sent as the request's
@@ -163,8 +153,6 @@ class Client:
         """
         self._next_id += 1
         request_id = self._next_id
-        if trace_id is not None:
-            params["trace_id"] = trace_id
         span = None
         if (
             span_ctx is None
@@ -189,9 +177,6 @@ class Client:
                     f"response id {frame.get('id')!r} does not match "
                     f"request id {request_id!r}"
                 )
-            echoed = frame.get("trace_id")
-            if isinstance(echoed, str):
-                self.last_trace_id = echoed
             if not frame.get("ok"):
                 raise_error(frame)
         except Exception as exc:

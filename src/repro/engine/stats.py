@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 
 from repro.obs.histogram import LatencyHistogram
+from repro.obs.metrics import format_labels
 
 
 @dataclass
@@ -145,14 +146,8 @@ class EngineStats:
                     continue
                 lines.append(f"# TYPE {prefix}_{f.name} counter")
                 for key in sorted(series):
-                    escaped = (
-                        str(key)
-                        .replace("\\", "\\\\")
-                        .replace('"', '\\"')
-                        .replace("\n", "\\n")
-                    )
                     lines.append(
-                        f'{prefix}_{f.name}{{{label}="{escaped}"}} '
+                        f"{prefix}_{f.name}{format_labels({label: key})} "
                         f"{series[key]}"
                     )
                 continue

@@ -29,7 +29,9 @@ makes that provenance visible at run time:
 * :mod:`repro.obs.spans` -- distributed request spans with a
   W3C-traceparent-style wire context, the per-process
   :class:`~repro.obs.spans.SpanSink` (ring buffer + JSONL), and the
-  trace reassembly/waterfall rendering behind ``repro trace``.
+  trace reassembly/waterfall rendering behind ``repro trace``; a
+  :class:`~repro.obs.spans.Span` is itself a :class:`Tracer`, so a
+  served request's engine events land on its span.
 """
 
 from repro.obs.histogram import LatencyHistogram
@@ -45,16 +47,9 @@ from repro.obs.spans import (
     render_trace,
     render_waterfall,
 )
-from repro.obs.trace import (
-    CorrelatingTracer,
-    JsonlTracer,
-    RingBufferTracer,
-    TraceEvent,
-    Tracer,
-)
+from repro.obs.trace import JsonlTracer, RingBufferTracer, TraceEvent, Tracer
 
 __all__ = [
-    "CorrelatingTracer",
     "Counter",
     "Gauge",
     "Histogram",

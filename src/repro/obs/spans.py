@@ -13,8 +13,10 @@ A :class:`Span` is one timed operation: ``trace_id`` (shared by every
 span of one request), ``span_id``, ``parent_id`` (how the waterfall
 nests), a ``kind`` (``client``/``router``/``server``/``engine``/
 ``wal``/``repl``), wall-clock start/end stamped from a monotonic
-delta, free-form ``attributes``, and point-in-time ``events`` (the
-bridge from :class:`TraceEvent`\\ s).  Context travels on the wire as ::
+delta, free-form ``attributes``, and point-in-time ``events``.  A span
+is itself a tracer (:meth:`Span.emit`): attached to the engine while
+its request runs, it records every :class:`TraceEvent` -- rule and
+scheme included -- as a span event.  Context travels on the wire as ::
 
     00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01
 
@@ -35,12 +37,15 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import threading
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter, time
 from typing import IO, Any, Iterable, Mapping
+
+from repro.obs.trace import TraceEvent
 
 __all__ = [
     "Span",
@@ -76,28 +81,28 @@ def encode_context(
     return f"00-{trace_id}-{span_id}-{'01' if sampled else '00'}"
 
 
+_CONTEXT = re.compile(
+    r"([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})"
+)
+
+
 def decode_context(value: Any) -> tuple[str, str, bool] | None:
     """Parse a wire context back to ``(trace_id, span_id, sampled)``.
 
-    Anything malformed -- wrong arity, wrong field widths, non-hex ids
-    -- returns ``None``: an unreadable context must degrade to "start a
-    new trace", never reject the request carrying it.
+    Anything malformed -- wrong arity or field widths, anything but
+    lowercase hex, version ``ff``, an all-zero id -- returns ``None``:
+    an unreadable context must degrade to "start a new trace", never
+    reject the request carrying it.
     """
     if not isinstance(value, str):
         return None
-    parts = value.split("-")
-    if len(parts) != 4:
+    match = _CONTEXT.fullmatch(value)
+    if match is None:
         return None
-    version, trace_id, span_id, flags = parts
-    if len(version) != 2 or len(trace_id) != 32 or len(span_id) != 16:
+    version, trace_id, span_id, flags = match.groups()
+    if version == "ff" or not int(trace_id, 16) or not int(span_id, 16):
         return None
-    try:
-        int(trace_id, 16)
-        int(span_id, 16)
-        flag_bits = int(flags, 16)
-    except ValueError:
-        return None
-    return trace_id, span_id, bool(flag_bits & 0x01)
+    return trace_id, span_id, bool(int(flags, 16) & 0x01)
 
 
 @dataclass
@@ -124,7 +129,7 @@ class Span:
     status: str = "ok"
     attributes: dict[str, Any] = field(default_factory=dict)
     #: Point-in-time marks: ``{"name": ..., "at_s": ..., ...}`` -- the
-    #: bridged :class:`~repro.obs.trace.TraceEvent` dicts land here.
+    #: emitted :class:`~repro.obs.trace.TraceEvent` dicts land here.
     events: list[dict[str, Any]] = field(default_factory=list)
     _t0: float = field(default=0.0, repr=False, compare=False)
 
@@ -173,6 +178,13 @@ class Span:
         event = {"name": name, "at_s": round(self._now(), 6)}
         event.update({k: v for k, v in attrs.items() if v is not None})
         self.events.append(event)
+
+    def emit(self, event: TraceEvent) -> None:
+        """Record an engine :class:`~repro.obs.trace.TraceEvent` as a
+        span event named after it, every field kept -- this makes a
+        span a :class:`~repro.obs.trace.Tracer`."""
+        fields = event.to_dict()
+        self.add_event(fields.pop("event"), **fields)
 
     def _now(self) -> float:
         """Wall-clock "now" derived from the monotonic origin."""
@@ -450,7 +462,8 @@ def render_trace(
     trace_id: str, spans: Iterable[Mapping[str, Any]], width: int = 48
 ) -> str:
     """The full ``repro trace`` report for one trace: header,
-    waterfall, critical path, and the per-kind time breakdown."""
+    waterfall, one line per rejection naming its paper rule, critical
+    path, and the per-kind time breakdown."""
     members = [dict(s) for s in spans]
     if not members:
         return f"trace {trace_id}: no spans\n"
@@ -468,6 +481,13 @@ def render_trace(
             "warning: unresolved parent span id(s): " + ", ".join(missing)
         )
     lines.append(render_waterfall(members, width=width).rstrip("\n"))
+    for span in members:
+        for event in span.get("events", ()):
+            if event.get("name") == "reject":
+                lines.append(
+                    f"rejected: {event.get('kind')} "
+                    f"{event.get('constraint')} — {event.get('rule')}"
+                )
     path = critical_path(members)
     if path:
         path_s = max(0.0, _end_s(path[-1]) - float(path[0].get("start_s", 0)))

@@ -7,7 +7,9 @@ constraint id, its paper-rule label, the access path taken, rows
 touched and wall time.  Emitters hold a :class:`Tracer` (or ``None``
 for zero overhead); the two stock sinks keep the last *n* events in
 memory (:class:`RingBufferTracer`) or stream JSON lines
-(:class:`JsonlTracer`).
+(:class:`JsonlTracer`).  A :class:`~repro.obs.spans.Span` is a
+tracer too: the server attaches a sampled request's span, so the
+events land on that request's trace.
 
 Event vocabulary (the ``event`` field):
 
@@ -28,8 +30,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, replace
-from typing import IO, Iterable, Protocol
+from dataclasses import asdict, dataclass
+from typing import IO, Protocol
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,6 @@ class TraceEvent:
     rows: int | None = None
     elapsed_us: float | None = None
     detail: str | None = None
-    #: Request correlation id, stamped by the server's
-    #: :class:`CorrelatingTracer` so one grep of a JSONL sink
-    #: reconstructs a request's full decision path.
-    trace_id: str | None = None
 
     def to_dict(self) -> dict:
         """A plain dict with the ``None`` fields dropped."""
@@ -131,47 +129,3 @@ class JsonlTracer:
         """Close the underlying stream if this tracer opened it."""
         if self._owns_stream:
             self._stream.close()
-
-
-class CorrelatingTracer:
-    """Stamps the active request's ``trace_id`` onto every event before
-    forwarding to the wrapped sink.
-
-    The server sets :attr:`trace_id` for the duration of one request's
-    engine work and clears it afterwards (safe because the engine runs
-    on a single event loop and never awaits mid-mutation), so every
-    :class:`TraceEvent` a request causes -- the mutation itself, its
-    reference checks, WAL appends, or the rejection -- carries the same
-    id the client saw echoed in its response.  Events emitted while no
-    request is active (e.g. the group-commit record covering a whole
-    batch) pass through unstamped, as do events that already carry an
-    id.
-    """
-
-    def __init__(self, sink: Tracer):
-        self._sink = sink
-        #: The id to stamp; ``None`` between requests.
-        self.trace_id: str | None = None
-
-    def emit(self, event: TraceEvent) -> None:
-        """Forward one event, stamped with the active trace id."""
-        if self.trace_id is not None and event.trace_id is None:
-            event = replace(event, trace_id=self.trace_id)
-        self._sink.emit(event)
-
-
-class TeeTracer:
-    """Fans every event out to several sinks (e.g. ring buffer + JSONL)."""
-
-    def __init__(self, *tracers: Tracer):
-        self._tracers = tracers
-
-    def emit(self, event: TraceEvent) -> None:
-        """Forward one event to every sink."""
-        for tracer in self._tracers:
-            tracer.emit(event)
-
-
-def read_jsonl(lines: Iterable[str]) -> list[dict]:
-    """Parse JSONL trace lines back into event dicts (blank-safe)."""
-    return [json.loads(line) for line in lines if line.strip()]

@@ -36,9 +36,9 @@ acked durability survives the loss of the primary's disk.
 Telemetry runs end to end: the service records per-verb request
 counters and latencies, violation counters labeled by constraint kind
 and paper rule, and queue/batch/WAL-sync instruments on a
-:class:`~repro.obs.metrics.MetricsRegistry`, and every request carries
-a ``trace_id`` (client-supplied or server-generated) that is echoed in
-the response and stamped onto the engine's trace events (see
+:class:`~repro.obs.metrics.MetricsRegistry`, and every response echoes
+the request's span trace id as ``trace_id``; with a span sink, that
+trace holds the request's spans and engine decision events (see
 ``docs/OBSERVABILITY.md``).
 
 The matching blocking client lives in :mod:`repro.client`; the CLI

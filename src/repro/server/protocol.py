@@ -7,23 +7,19 @@ match responses to requests), a ``verb``, and verb-specific parameters::
 
     {"id": 1, "verb": "insert", "scheme": "COURSE", "row": {"C.NR": "c1"}}
 
-Requests may also carry an optional ``trace_id`` string.  The server
-echoes it -- or a generated id, when absent -- as a top-level
-``trace_id`` on the response (and inside the ``error`` object of error
-frames), and stamps it onto every engine trace event emitted while
-handling the request, which is the correlation handle ``repro monitor``
-and JSONL trace greps pivot on (see ``docs/OBSERVABILITY.md``).
-
-Requests may further carry an optional ``span`` string -- a
+Requests may also carry an optional ``span`` string -- a
 W3C-traceparent-style span context
-(:func:`repro.obs.spans.encode_context`).  A server running with a span
-sink parents its server span on the context's span id, so the client's
-root span, the router's fan-out, every participant shard's
-prepare/commit, the group-commit barrier, and the replica's apply all
-land in one reassemblable trace (``repro trace``; see
-``docs/OBSERVABILITY.md``).  An absent or malformed ``span`` simply
-roots a new trace; bit 0 of the context's flags carries the caller's
-head-sampling decision.
+(:func:`repro.obs.spans.encode_context`).  Its trace id is the
+request's one id: every response echoes it as a top-level
+``trace_id`` (and inside the ``error`` object of error frames); a
+request without a readable context gets a fresh 32-hex id.  A server
+running with a span sink parents its server span on the context's span
+id -- or roots the fresh id -- so the client's root span, the router's
+fan-out, every participant shard's prepare/commit, the group-commit
+barrier, and the replica's apply all land in one reassemblable trace,
+and the echoed id pastes into ``repro trace --trace-id`` (see
+``docs/OBSERVABILITY.md``).  Bit 0 of the context's flags carries the
+caller's head-sampling decision.
 
 Responses are either a result frame or a typed error frame::
 

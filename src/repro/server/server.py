@@ -45,7 +45,7 @@ from repro.server.protocol import (
     raise_error,
     request_frame,
 )
-from repro.obs.spans import SpanSink
+from repro.obs.spans import Span, SpanSink
 from repro.server.service import DatabaseService, Session, ShardInfo
 
 
@@ -610,6 +610,7 @@ async def serve(
     config: ServerConfig | None = None,
     *,
     install_signal_handlers: bool = True,
+    recover_span: Span | None = None,
 ) -> ReproServer:
     """Run a server until drained (the ``python -m repro serve`` body).
 
@@ -617,9 +618,14 @@ async def serve(
     the readiness line scripts and tests wait for -- then ``metrics on
     <host>:<port>`` when the sidecar HTTP endpoint is enabled, and
     installs ``SIGTERM``/``SIGINT`` handlers that trigger a graceful
-    drain.
+    drain.  ``recover_span`` (the span startup recovery ran under) is
+    exported to the span sink when the sink samples it.
     """
     server = ReproServer(db, config)
+    sink = server.span_sink
+    if recover_span is not None and sink is not None and sink.sample_root():
+        recover_span.process = sink.process
+        sink.export(recover_span)
     await server.start()
     # Handlers must be live before the readiness line: the supervisor
     # (and scripts) treat that line as "safe to SIGTERM", and a worker

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import sys
-import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
@@ -54,8 +53,13 @@ from repro.engine.query import QueryEngine
 from repro.engine.recovery import RecoveryError, WalApplier
 from repro.engine.wal import WalCursor, WalError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Span, SpanSink, decode_context, render_trace
-from repro.obs.trace import CorrelatingTracer
+from repro.obs.spans import (
+    Span,
+    SpanSink,
+    decode_context,
+    new_trace_id,
+    render_trace,
+)
 from repro.server import protocol
 from repro.server.protocol import (
     DECISION_VERBS,
@@ -357,37 +361,6 @@ class ServerMetrics:
         )
 
 
-class _SpanEventBridge:
-    """Tee engine :class:`TraceEvent`s into the active request span.
-
-    Sits between the service's :class:`CorrelatingTracer` and the real
-    trace sink: every event still reaches the configured tracer
-    unchanged, but while a sampled request is executing its
-    constraint-check / WAL-append decisions also land on the request's
-    span as span events, so one waterfall shows both layers.
-    """
-
-    def __init__(self, service: "DatabaseService", sink):
-        self._service = service
-        self._sink = sink
-
-    def emit(self, event) -> None:
-        """Attach ``event`` to the active span, then forward it."""
-        span = self._service._active_span
-        if span is not None:
-            span.add_event(
-                event.event,
-                op=event.op,
-                kind=event.kind,
-                constraint=event.constraint,
-                outcome=event.outcome,
-                rows=event.rows,
-                elapsed_us=event.elapsed_us,
-            )
-        if self._sink is not None:
-            self._sink.emit(event)
-
-
 class DatabaseService:
     """Verb dispatch plus the single-writer group-commit pipeline."""
 
@@ -412,6 +385,11 @@ class DatabaseService:
             raise ValueError("max_delay must be non-negative")
         if role not in ("primary", "replica"):
             raise ValueError("role must be 'primary' or 'replica'")
+        if span_sink is not None and db.tracer is not None:
+            raise ValueError(
+                "a span sink owns the engine tracer; detach the "
+                "database's tracer first"
+            )
         self.db = db
         self.query = QueryEngine(db)
         self.max_batch = max_batch
@@ -517,14 +495,6 @@ class DatabaseService:
         #: server span runs at least this many milliseconds (``None``
         #: disables the slow-request log).
         self.slow_ms = slow_ms
-        #: The span the writer (or read path) is executing under right
-        #: now; the tracer bridge copies engine events onto it.
-        self._active_span: Span | None = None
-        #: True when the tracer pipeline exists only for the span sink
-        #: (no real tracer behind it): the engine tracer is then
-        #: attached just-in-time around sampled requests, so untraced
-        #: ones skip event construction entirely.
-        self._span_only_tracing = db.tracer is None and span_sink is not None
         #: lsn -> encoded span context for recently committed WAL
         #: records, so replication shipping can stamp the originating
         #: context onto shipped records and the replica's apply joins
@@ -537,17 +507,6 @@ class DatabaseService:
         self.metrics: ServerMetrics | None = (
             ServerMetrics(self) if metrics else None
         )
-        #: Stamps each request's trace id onto the engine's trace
-        #: events; ``None`` when neither a tracer nor a span sink is
-        #: attached (a span sink alone still needs the correlator, so
-        #: engine events reach the active request span as span events).
-        self._correlator: CorrelatingTracer | None = None
-        if db.tracer is not None or span_sink is not None:
-            self._correlator = CorrelatingTracer(
-                _SpanEventBridge(self, db.tracer)
-            )
-            if not self._span_only_tracing:
-                db.set_tracer(self._correlator)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -580,25 +539,18 @@ class DatabaseService:
     ) -> dict[str, Any]:
         """One request frame in, one response frame out (never raises).
 
-        Every response echoes a ``trace_id`` -- the client's, when the
-        request carried one, otherwise a server-generated id -- and the
-        same id is stamped onto every engine :class:`TraceEvent` the
-        request causes (via the :class:`CorrelatingTracer`), so one
-        grep of a JSONL trace sink reconstructs the decision path.
+        Every response echoes a ``trace_id``: the trace id of the
+        request's ``span`` context, or a fresh one that also roots the
+        server span when the sink samples it -- so the id in any error
+        frame is a valid ``repro trace --trace-id``.
         """
         request_id = frame.get("id")
         verb = frame.get("verb")
         session.requests += 1
         self.requests_served += 1
         started = perf_counter()
-        trace_id = frame.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            response = error_frame(
-                request_id, "bad-request", "parameter 'trace_id' must be a string"
-            )
-            return self._finish(session, "invalid", None, started, response)
-        if trace_id is None:
-            trace_id = uuid.uuid4().hex[:16]
+        ctx = decode_context(frame.get("span"))
+        trace_id = ctx[0] if ctx is not None else new_trace_id()
         if not isinstance(verb, str) or verb not in VERBS:
             response = error_frame(
                 request_id,
@@ -622,7 +574,7 @@ class DatabaseService:
                 primary=self.primary,
             )
             return self._finish(session, verb, trace_id, started, response)
-        span = self._open_server_span(verb, frame)
+        span = self._open_server_span(verb, trace_id, ctx)
         if verb in DECISION_VERBS:
             session.mutations += 1
             response = await self._handle_decision(
@@ -653,53 +605,53 @@ class DatabaseService:
                 raise
             response = await future
         else:
-            if self._correlator is not None:
-                self._correlator.trace_id = trace_id
             self._activate_span(span)
             try:
                 response = self._execute_read(verb, frame, request_id)
             finally:
                 self._activate_span(None)
-                if self._correlator is not None:
-                    self._correlator.trace_id = None
         return self._finish(session, verb, trace_id, started, response, span)
 
     def _open_server_span(
-        self, verb: str, frame: Mapping[str, Any]
+        self,
+        verb: str,
+        trace_id: str,
+        ctx: tuple[str, str, bool] | None,
     ) -> Span | None:
         """Open the server-side span for one request.
 
-        An incoming ``span`` wire context dictates the trace: we join it
-        as a child span and follow its head-sampling flag.  Without one
-        (or with a malformed one -- :func:`decode_context` returns
-        ``None``) this request roots a new trace, subject to the sink's
-        sampling rate.  Replication polls and the ``spans`` verb itself
+        An incoming ``span`` wire context (``ctx``, already decoded)
+        dictates the trace: we join it as a child span and follow its
+        head-sampling flag.  Without one (or with a malformed one) this
+        request roots ``trace_id``, subject to the sink's sampling
+        rate.  Replication polls and the ``spans`` verb itself
         are never traced: both are observability plumbing, and tracing
         them would fill the ring with noise.
         """
         sink = self.span_sink
         if sink is None or verb == "spans":
             return None
-        ctx = decode_context(frame.get("span"))
         if ctx is not None:
-            ctx_trace_id, parent_id, sampled = ctx
+            _, parent_id, sampled = ctx
             if not sampled:
                 return None
             return sink.start_span(
                 f"server:{verb}",
-                trace_id=ctx_trace_id,
+                trace_id=trace_id,
                 parent_id=parent_id,
                 kind="server",
             )
         if not sink.sample_root():
             return None
-        return sink.start_span(f"server:{verb}", kind="server")
+        return sink.start_span(
+            f"server:{verb}", trace_id=trace_id, kind="server"
+        )
 
     def _finish(
         self,
         session: Session,
         verb: str,
-        trace_id: str | None,
+        trace_id: str,
         started: float,
         response: dict[str, Any],
         span: Span | None = None,
@@ -708,11 +660,10 @@ class DatabaseService:
         the error object, so client exceptions carry it), bump the
         session counters, record the request metrics, and close out the
         server span (export + slow-request log)."""
-        if trace_id is not None:
-            response["trace_id"] = trace_id
-            error = response.get("error")
-            if isinstance(error, dict):
-                error.setdefault("trace_id", trace_id)
+        response["trace_id"] = trace_id
+        error = response.get("error")
+        if isinstance(error, dict):
+            error.setdefault("trace_id", trace_id)
         if not response.get("ok"):
             session.rejections += 1
         if self.metrics is not None:
@@ -1584,12 +1535,10 @@ class DatabaseService:
         its WAL bracket has no commit marker until the decision, so a
         crash while holding aborts it on recovery.
         """
-        _verb, frame, request_id, trace_id, span, future = item
+        _verb, frame, request_id, _trace_id, span, future = item
         if self.poisoned is not None:
             self._ack_mutation(future, self._poisoned_frame(request_id))
             return
-        if self._correlator is not None:
-            self._correlator.trace_id = trace_id
         if span is not None:
             self._export_queue_wait(span)
         apply_span = (
@@ -1639,8 +1588,6 @@ class DatabaseService:
                 self.span_sink.export(
                     apply_span.end(None if prepared is not None else "error")
                 )
-            if self._correlator is not None:
-                self._correlator.trace_id = None
         if prepared is None:
             return
         self.prepares += 1
@@ -1719,10 +1666,6 @@ class DatabaseService:
             if commit_parent is not None
             else None
         )
-        if self._correlator is not None:
-            # The decision's durability barrier belongs to this
-            # prepare's trace, same as a group commit's (PR 10).
-            self._correlator.trace_id = trace_id
         self._activate_span(commit_span)
         try:
             results = prepared.commit()
@@ -1745,8 +1688,6 @@ class DatabaseService:
                 self._signal_commit()
         finally:
             self._activate_span(None)
-            if self._correlator is not None:
-                self._correlator.trace_id = None
             if commit_span is not None:
                 self.span_sink.export(
                     commit_span.end(
@@ -1778,19 +1719,15 @@ class DatabaseService:
             future.set_result(outcome)
 
     def _activate_span(self, span: Span | None) -> None:
-        """Route bridged engine events to ``span`` (``None`` detaches).
+        """Make ``span`` the engine's tracer (``None`` detaches).
 
-        When the tracer pipeline exists only for the span sink, the
-        engine tracer is attached exactly while a sampled span is
-        active -- everything here runs on the one event-loop thread, so
-        the swap cannot race -- and unsampled requests never pay for
-        trace-event construction.
+        With a span sink the service owns ``db.tracer``: a span is
+        attached exactly while its sampled work runs -- everything here
+        runs on the one event-loop thread, so the swap cannot race --
+        and unsampled requests never pay for trace-event construction.
         """
-        self._active_span = span
-        if self._span_only_tracing:
-            self.db.set_tracer(
-                self._correlator if span is not None else None
-            )
+        if self.span_sink is not None:
+            self.db.set_tracer(span)
 
     def _export_queue_wait(self, span: Span) -> None:
         """Export a back-dated ``queue-wait`` child covering the time a
@@ -1818,12 +1755,10 @@ class DatabaseService:
         inside one.
         """
         outcomes: list[dict | None] = []
-        for verb, frame, request_id, trace_id, span, _future in batch:
+        for verb, frame, request_id, _trace_id, span, _future in batch:
             if self.poisoned is not None:
                 outcomes.append(self._poisoned_frame(request_id))
                 continue
-            if self._correlator is not None:
-                self._correlator.trace_id = trace_id
             if span is not None:
                 self._export_queue_wait(span)
             apply_span = (
@@ -1889,18 +1824,10 @@ class DatabaseService:
                             (last.get("error") or {}).get("type", "error")
                         )
                     self.span_sink.export(apply_span.end(status))
-                # Clear before the next item (the barrier below is
-                # re-stamped with the batch's leading trace id).
-                if self._correlator is not None:
-                    self._correlator.trace_id = None
         if self.poisoned is None:
-            # The barrier covers the whole batch; attribute its trace
-            # event to the batch's leading request (PR 5 left barrier
-            # events unstamped) and hang its span under the first
-            # sampled request's server span.
-            batch_trace_id = next(
-                (t for _, _, _, t, _, _ in batch if t is not None), None
-            )
+            # The barrier covers the whole batch; hang its span (and
+            # so its trace events) under the first sampled request's
+            # server span.
             span_parent = next(
                 (s for _, _, _, _, s, _ in batch if s is not None), None
             )
@@ -1911,10 +1838,8 @@ class DatabaseService:
             )
             if group_span is not None and len(batch) > 1:
                 group_span.attributes["trace_ids"] = [
-                    t for _, _, _, t, _, _ in batch if t is not None
+                    t for _, _, _, t, _, _ in batch
                 ]
-            if self._correlator is not None:
-                self._correlator.trace_id = batch_trace_id
             self._activate_span(group_span)
             sync_started = perf_counter()
             try:
@@ -1940,8 +1865,6 @@ class DatabaseService:
                 self._signal_commit()
             finally:
                 self._activate_span(None)
-                if self._correlator is not None:
-                    self._correlator.trace_id = None
                 if group_span is not None:
                     self.span_sink.export(
                         group_span.end(

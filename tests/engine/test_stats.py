@@ -91,6 +91,16 @@ def test_prometheus_export_shape():
     assert text.endswith("\n")
 
 
+def test_prometheus_escapes_labeled_counter_keys():
+    stats = EngineStats()
+    stats.scheme_mutations['we"ird\\name'] = 2
+    text = stats.to_prometheus()
+    assert (
+        'repro_engine_scheme_mutations{scheme="we\\"ird\\\\name"} 2'
+        in text
+    )
+
+
 def test_reset_clears_histograms():
     stats = EngineStats()
     stats.observe("insert", 1e-6)

@@ -29,6 +29,7 @@ from repro.obs.spans import (
     render_waterfall,
     unresolved_parents,
 )
+from repro.obs.trace import TraceEvent
 
 
 def test_context_roundtrip_sampled_and_not():
@@ -50,10 +51,58 @@ def test_context_roundtrip_sampled_and_not():
         "00-" + "0" * 32 + "-" + "0" * 16,  # wrong arity
         "0-" + "0" * 32 + "-" + "0" * 16 + "-01",  # short version
         "00-" + "0" * 32 + "-" + "0" * 16 + "-zz",  # non-hex flags
+        "00-4b_f4b_f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  # _
+        "00-+bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  # sign
+        "00-" + "0" * 32 + "-00f067aa0ba902b7-01",  # all-zero trace id
+        "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0x01",  # 0x
+        "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",  # upper
+        "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  # ff
+        "00-4bf92f3577b34da6a3ce929d0e0e4736-" + "0" * 16 + "-01",  # span 0
+        "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01\n",
     ],
 )
 def test_decode_context_rejects_malformed(bad):
     assert decode_context(bad) is None
+
+
+def test_decode_context_accepts_the_canonical_form():
+    ctx = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-03"
+    assert decode_context(ctx) == (
+        "4bf92f3577b34da6a3ce929d0e0e4736",
+        "00f067aa0ba902b7",
+        True,
+    )
+
+
+def test_span_emit_records_every_trace_event_field():
+    span = Span.start("apply", kind="engine")
+    span.emit(
+        TraceEvent(
+            event="reject",
+            op="delete",
+            scheme="COURSE",
+            constraint="ind:OFFER[O.C.NR]<=COURSE[C.NR]",
+            kind="restrict-delete",
+            rule="Section 5.1 restrict rule",
+            access_path="index",
+            detail="still referenced",
+            elapsed_us=3.5,
+        )
+    )
+    (event,) = span.to_dict()["events"]
+    at_s = event.pop("at_s")
+    assert span.start_s <= at_s
+    assert event == {
+        "name": "reject",
+        "op": "delete",
+        "scheme": "COURSE",
+        "constraint": "ind:OFFER[O.C.NR]<=COURSE[C.NR]",
+        "kind": "restrict-delete",
+        "rule": "Section 5.1 restrict rule",
+        "access_path": "index",
+        "detail": "still referenced",
+        "elapsed_us": 3.5,
+    }
 
 
 def test_span_lifecycle_child_events_and_export_form():
@@ -183,6 +232,25 @@ def test_render_trace_full_report():
     assert " !" in out  # non-ok status marked
     assert render_waterfall([]) == "(no spans)\n"
     assert render_trace(t, []).startswith(f"trace {t}: no spans")
+
+
+def test_render_trace_names_each_rejection_rule():
+    t, members = _fake_trace()
+    members[1]["events"] = [
+        {
+            "name": "reject",
+            "at_s": members[1]["start_s"],
+            "kind": "restrict-delete",
+            "constraint": "c7",
+            "rule": "Section 5.1 restrict rule",
+        },
+        {"name": "mutation", "at_s": members[1]["start_s"]},
+    ]
+    out = render_trace(t, members)
+    assert out.count("rejected:") == 1
+    assert (
+        "rejected: restrict-delete c7 — Section 5.1 restrict rule" in out
+    )
 
 
 def test_render_trace_warns_on_unresolved_parent():

@@ -14,13 +14,8 @@ import pytest
 from repro.core.planner import MergePlanner, MergeStrategy
 from repro.engine.database import ConstraintViolationError, Database
 from repro.relational.tuples import NULL
-from repro.obs.trace import (
-    JsonlTracer,
-    RingBufferTracer,
-    TeeTracer,
-    TraceEvent,
-    read_jsonl,
-)
+from repro.obs.spans import read_span_lines
+from repro.obs.trace import JsonlTracer, RingBufferTracer, TraceEvent
 from repro.workloads.university import university_relational
 
 
@@ -52,7 +47,7 @@ def test_jsonl_tracer_streams_and_counts():
     tracer.emit(TraceEvent(event="check", constraint="c1"))
     tracer.emit(TraceEvent(event="violation", constraint="c2"))
     assert tracer.events_written == 2
-    parsed = read_jsonl(buf.getvalue().splitlines())
+    parsed = read_span_lines(buf.getvalue().splitlines())
     assert [d["event"] for d in parsed] == ["check", "violation"]
     tracer.close()  # caller-owned stream stays open
     assert not buf.closed
@@ -63,15 +58,9 @@ def test_jsonl_tracer_to_path_owns_its_file(tmp_path):
     tracer = JsonlTracer.to_path(str(path))
     tracer.emit(TraceEvent(event="mutation", op="insert"))
     tracer.close()
-    assert read_jsonl(path.read_text().splitlines()) == [
+    assert read_span_lines(path.read_text().splitlines()) == [
         {"event": "mutation", "op": "insert"}
     ]
-
-
-def test_tee_tracer_fans_out():
-    a, b = RingBufferTracer(), RingBufferTracer()
-    TeeTracer(a, b).emit(TraceEvent(event="check"))
-    assert len(a.events) == len(b.events) == 1
 
 
 # -- golden traces -------------------------------------------------------------
@@ -94,7 +83,10 @@ def test_golden_restrict_delete_rejection_trace():
     buf.truncate()
     with pytest.raises(ConstraintViolationError):
         db.delete("DEPARTMENT", "d1")
-    events = [_strip_timing(d) for d in read_jsonl(buf.getvalue().splitlines())]
+    events = [
+        _strip_timing(d)
+        for d in read_span_lines(buf.getvalue().splitlines())
+    ]
     assert events == [
         {
             "access_path": "group-index",

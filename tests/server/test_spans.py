@@ -12,9 +12,9 @@ import time
 
 import pytest
 
-from repro.client import Client, ShardedClient
+from repro.client import Client, RemoteConstraintViolation, ShardedClient
 from repro.engine.database import Database
-from repro.engine.wal import MemoryStorage, WriteAheadLog
+from repro.engine.wal import FileStorage, MemoryStorage, WriteAheadLog
 from repro.io import relational_schema_to_dict
 from repro.obs.spans import (
     SpanSink,
@@ -28,7 +28,7 @@ from repro.obs.spans import (
 )
 from repro.server import ServerConfig, ServerThread
 from repro.server.router import shard_of
-from repro.server.supervisor import FleetProcess
+from repro.server.supervisor import FleetProcess, ServerProcess
 from repro.workloads.university import university_relational
 
 WORKERS = 2
@@ -66,7 +66,7 @@ def test_server_span_per_verb_with_children(span_server):
     assert insert["attributes"]["lsn"] >= 1
     assert insert["end_s"] >= insert["start_s"]
     # The mutation path's children: queue wait, engine apply (carrying
-    # the bridged TraceEvents), and the group-commit barrier.
+    # the engine's TraceEvents), and the group-commit barrier.
     children = {
         s["name"]: s
         for s in spans
@@ -222,6 +222,58 @@ def test_trace_cli_against_live_server(span_server, capsys):
     out = capsys.readouterr().out
     assert "server:insert" in out
     assert "critical path:" in out
+
+
+def test_trace_cli_names_the_rule_of_a_rejected_request(span_server, capsys):
+    from repro.cli import main
+
+    with Client(port=span_server.port, timeout=30) as c:
+        c.insert("DEPARTMENT", {"D.NAME": "d1"})
+        c.insert("COURSE", {"C.NR": "c1"})
+        c.insert("OFFER", {"O.D.NAME": "d1", "O.C.NR": "c1"})
+        with pytest.raises(RemoteConstraintViolation) as exc_info:
+            c.delete("COURSE", "c1")
+    trace_id = exc_info.value.extra["trace_id"]
+    rc = main(
+        ["trace", f"127.0.0.1:{span_server.port}", "--trace-id", trace_id]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"trace {trace_id}" in out
+    assert "server:delete" in out
+    rejected = [
+        line for line in out.splitlines() if line.startswith("rejected:")
+    ]
+    assert len(rejected) == 1
+    assert rejected[0].startswith("rejected: restrict-delete ")
+    assert exc_info.value.rule in rejected[0]
+    assert "restrict rule" in rejected[0]
+
+
+def test_serve_recovery_runs_under_a_root_span(tmp_path):
+    schema = tmp_path / "university.json"
+    schema.write_text(
+        json.dumps(relational_schema_to_dict(university_relational()))
+    )
+    wal = str(tmp_path / "db.wal")
+    db = Database(university_relational(), wal=WriteAheadLog(FileStorage(wal)))
+    db.insert("COURSE", {"C.NR": "c1"})
+    db.wal.close()
+    spans_path = str(tmp_path / "spans.jsonl")
+    with ServerProcess(
+        str(schema), wal=wal, extra_args=("--span-sink", spans_path)
+    ) as server:
+        server.wait_ready()
+        with Client(port=server.port, timeout=30) as c:
+            assert c.get("COURSE", "c1")["C.NR"] == "c1"
+    with open(spans_path) as f:
+        spans = read_span_lines(f)
+    (recover,) = [s for s in spans if s["name"] == "server:recover"]
+    assert recover["kind"] == "server"
+    assert recover["process"] == "server"
+    assert "parent_id" not in recover  # a root of its own trace
+    steps = [e for e in recover["events"] if e["name"] == "recovery"]
+    assert any(e.get("op") == "replay" for e in steps)
 
 
 def test_trace_cli_no_spans(tmp_path, capsys):

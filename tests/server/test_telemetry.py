@@ -1,15 +1,17 @@
-"""End-to-end telemetry: trace correlation, /metrics, probes, monitor.
+"""End-to-end telemetry: one request id, /metrics, probes, monitor.
 
 The acceptance path of the observability slice: a violating mutation
-driven through the blocking client with an explicit ``trace_id`` must
-(a) come back as an error frame echoing that id with the constraint
-kind and paper rule, (b) leave every engine trace event it caused in
-the JSONL sink bearing the same id, and (c) show up in the scraped
-``/metrics`` exposition as a violation counter labeled with that rule.
+sent with a sampled span context must (a) come back as an error frame
+echoing that context's trace id with the constraint kind and paper
+rule, (b) leave a ``reject`` event naming the same kind and rule on
+that trace's spans, and (c) show up in the scraped ``/metrics``
+exposition as a violation counter labeled with that rule.
 """
 
 from __future__ import annotations
 
+import re
+import socket
 import urllib.error
 import urllib.request
 
@@ -18,11 +20,18 @@ import pytest
 from repro.client import Client, RemoteConstraintViolation
 from repro.engine.database import Database
 from repro.engine.wal import MemoryStorage, WriteAheadLog
-from repro.obs.trace import JsonlTracer, read_jsonl
-from repro.server import ServerConfig, ServerThread
+from repro.obs.spans import (
+    SpanSink,
+    assemble_traces,
+    encode_context,
+    new_span_id,
+    new_trace_id,
+    read_span_lines,
+)
+from repro.obs.trace import RingBufferTracer
+from repro.server import DatabaseService, ServerConfig, ServerThread
+from repro.server.protocol import decode_frame, encode_frame
 from repro.workloads.university import university_relational
-
-TRACE_ID = "trace-smoke-1"
 
 
 def _http_get(url: str):
@@ -35,53 +44,52 @@ def _http_get(url: str):
 
 
 @pytest.fixture
-def traced_server(tmp_path):
-    """A served database with a JSONL tracer and the metrics endpoint."""
-    trace_path = str(tmp_path / "trace.jsonl")
-    tracer = JsonlTracer.to_path(trace_path)
+def span_server(tmp_path):
+    """A served database with a span sink (and no engine tracer of its
+    own) plus the metrics endpoint; yields ``(server, spans path)``."""
+    spans_path = str(tmp_path / "spans.jsonl")
     db = Database(
-        university_relational(),
-        tracer=tracer,
-        wal=WriteAheadLog(MemoryStorage()),
+        university_relational(), wal=WriteAheadLog(MemoryStorage())
     )
     st = ServerThread(
-        db, ServerConfig(max_connections=8, metrics_port=0)
+        db,
+        ServerConfig(
+            max_connections=8, metrics_port=0, span_sink=spans_path
+        ),
     )
     st.start()
-    yield st, trace_path
+    yield st, spans_path
     st.stop()
-    tracer.close()
 
 
-def _run_load(st: ServerThread) -> str:
-    """A small load ending in one restrict-delete violation under an
-    explicit trace id; returns the violated rule label."""
+def _run_load(st: ServerThread) -> tuple[str, str]:
+    """A small load ending in one restrict-delete violation sent under
+    a sampled span context; returns ``(rule, trace id)``."""
+    trace_id = new_trace_id()
     with Client(port=st.port, timeout=30) as c:
         c.insert("DEPARTMENT", {"D.NAME": "d1"})
         c.insert("COURSE", {"C.NR": "c1"})
         c.insert(
             "OFFER", {"O.D.NAME": "d1", "O.C.NR": "c1"}
         )
-        assert c.last_trace_id  # server-generated id echoed
         with pytest.raises(RemoteConstraintViolation) as exc_info:
             c.call(
                 "delete",
-                trace_id=TRACE_ID,
+                span_ctx=encode_context(trace_id, new_span_id(), True),
                 scheme="COURSE",
                 pk=["c1"],
             )
         err = exc_info.value
         assert err.kind == "restrict-delete"
         assert "restrict rule" in err.rule
-        # (a) the error frame echoes the client's trace id.
-        assert err.extra.get("trace_id") == TRACE_ID
-        assert c.last_trace_id == TRACE_ID
-        return err.rule
+        # (a) the error frame echoes the context's trace id.
+        assert err.extra.get("trace_id") == trace_id
+        return err.rule, trace_id
 
 
-def test_violation_trace_and_metrics_end_to_end(traced_server):
-    st, trace_path = traced_server
-    rule = _run_load(st)
+def test_violation_trace_and_metrics_end_to_end(span_server):
+    st, spans_path = span_server
+    rule, trace_id = _run_load(st)
 
     # (c) the scraped /metrics shows the violation counter labeled
     # with the paper rule, plus per-verb counters and histograms.
@@ -113,27 +121,99 @@ def test_violation_trace_and_metrics_end_to_end(traced_server):
     status, _ = _http_get(f"http://{st.host}:{st.metrics_port}/nope")
     assert status == 404
 
-    # (b) every engine trace event of that request bears the trace id.
+    # (b) the trace of that id holds the request's engine decisions,
+    # each naming its paper rule.
     st.stop()
-    with open(trace_path) as f:
-        events = read_jsonl(f)
-    correlated = [e for e in events if e.get("trace_id") == TRACE_ID]
-    assert len(correlated) >= 2  # the restrict probe and the reject
-    by_event = {e["event"] for e in correlated}
-    assert "reject" in by_event
-    assert "restrict-check" in by_event
-    reject = next(e for e in correlated if e["event"] == "reject")
+    with open(spans_path) as f:
+        traces = assemble_traces(read_span_lines(f))
+    spans = traces[trace_id]
+    server = next(s for s in spans if s["name"] == "server:delete")
+    assert server["status"] == "constraint-violation"
+    events = [e for s in spans for e in s.get("events", [])]
+    by_name = {e["name"] for e in events}
+    assert "restrict-check" in by_name
+    reject = next(e for e in events if e["name"] == "reject")
     assert reject["kind"] == "restrict-delete"
     assert reject["rule"] == rule
-    # Nothing about this request leaked into other requests' events,
-    # and every request-scoped *and* barrier event carries a trace id:
-    # the group-commit barrier is attributed to the batch's leading
-    # request (the PR 5 carve-out, fixed in PR 10).
-    for e in events:
-        if e.get("op") == "group-commit":
-            assert e.get("trace_id"), e
-        elif e["event"] in ("mutation", "reject", "ref-check", "wal"):
-            assert e.get("trace_id"), e
+    assert reject["scheme"] == "COURSE"
+    assert reject["constraint"]
+    # Nothing about this request leaked into other traces.
+    for other_id, other in traces.items():
+        if other_id != trace_id:
+            assert not any(
+                e["name"] == "reject"
+                for s in other
+                for e in s.get("events", [])
+            )
+
+
+def _raw_calls(port: int, frames: list[dict]) -> list[dict]:
+    """Send ``frames`` on one raw connection; the response frames."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        fh = sock.makefile("rwb")
+        out = []
+        for frame in frames:
+            fh.write(encode_frame(frame))
+            fh.flush()
+            out.append(decode_frame(fh.readline()))
+        return out
+
+
+def test_client_trace_id_on_success_and_generated_ids(span_server):
+    st, _ = span_server
+    joined = new_trace_id()
+    unsampled = encode_context(joined, new_span_id(), sampled=False)
+    responses = _raw_calls(
+        st.port,
+        [
+            {
+                "id": 1,
+                "verb": "insert",
+                "scheme": "COURSE",
+                "row": {"C.NR": "cx"},
+                "span": unsampled,
+            },
+            {"id": 2, "verb": "get", "scheme": "COURSE", "pk": ["cx"]},
+            {"id": 3, "verb": "get", "scheme": "COURSE", "pk": ["cx"]},
+            # A malformed context and a stray legacy ``trace_id``
+            # field are both ignored: the request gets a fresh id.
+            {
+                "id": 4,
+                "verb": "get",
+                "scheme": "COURSE",
+                "pk": ["cx"],
+                "span": "00-" + joined.upper() + "-" + "1" * 16 + "-01",
+                "trace_id": "legacy-id",
+            },
+            {"id": 5, "verb": "nope"},
+        ],
+    )
+    assert all(r["ok"] for r in responses[:4])
+    # A context's trace id is echoed, sampled or not.
+    assert responses[0]["trace_id"] == joined
+    generated = [r["trace_id"] for r in responses[1:]]
+    assert responses[4]["error"]["trace_id"] == generated[-1]
+    for trace_id in generated:
+        assert re.fullmatch(r"[0-9a-f]{32}", trace_id), trace_id
+    assert len(set(generated)) == len(generated)
+    assert joined not in generated
+    # A generated id roots the request's server span.
+    with Client(port=st.port, timeout=30) as c:
+        spans = c.spans()["spans"]
+    roots = {s["trace_id"]: s["name"] for s in spans}
+    assert roots[generated[0]] == "server:get"
+    assert joined not in roots  # the unsampled context was respected
+
+
+def test_span_sink_refuses_a_database_with_its_own_tracer():
+    tracer = RingBufferTracer()
+    db = Database(university_relational(), tracer=tracer)
+    with pytest.raises(ValueError, match="span sink"):
+        DatabaseService(db, span_sink=SpanSink())
+    assert db.tracer is tracer  # never silently overwritten
+    # Without a span sink the database keeps its tracer.
+    DatabaseService(db)
+    assert db.tracer is tracer
 
 
 def test_readyz_ready_while_serving(tmp_path):
@@ -147,8 +227,8 @@ def test_readyz_ready_while_serving(tmp_path):
         st.stop()
 
 
-def test_stats_verb_carries_server_section(traced_server):
-    st, _ = traced_server
+def test_stats_verb_carries_server_section(span_server):
+    st, _ = span_server
     with Client(port=st.port, timeout=30) as c:
         c.insert("COURSE", {"C.NR": "c9"})
         stats = c.stats()
@@ -162,10 +242,10 @@ def test_stats_verb_carries_server_section(traced_server):
     assert "repro_server_queue_depth" in names
 
 
-def test_monitor_renders_dashboard_from_stats(traced_server):
+def test_monitor_renders_dashboard_from_stats(span_server):
     from repro.obs.monitor import render_dashboard
 
-    st, _ = traced_server
+    st, _ = span_server
     _run_load(st)
     with Client(port=st.port, timeout=30) as c:
         prev = c.stats()
@@ -179,10 +259,10 @@ def test_monitor_renders_dashboard_from_stats(traced_server):
     assert "engine:" in out
 
 
-def test_monitor_cli_once(traced_server, capsys):
+def test_monitor_cli_once(span_server, capsys):
     from repro.cli import main
 
-    st, _ = traced_server
+    st, _ = span_server
     _run_load(st)
     rc = main(
         [
@@ -197,20 +277,3 @@ def test_monitor_cli_once(traced_server, capsys):
     assert f"repro monitor {st.host}:{st.port}" in out
     assert "requests" in out
     assert "restrict-delete" in out
-
-
-def test_client_trace_id_on_success_and_generated_ids(traced_server):
-    st, _ = traced_server
-    with Client(port=st.port, timeout=30) as c:
-        c.call(
-            "insert",
-            trace_id="my-id",
-            scheme="COURSE",
-            row={"C.NR": "cx"},
-        )
-        assert c.last_trace_id == "my-id"
-        c.get("COURSE", "cx")
-        generated = c.last_trace_id
-        assert generated and generated != "my-id"
-        with pytest.raises(Exception):
-            c.call("get", trace_id=7, scheme="COURSE", pk=["cx"])

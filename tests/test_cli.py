@@ -422,6 +422,17 @@ def test_resolve_workers_semantics():
     assert args.workers == 0
 
 
+def test_serve_has_no_trace_flag(capsys):
+    """Served engine events travel on spans (``--span-sink``), so
+    ``serve --trace`` is an argparse error."""
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc_info:
+        build_parser().parse_args(["serve", "schema.json", "--trace"])
+    assert exc_info.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+
+
 def test_promote_unreachable_server_errors(capsys):
     import socket
 
