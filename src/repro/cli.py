@@ -194,6 +194,11 @@ def _recovered_state(schema, wal_path: str):
     return schema, state
 
 
+def _tuple_count(db) -> int:
+    """The database's tuple count, without materializing its state."""
+    return sum(db.count(s.name) for s in db.schema.schemes)
+
+
 def cmd_recover(args: argparse.Namespace) -> int:
     """``recover``: replay a write-ahead log into the committed state."""
     from repro.engine.recovery import RecoveryError, recover_database
@@ -215,7 +220,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         _close_tracer(tracer, trace_path)
     db, report = result.database, result.report
     print(
-        f"recovered {db.state().total_size()} tuple(s): "
+        f"recovered {_tuple_count(db)} tuple(s): "
         f"{report.records_replayed} record(s) replayed, "
         f"{report.transactions_rolled_back} transaction(s) rolled back, "
         f"{report.truncated_bytes} byte(s) truncated"
@@ -225,7 +230,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
         db.checkpoint()
         print(f"compacted {args.wal} into a snapshot")
     db.wal.close()
-    _write_output(args.output, state_to_dict(db.state()))
+    if args.output is not None:
+        _write_output(args.output, state_to_dict(db.state()))
     _write_output(args.report, report.to_dict())
     return 0
 
@@ -649,11 +655,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 )
             except (RecoveryError, WalError, OSError) as exc:
                 raise CliError(f"cannot recover {args.wal}: {exc}")
-            db = result.database
+            db, report = result.database, result.report
             db.set_tracer(None)
             print(
-                f"recovered {db.state().total_size()} tuple(s) "
-                f"from {args.wal}"
+                f"recovered {_tuple_count(db)} tuple(s) from {args.wal} "
+                f"(replay {report.replay_s:.2f}s, "
+                f"verify {report.verify_s:.2f}s)"
             )
         else:
             db = Database(schema, wal=WriteAheadLog(storage))

@@ -206,28 +206,23 @@ class ConsistencyChecker:
             if nc.scheme_name not in state:
                 continue
             kind = classify_null_constraint(nc)
-            ok = True
-            for t in state[nc.scheme_name]:
-                if not nc.holds_for(t):
-                    ok = False
-                    self._trace_check(
-                        kind, nc.scheme_name, str(nc), False,
-                        rows=len(state[nc.scheme_name]),
+            rel = state[nc.scheme_name]
+            ok = nc.is_satisfied_by(state)
+            self._trace_check(
+                kind, nc.scheme_name, str(nc), ok, rows=len(rel)
+            )
+            if not ok:
+                # Name the violating tuple: only a failed check walks
+                # the relation tuple by tuple.
+                t = next(t for t in rel if not nc.holds_for(t))
+                yield self._emit(
+                    Violation(
+                        "null-constraint",
+                        nc.scheme_name,
+                        str(nc),
+                        f"violated by tuple {t!r}",
+                        rule=paper_rule(kind),
                     )
-                    yield self._emit(
-                        Violation(
-                            "null-constraint",
-                            nc.scheme_name,
-                            str(nc),
-                            f"violated by tuple {t!r}",
-                            rule=paper_rule(kind),
-                        )
-                    )
-                    break
-            if ok:
-                self._trace_check(
-                    kind, nc.scheme_name, str(nc), True,
-                    rows=len(state[nc.scheme_name]),
                 )
 
     def _structural_violations(self, state: DatabaseState) -> Iterator[Violation]:

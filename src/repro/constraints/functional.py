@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import not_
 from typing import Iterable, Sequence
 
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationScheme
+from repro.relational.tuples import has_null, values_on
 
 
 @dataclass(frozen=True)
@@ -49,20 +51,17 @@ class FunctionalDependency:
         for inputs of ``Merge`` -- this coincides with classical FD
         satisfaction.
         """
-        lhs = sorted(self.lhs)
-        rhs = sorted(self.rhs)
-        seen: dict[tuple, tuple] = {}
-        for t in relation:
-            if not t.is_total_on(lhs):
-                continue
-            left = tuple(t[a] for a in lhs)
-            right = tuple(t[a] for a in rhs)
-            prior = seen.get(left)
-            if prior is None:
-                seen[left] = right
-            elif prior != right:
-                return False
-        return True
+        lhs = values_on(relation, sorted(self.lhs))
+        total = list(map(not_, map(has_null, lhs)))
+        lefts = list(itertools.compress(lhs, total))
+        distinct = len(set(lefts))
+        if distinct == len(lefts):
+            return True  # no two tuples share a total left value
+        # Among rows with a total left-hand side, each left value has
+        # exactly one right value iff the distinct (left, right) pairs
+        # are as many as the distinct left values.
+        rhs = values_on(relation, sorted(self.rhs))
+        return len(set(itertools.compress(zip(lhs, rhs), total))) == distinct
 
     def __str__(self) -> str:
         left = ",".join(sorted(self.lhs)) or "0"

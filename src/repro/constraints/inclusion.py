@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.relational.algebra import total_project
 from repro.relational.schema import RelationalSchema
 from repro.relational.state import DatabaseState
+from repro.relational.tuples import total_values_on
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,11 @@ class InclusionDependency:
         return self.lhs_scheme == self.rhs_scheme
 
     def is_satisfied_by(self, state: DatabaseState) -> bool:
-        """Total-projection containment, with positional correspondence."""
-        lhs_rel = state[self.lhs_scheme]
-        rhs_rel = state[self.rhs_scheme]
-        rhs_rows = {
-            tuple(t[a] for a in self.rhs_attrs)
-            for t in total_project(rhs_rel, self.rhs_attrs)
-        }
-        for t in total_project(lhs_rel, self.lhs_attrs):
-            if tuple(t[a] for a in self.lhs_attrs) not in rhs_rows:
-                return False
-        return True
+        """Total-projection containment, with positional correspondence:
+        the distinct total left values must all be total right values."""
+        return total_values_on(
+            state[self.lhs_scheme], self.lhs_attrs
+        ) <= total_values_on(state[self.rhs_scheme], self.rhs_attrs)
 
     def rename_scheme(self, old: str, new: str) -> "InclusionDependency":
         """This dependency with occurrences of scheme ``old`` renamed."""

@@ -16,23 +16,27 @@ may appear in a relation.  The paper uses five forms:
 
 All five implement the same ``NullConstraint`` interface, and all are
 checkable per-tuple -- which is what lets the storage engine enforce them
-incrementally on insert/update.
+incrementally on insert/update.  Over a whole state they are checked in
+columnar passes instead: one C-level pass per attribute group flags the
+rows holding a ``NULL`` there, and the flags are combined row-wise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, and_, ne, not_
 from typing import Iterable, Mapping
 
 from repro.relational.state import DatabaseState
-from repro.relational.tuples import Tuple
+from repro.relational.tuples import Tuple, has_null, values_on
 
 
 class NullConstraint:
     """Common interface of the paper's null constraints.
 
-    Subclasses provide ``scheme_name``, per-tuple ``holds_for`` and the
-    attribute bookkeeping used by ``Merge``/``Remove`` rewriting.
+    Subclasses provide ``scheme_name``, per-tuple ``holds_for``, its
+    columnar whole-state form ``is_satisfied_by``, and the attribute
+    bookkeeping used by ``Merge``/``Remove`` rewriting.
     """
 
     scheme_name: str
@@ -43,8 +47,8 @@ class NullConstraint:
 
     def is_satisfied_by(self, state: DatabaseState) -> bool:
         """Satisfaction over a database state: every tuple of the
-        constrained relation must pass the single-tuple test."""
-        return all(self.holds_for(t) for t in state[self.scheme_name])
+        constrained relation passes :meth:`holds_for`."""
+        raise NotImplementedError  # pragma: no cover - interface
 
     def attributes_mentioned(self) -> frozenset[str]:  # pragma: no cover
         """All attribute names this constraint involves."""
@@ -82,6 +86,15 @@ class NullExistenceConstraint(NullConstraint):
         if t.is_total_on(self.lhs):
             return t.is_total_on(self.rhs)
         return True
+
+    def is_satisfied_by(self, state: DatabaseState) -> bool:
+        """No tuple is total on ``lhs`` but not on ``rhs``."""
+        rel = state[self.scheme_name]
+        rhs_partial = list(map(has_null, values_on(rel, sorted(self.rhs))))
+        if not any(rhs_partial):
+            return True
+        lhs_total = map(not_, map(has_null, values_on(rel, sorted(self.lhs))))
+        return not any(map(and_, lhs_total, rhs_partial))
 
     def attributes_mentioned(self) -> frozenset[str]:
         """All attribute names this constraint involves."""
@@ -161,6 +174,14 @@ class PartNullConstraint(NullConstraint):
         """Single-tuple satisfaction test (see class docstring)."""
         return any(t.is_total_on(g) for g in self.groups)
 
+    def is_satisfied_by(self, state: DatabaseState) -> bool:
+        """No tuple holds a ``NULL`` in every group."""
+        rel = state[self.scheme_name]
+        partial = [
+            map(has_null, values_on(rel, sorted(g))) for g in self.groups
+        ]
+        return not any(map(all, zip(*partial)))
+
     def attributes_mentioned(self) -> frozenset[str]:
         """All attribute names this constraint involves."""
         out: frozenset[str] = frozenset()
@@ -220,6 +241,14 @@ class TotalEqualityConstraint(NullConstraint):
         if t.is_total_on(self.lhs) and t.is_total_on(self.rhs):
             return all(t[a] == t[b] for a, b in zip(self.lhs, self.rhs))
         return True
+
+    def is_satisfied_by(self, state: DatabaseState) -> bool:
+        """No tuple is total on both sides with the sides unequal."""
+        rel = state[self.scheme_name]
+        lhs = values_on(rel, self.lhs)
+        rhs = values_on(rel, self.rhs)
+        both_total = map(not_, map(has_null, map(add, lhs, rhs)))
+        return not any(map(and_, map(ne, lhs, rhs), both_total))
 
     def attributes_mentioned(self) -> frozenset[str]:
         """All attribute names this constraint involves."""

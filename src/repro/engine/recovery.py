@@ -41,6 +41,7 @@ as observable as any other enforcement decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from repro.engine.stats import EngineStats
 from repro.engine.wal import (
@@ -85,6 +86,10 @@ class RecoveryReport:
     snapshot_loaded: bool = False
     #: Whether the consistency re-check ran (and passed).
     verified: bool = False
+    #: Seconds spent parsing, truncating and replaying the log.
+    replay_s: float = field(default=0.0, compare=False)
+    #: Seconds spent on the consistency re-check (0.0 when skipped).
+    verify_s: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         """JSON-ready copy (the CLI prints this)."""
@@ -221,6 +226,7 @@ def recover_database(
         raise ValueError("pass exactly one of wal_path or storage")
     if storage is None:
         storage = FileStorage(wal_path)
+    start = perf_counter()
     report = RecoveryReport()
     parsed = parse_wal(storage.read())
 
@@ -269,6 +275,8 @@ def recover_database(
         db.wal.append({"op": "abort", "txn": dangling_txn})
     db.stats.wal_truncated_bytes += report.truncated_bytes
     db.recovery_report = report
+    replayed = perf_counter()
+    report.replay_s = replayed - start
 
     # 4. The recovered state must still satisfy F ∪ I ∪ N -- Definition
     # 2.1 demands the *same consistent state*, so an inconsistent replay
@@ -299,6 +307,7 @@ def recover_database(
                 + "; ".join(str(v) for v in violations[:5])
             )
         report.verified = True
+        report.verify_s = perf_counter() - replayed
 
     _emit(
         tracer,

@@ -54,16 +54,15 @@ import gc
 from collections import deque
 from contextlib import contextmanager
 from itertools import chain, filterfalse, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.engine.plans import contains_null
-from repro.relational.tuples import NULL, Tuple
+from repro.relational.tuples import NULL, Tuple, backing
 
 _new_tuple = object.__new__
 _set_values = Tuple.__dict__["_values"].__set__
 _set_hash = Tuple.__dict__["_hash"].__set__
-_get_values = attrgetter("_values")
 #: Drains a map object without building a list -- the cheapest way to
 #: run a C-level setter over every element.
 _consume = deque(maxlen=0).extend
@@ -193,7 +192,7 @@ def _validate_inserts(db, groups):
                         if inbatch is None:
                             inbatch = set(
                                 _project(
-                                    ref.attrs, map(_get_values, batch_new[1])
+                                    ref.attrs, map(backing, batch_new[1])
                                 )
                             )
                         if v in inbatch:
@@ -458,7 +457,7 @@ def _prepare_updates(db, scheme_name, pks, changes, positions):
     if not attrs <= plan.attr_set or not attrs.isdisjoint(plan.key_attrs):
         return None  # an unknown attribute, or a key would change
     olds = list(map(rows.__getitem__, pks))
-    merged = list(map(dict, map(_get_values, olds)))
+    merged = list(map(dict, map(backing, olds)))
     _consume(map(dict.update, merged, changes))
     # Key attributes keep their (total) stored values, so the
     # key-only nulls-not-allowed checks hold as for inserts.
@@ -539,7 +538,7 @@ def _restrict_holds(db, deleted, updated) -> bool:
                 vals = olds.keys()
             else:
                 vals = _total_values(
-                    rhs_attrs, map(_get_values, olds.values())
+                    rhs_attrs, map(backing, olds.values())
                 )
                 if edit is not None and edit.moved(rhs_attrs):
                     extract = refs[0].extract
@@ -609,7 +608,7 @@ def _commit_changes(db, deleted, updated, n_ops: int) -> list[Tuple | None]:
         for attrs, gindex in table.group_indexes.items():
             if not edit.attrs.isdisjoint(attrs):
                 keys = list(edit.keys)
-                olds = map(_get_values, edit.olds)
+                olds = map(backing, edit.olds)
                 _unfile(gindex, keys, _project(attrs, olds))
                 _file(gindex, keys, _project(attrs, edit.merged))
         for i, t in zip(edit.positions, ts):
@@ -684,5 +683,5 @@ def _commit_deletes(deleted) -> None:
                 if index.get(value) == pk:
                     del index[value]
         for attrs, gindex in table.group_indexes.items():
-            olds_values = map(_get_values, olds.values())
+            olds_values = map(backing, olds.values())
             _unfile(gindex, list(olds), _project(attrs, olds_values))

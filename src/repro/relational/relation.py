@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.attributes import Attribute, by_name
-from repro.relational.tuples import Tuple
+from repro.relational.tuples import Tuple, backing
 
 
 class Relation:
@@ -24,12 +24,20 @@ class Relation:
         if len(expected) != len(self._attributes):
             raise ValueError("relation attributes must have distinct names")
         frozen = frozenset(tuples)
-        for t in frozen:
-            if set(t.keys()) != expected:
-                raise ValueError(
-                    f"tuple attributes {sorted(t.keys())} do not match "
-                    f"relation attributes {sorted(expected)}"
-                )
+        # Shape proof in C passes: every tuple has ``len(expected)``
+        # attributes and together they name nothing outside
+        # ``expected``, so each tuple's attribute set equals it.  Only a
+        # failed proof walks the tuples, to name the first offender.
+        rows = list(map(backing, frozen))
+        if set(map(len, rows)) - {len(expected)} or not expected.issuperset(
+            frozenset().union(*rows)
+        ):
+            for t in frozen:
+                if set(t.keys()) != expected:
+                    raise ValueError(
+                        f"tuple attributes {sorted(t.keys())} do not match "
+                        f"relation attributes {sorted(expected)}"
+                    )
         self._tuples: frozenset[Tuple] = frozen
 
     @classmethod

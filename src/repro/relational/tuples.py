@@ -9,6 +9,8 @@ singleton and compares equal only to itself.
 
 from __future__ import annotations
 
+from itertools import filterfalse
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.attributes import Attribute
@@ -200,3 +202,39 @@ class Tuple:
 def null_tuple(attrs: Sequence[Attribute]) -> Tuple:
     """The tuple ``null_k`` consisting entirely of nulls on ``attrs``."""
     return Tuple({a.name: NULL for a in attrs})
+
+
+#: Each tuple's backing mapping, read without the ``mapping`` property's
+#: Python-level call.
+backing = attrgetter("_values")
+
+#: ``has_null(value)``: does a value tuple contain ``NULL``?  A C-level
+#: callable (``NULL`` compares equal only to itself), so ``map`` and
+#: ``filterfalse`` run it without a Python frame per row.
+has_null = methodcaller("__contains__", NULL)
+
+
+def values_on(tuples: Iterable[Tuple], names: Sequence[str]) -> list[tuple]:
+    """Each tuple's values on ``names``, as plain value tuples in
+    iteration order -- the value-level counterpart of ``project``.
+
+    The values are read straight from every tuple's backing dict with
+    :func:`operator.itemgetter`, so the pass is a C loop that builds no
+    :class:`Tuple`.  A missing attribute raises ``KeyError``.
+    """
+    names = tuple(names)
+    rows = map(backing, tuples)
+    if len(names) == 1:
+        # ``zip`` with a single iterable wraps each value in a 1-tuple.
+        return list(zip(map(itemgetter(names[0]), rows)))
+    if not names:
+        return [() for _ in rows]
+    return list(map(itemgetter(*names), rows))
+
+
+def total_values_on(
+    tuples: Iterable[Tuple], names: Sequence[str]
+) -> set[tuple]:
+    """The distinct value tuples of :func:`values_on` that contain no
+    ``NULL`` -- the value-level counterpart of ``total_project``."""
+    return set(filterfalse(has_null, values_on(tuples, names)))

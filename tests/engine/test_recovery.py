@@ -350,6 +350,18 @@ def test_verify_false_skips_the_recheck():
     result = recover_database(SCHEMA, storage=log.storage, verify=False)
     assert not result.report.verified
     assert result.database.count("COURSE") == 1
+    assert result.report.verify_s == 0.0
+
+
+def test_report_times_replay_and_verify():
+    db = _db()
+    _mutation_script(db)
+    result = recover_database(
+        SCHEMA, storage=MemoryStorage(db.wal.storage.read())
+    )
+    written = result.report.to_dict()
+    assert written["replay_s"] > 0.0
+    assert written["verify_s"] > 0.0
 
 
 def test_recovery_counters_and_trace_events():

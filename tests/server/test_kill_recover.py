@@ -23,7 +23,9 @@ import threading
 import pytest
 
 from repro.client import Client
+from repro.engine.database import Database
 from repro.engine.recovery import recover_database
+from repro.engine.wal import FileStorage, WriteAheadLog
 from repro.io import relational_schema_to_dict
 from repro.workloads.university import university_relational
 
@@ -42,15 +44,15 @@ def schema_file(tmp_path):
     return str(path)
 
 
-def test_sigkill_mid_load_loses_no_acked_mutation(schema_file, tmp_path):
-    wal_path = str(tmp_path / "server.wal")
+def _serve(schema_file: str, wal_path: str) -> subprocess.Popen:
+    """``repro serve`` on an ephemeral port, stdout piped."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (env.get("PYTHONPATH"), str(
             os.path.join(os.path.dirname(__file__), "..", "..", "src")
         )) if p
     )
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", schema_file,
             "--wal", wal_path, "--port", "0",
@@ -59,6 +61,11 @@ def test_sigkill_mid_load_loses_no_acked_mutation(schema_file, tmp_path):
         text=True,
         env=env,
     )
+
+
+def test_sigkill_mid_load_loses_no_acked_mutation(schema_file, tmp_path):
+    wal_path = str(tmp_path / "server.wal")
+    proc = _serve(schema_file, wal_path)
     try:
         ready = proc.stdout.readline()  # blocks until the server is up
         match = re.search(r"listening on [\d.]+:(\d+)", ready)
@@ -115,3 +122,31 @@ def test_sigkill_mid_load_loses_no_acked_mutation(schema_file, tmp_path):
     for key in all_acked:
         assert result.database.get("COURSE", (key,)) is not None, key
     result.database.wal.close()
+
+
+def test_serve_startup_line_splits_replay_and_verify(schema_file, tmp_path):
+    """Restarting on a log with history prints one ``recovered`` line
+    with the tuple count and where the recovery time went."""
+    wal_path = str(tmp_path / "server.wal")
+    db = Database(
+        university_relational(), wal=WriteAheadLog(FileStorage(wal_path))
+    )
+    db.insert_many("COURSE", [{"C.NR": f"c{i}"} for i in range(3)])
+    db.wal.close()
+    proc = _serve(schema_file, wal_path)
+    try:
+        recovered = proc.stdout.readline()
+        ready = proc.stdout.readline()
+        assert re.search(r"listening on [\d.]+:\d+", ready), ready
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=60)
+    assert proc.returncode == 0
+    assert re.fullmatch(
+        rf"recovered 3 tuple\(s\) from {re.escape(wal_path)} "
+        r"\(replay \d+\.\d\ds, verify \d+\.\d\ds\)\n",
+        recovered,
+    ), recovered

@@ -189,6 +189,27 @@ def test_bench_writes_report(tmp_path, capsys):
     )
 
 
+def test_recover_prints_count_and_reports_timings(schema_file, tmp_path, capsys):
+    from repro.engine.database import Database
+
+    wal = str(tmp_path / "uni.wal")
+    db = Database(university_relational(), wal_path=wal)
+    db.insert_many("COURSE", [{"C.NR": "c1"}, {"C.NR": "c2"}])
+    db.wal.close()
+    report_path = tmp_path / "report.json"
+    code = main(
+        ["recover", schema_file, "--wal", wal, "--report", str(report_path)]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "recovered 2 tuple(s): 1 record(s) replayed, 0 transaction(s) "
+        "rolled back, 0 byte(s) truncated; consistency verified"
+    )
+    report = json.loads(report_path.read_text())
+    assert report["verified"]
+    assert report["replay_s"] > 0.0 and report["verify_s"] > 0.0
+
+
 def test_bench_bad_sizes_errors(capsys):
     with pytest.raises(SystemExit):
         main(["bench", "--sizes", "ten"])
