@@ -1,0 +1,126 @@
+#!/usr/bin/env python
+"""Cold-start split of ``serve --wal``: recovery of perfbench's preloads,
+replayed in-process.
+
+Writes the seeded preload of perfbench's ``bulk_ingest`` and
+``online_merge`` workloads as a checkpointed write-ahead log (the file
+``serve --wal`` starts from, built by ``perfbench.harness.write_preload``)
+and recovers it ``--repeats`` times in one child process per workload,
+each time from a fresh copy of the log.  The split is read from the
+recovery's own timers -- ``RecoveryReport.replay_s`` (parse, snapshot
+load, replay) and ``verify_s`` (the ``F ∪ I ∪ N`` re-check) -- not
+timed again here.  Peak RSS is the child's high-water mark (``VmHWM``;
+``ru_maxrss`` where there is no ``/proc``, which on Linux also counts
+the forking parent): interpreter, imports and every recovery, which is
+what a starting server holds too::
+
+    python benchmarks/bench_cold_start.py --seed 1 --repeats 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+WORKLOADS = ("bulk_ingest", "online_merge")
+
+
+def write_preload(workload: str, seed: int, path: str) -> int:
+    """The workload's seeded preload as a checkpointed log at ``path``;
+    returns its row count."""
+    from perfbench.harness import write_preload as write
+    from perfbench.streams import BulkIngest, OnlineMerge, preload_rows
+
+    gen = (BulkIngest if workload == "bulk_ingest" else OnlineMerge)(seed)
+    write(path, gen.model)
+    return sum(len(rows) for rows in preload_rows(gen.model).values())
+
+
+def recover_repeatedly(wal: str, repeats: int) -> dict:
+    """Recover copies of ``wal`` in this process; the timers of each
+    recovery and the process's peak RSS."""
+    from repro.engine.recovery import recover_database
+    from repro.workloads.university import university_relational
+
+    schema = university_relational()
+    replay, verify = [], []
+    for i in range(repeats):
+        copy = f"{wal}.{i}"
+        shutil.copyfile(wal, copy)
+        result = recover_database(schema, copy)
+        result.database.wal.close()
+        replay.append(result.report.replay_s)
+        verify.append(result.report.verify_s)
+        del result
+        os.remove(copy)
+    return {"replay_s": replay, "verify_s": verify, "peak_rss_mb": _peak_mb()}
+
+
+def _peak_mb() -> float:
+    """This process's peak resident set size, MiB."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _median_iqr(xs: list[float]) -> str:
+    if len(xs) < 2:
+        return f"{xs[0]:.3f} (IQR 0.000)"
+    q1, _q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return f"{statistics.median(xs):.3f} (IQR {q3 - q1:.3f})"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--recover", metavar="WAL", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    if args.recover is not None:
+        # Child mode: one process per workload, so its peak RSS holds
+        # only recovery and not the preload generator.
+        print(json.dumps(recover_repeatedly(args.recover, args.repeats)))
+        return 0
+
+    print(
+        f"in-process recovery, seed {args.seed}, {args.repeats} repeat(s), "
+        f"{os.cpu_count()} CPU(s), Python {sys.version.split()[0]}"
+    )
+    print("| workload | rows | replay_s | verify_s | peak RSS MiB |")
+    print("|---|---:|---:|---:|---:|")
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in WORKLOADS:
+            wal = os.path.join(tmp, f"{workload}.wal")
+            rows = write_preload(workload, args.seed, wal)
+            out = subprocess.run(
+                [sys.executable, os.path.abspath(__file__),
+                 "--recover", wal, "--repeats", str(args.repeats)],
+                check=True, capture_output=True, text=True,
+            ).stdout
+            r = json.loads(out.strip().splitlines()[-1])
+            print(
+                f"| {workload} | {rows} | {_median_iqr(r['replay_s'])} | "
+                f"{_median_iqr(r['verify_s'])} | {r['peak_rss_mb']:.1f} |"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,13 +15,18 @@ its paper-rule label (see :mod:`repro.obs.rules`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
 
-from repro.constraints.functional import KeyDependency
+from repro.constraints.functional import FunctionalDependency, KeyDependency
 from repro.obs.rules import classify_null_constraint, paper_rule
 from repro.obs.trace import TraceEvent, Tracer
 from repro.relational.schema import RelationalSchema
-from repro.relational.state import DatabaseState
+from repro.relational.state import Columns, DatabaseState
+
+#: What the checker reads: a state, or any mapping of scheme names to
+#: relation-like collections (``attribute_names``, ``tuples``, ``len``,
+#: iteration over :class:`~repro.relational.tuples.Tuple`).
+StateLike = DatabaseState | Mapping
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,20 @@ class Violation:
 
     def __str__(self) -> str:
         return f"[{self.kind}] {self.constraint}: {self.detail}"
+
+
+def key_violation(fd: FunctionalDependency) -> Violation:
+    """The violation of ``fd``: two tuples agree on a total left-hand
+    side but not on the right-hand side (the engine also raises it for
+    two rows of one image on one primary key)."""
+    return Violation(
+        "key-dependency",
+        fd.scheme_name,
+        str(fd),
+        "two tuples agree on a total left-hand side but "
+        "differ on the right-hand side",
+        rule=paper_rule("key-dependency"),
+    )
 
 
 class ConsistencyChecker:
@@ -155,13 +174,21 @@ class ConsistencyChecker:
                 lines.append(f"       rule: {check['rule']}")
         return "\n".join(lines)
 
-    def iter_violations(self, state: DatabaseState) -> Iterator[Violation]:
-        """Yield every violation of the schema's constraints by ``state``."""
+    def iter_violations(self, state: StateLike) -> Iterator[Violation]:
+        """Yield every violation of the schema's constraints by ``state``.
+
+        ``state`` is a :class:`DatabaseState` or any mapping of scheme
+        names to relation-like collections of tuples with
+        ``attribute_names`` and ``tuples`` -- the engine passes its
+        stored tables, so its re-check builds no :class:`Relation`.
+        Every column is read once per pass (:class:`Columns`).
+        """
+        columns = Columns(state)
         yield from self._structural_violations(state)
         for fd in list(self.schema.fds) + self._implicit_keys:
             if fd.scheme_name not in state:
                 continue
-            ok = fd.is_satisfied_by(state[fd.scheme_name])
+            ok = fd.holds_in(columns)
             self._trace_check(
                 "key-dependency",
                 fd.scheme_name,
@@ -170,20 +197,11 @@ class ConsistencyChecker:
                 rows=len(state[fd.scheme_name]),
             )
             if not ok:
-                yield self._emit(
-                    Violation(
-                        "key-dependency",
-                        fd.scheme_name,
-                        str(fd),
-                        "two tuples agree on a total left-hand side but "
-                        "differ on the right-hand side",
-                        rule=paper_rule("key-dependency"),
-                    )
-                )
+                yield self._emit(key_violation(fd))
         for ind in self.schema.inds:
             if ind.lhs_scheme not in state or ind.rhs_scheme not in state:
                 continue
-            ok = ind.is_satisfied_by(state)
+            ok = ind.holds_in(columns)
             self._trace_check(
                 "inclusion-dependency",
                 ind.lhs_scheme,
@@ -207,14 +225,14 @@ class ConsistencyChecker:
                 continue
             kind = classify_null_constraint(nc)
             rel = state[nc.scheme_name]
-            ok = nc.is_satisfied_by(state)
+            ok = nc.holds_in(columns)
             self._trace_check(
                 kind, nc.scheme_name, str(nc), ok, rows=len(rel)
             )
             if not ok:
                 # Name the violating tuple: only a failed check walks
-                # the relation tuple by tuple.
-                t = next(t for t in rel if not nc.holds_for(t))
+                # the relation tuple by tuple, in its set order.
+                t = next(t for t in rel.tuples if not nc.holds_for(t))
                 yield self._emit(
                     Violation(
                         "null-constraint",
@@ -225,7 +243,7 @@ class ConsistencyChecker:
                     )
                 )
 
-    def _structural_violations(self, state: DatabaseState) -> Iterator[Violation]:
+    def _structural_violations(self, state: StateLike) -> Iterator[Violation]:
         rule = paper_rule("structure")
         for scheme in self.schema.schemes:
             if scheme.name not in state:
@@ -253,11 +271,11 @@ class ConsistencyChecker:
                     )
                 )
 
-    def violations(self, state: DatabaseState) -> list[Violation]:
+    def violations(self, state: StateLike) -> list[Violation]:
         """All violations, as a list."""
         return list(self.iter_violations(state))
 
-    def is_consistent(self, state: DatabaseState) -> bool:
+    def is_consistent(self, state: StateLike) -> bool:
         """True iff ``state`` satisfies every constraint of the schema."""
         return next(self.iter_violations(state), None) is None
 

@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationScheme
-from repro.relational.tuples import has_null, values_on
+from repro.relational.state import Columns
+from repro.relational.tuples import has_null
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,12 @@ class FunctionalDependency:
         for inputs of ``Merge`` -- this coincides with classical FD
         satisfaction.
         """
-        lhs = values_on(relation, sorted(self.lhs))
+        return self.holds_in(Columns({self.scheme_name: relation}))
+
+    def holds_in(self, columns: Columns) -> bool:
+        """:meth:`is_satisfied_by` over the scheme's relation in
+        ``columns``, reading its columns through the pass's cache."""
+        lhs = columns.values(self.scheme_name, sorted(self.lhs))
         total = list(map(not_, map(has_null, lhs)))
         lefts = list(itertools.compress(lhs, total))
         distinct = len(set(lefts))
@@ -60,7 +66,7 @@ class FunctionalDependency:
         # Among rows with a total left-hand side, each left value has
         # exactly one right value iff the distinct (left, right) pairs
         # are as many as the distinct left values.
-        rhs = values_on(relation, sorted(self.rhs))
+        rhs = columns.values(self.scheme_name, sorted(self.rhs))
         return len(set(itertools.compress(zip(lhs, rhs), total))) == distinct
 
     def __str__(self) -> str:

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.relational.schema import RelationalSchema
-from repro.relational.state import DatabaseState
-from repro.relational.tuples import total_values_on
+from repro.relational.state import Columns, DatabaseState
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,13 @@ class InclusionDependency:
     def is_satisfied_by(self, state: DatabaseState) -> bool:
         """Total-projection containment, with positional correspondence:
         the distinct total left values must all be total right values."""
-        return total_values_on(
-            state[self.lhs_scheme], self.lhs_attrs
-        ) <= total_values_on(state[self.rhs_scheme], self.rhs_attrs)
+        return self.holds_in(Columns(state))
+
+    def holds_in(self, columns: Columns) -> bool:
+        """:meth:`is_satisfied_by` over the relations in ``columns``."""
+        return columns.total(self.lhs_scheme, self.lhs_attrs) <= columns.total(
+            self.rhs_scheme, self.rhs_attrs
+        )
 
     def rename_scheme(self, old: str, new: str) -> "InclusionDependency":
         """This dependency with occurrences of scheme ``old`` renamed."""

@@ -27,16 +27,17 @@ from dataclasses import dataclass
 from operator import add, and_, ne, not_
 from typing import Iterable, Mapping
 
-from repro.relational.state import DatabaseState
-from repro.relational.tuples import Tuple, has_null, values_on
+from repro.relational.state import Columns, DatabaseState
+from repro.relational.tuples import Tuple, has_null
 
 
 class NullConstraint:
     """Common interface of the paper's null constraints.
 
     Subclasses provide ``scheme_name``, per-tuple ``holds_for``, its
-    columnar whole-state form ``is_satisfied_by``, and the attribute
-    bookkeeping used by ``Merge``/``Remove`` rewriting.
+    columnar whole-state form ``holds_in`` (which ``is_satisfied_by``
+    runs), and the attribute bookkeeping used by ``Merge``/``Remove``
+    rewriting.
     """
 
     scheme_name: str
@@ -48,7 +49,12 @@ class NullConstraint:
     def is_satisfied_by(self, state: DatabaseState) -> bool:
         """Satisfaction over a database state: every tuple of the
         constrained relation passes :meth:`holds_for`."""
-        raise NotImplementedError  # pragma: no cover - interface
+        return self.holds_in(Columns(state))
+
+    def holds_in(self, columns: Columns) -> bool:  # pragma: no cover
+        """:meth:`is_satisfied_by` over the relations in ``columns``,
+        as columnar passes through the pass's cache."""
+        raise NotImplementedError
 
     def attributes_mentioned(self) -> frozenset[str]:  # pragma: no cover
         """All attribute names this constraint involves."""
@@ -87,13 +93,15 @@ class NullExistenceConstraint(NullConstraint):
             return t.is_total_on(self.rhs)
         return True
 
-    def is_satisfied_by(self, state: DatabaseState) -> bool:
+    def holds_in(self, columns: Columns) -> bool:
         """No tuple is total on ``lhs`` but not on ``rhs``."""
-        rel = state[self.scheme_name]
-        rhs_partial = list(map(has_null, values_on(rel, sorted(self.rhs))))
+        name = self.scheme_name
+        rhs_partial = list(map(has_null, columns.values(name, sorted(self.rhs))))
         if not any(rhs_partial):
             return True
-        lhs_total = map(not_, map(has_null, values_on(rel, sorted(self.lhs))))
+        lhs_total = map(
+            not_, map(has_null, columns.values(name, sorted(self.lhs)))
+        )
         return not any(map(and_, lhs_total, rhs_partial))
 
     def attributes_mentioned(self) -> frozenset[str]:
@@ -174,11 +182,11 @@ class PartNullConstraint(NullConstraint):
         """Single-tuple satisfaction test (see class docstring)."""
         return any(t.is_total_on(g) for g in self.groups)
 
-    def is_satisfied_by(self, state: DatabaseState) -> bool:
+    def holds_in(self, columns: Columns) -> bool:
         """No tuple holds a ``NULL`` in every group."""
-        rel = state[self.scheme_name]
         partial = [
-            map(has_null, values_on(rel, sorted(g))) for g in self.groups
+            map(has_null, columns.values(self.scheme_name, sorted(g)))
+            for g in self.groups
         ]
         return not any(map(all, zip(*partial)))
 
@@ -242,11 +250,10 @@ class TotalEqualityConstraint(NullConstraint):
             return all(t[a] == t[b] for a, b in zip(self.lhs, self.rhs))
         return True
 
-    def is_satisfied_by(self, state: DatabaseState) -> bool:
+    def holds_in(self, columns: Columns) -> bool:
         """No tuple is total on both sides with the sides unequal."""
-        rel = state[self.scheme_name]
-        lhs = values_on(rel, self.lhs)
-        rhs = values_on(rel, self.rhs)
+        lhs = columns.values(self.scheme_name, self.lhs)
+        rhs = columns.values(self.scheme_name, self.rhs)
         both_total = map(not_, map(has_null, map(add, lhs, rhs)))
         return not any(map(and_, map(ne, lhs, rhs), both_total))
 

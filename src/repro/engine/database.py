@@ -42,7 +42,12 @@ from repro.engine.plans import (
     attr_extractor,
     compile_schema,
 )
-from repro.engine.rows import bulk_apply, bulk_insert_many
+from repro.engine.rows import (
+    _gc_paused,
+    bulk_apply,
+    bulk_insert_many,
+    install_rows,
+)
 from repro.engine.stats import EngineStats
 from repro.engine.wal import (
     WalError,
@@ -54,13 +59,13 @@ from repro.engine.wal import (
     op_runs,
     update_record,
 )
-from repro.io.state_json import decode_value
+from repro.io.state_json import decode_relations, decode_value, state_to_dict
 from repro.obs.rules import classify_null_constraint, paper_rule
 from repro.obs.trace import TraceEvent, Tracer
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationScheme, RelationalSchema
 from repro.relational.state import DatabaseState
-from repro.relational.tuples import NULL, Tuple
+from repro.relational.tuples import NULL, Tuple, backing
 
 
 class ConstraintViolationError(ValueError):
@@ -140,6 +145,24 @@ class _Table:
         """The primary-key value tuple of a stored row."""
         return self.plan.pk(t.mapping)
 
+    # A table reads like a relation, so the consistency checker can run
+    # over the stored rows without a Relation built from them.
+
+    @property
+    def attribute_names(self) -> tuple[str, ...]:
+        """The scheme's attribute names."""
+        return self.scheme.attribute_names
+
+    @property
+    def tuples(self) -> frozenset[Tuple]:
+        """The stored rows as a set, iterating in the order a
+        ``Relation`` of them would (hashes every row: only the checker's
+        failure path reads it)."""
+        return frozenset(self.rows.values())
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return iter(self.rows.values())
+
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -167,6 +190,25 @@ def _snapshot_scan(table: _Table) -> Iterator[Tuple]:
         except StopIteration:
             return
         yield t
+
+
+def _empty_tables(schema: RelationalSchema) -> dict[str, _Table]:
+    """Empty tables over ``schema``'s compiled plans.  Every column
+    group an inclusion dependency touches is indexed: right-hand sides
+    for existence checks, left-hand sides for restrict checks on
+    delete/update and for find_referencing."""
+    plans = compile_schema(schema)
+    tables = {s.name: _Table(s, plans[s.name]) for s in schema.schemes}
+    for ind in schema.inds:
+        tables[ind.rhs_scheme].add_group_index(tuple(ind.rhs_attrs))
+        tables[ind.lhs_scheme].add_group_index(tuple(ind.lhs_attrs))
+    return tables
+
+
+def _rows_of(state: DatabaseState) -> dict[str, list[dict[str, Any]]]:
+    """Each relation's tuple values, for :func:`install_rows` (the
+    stored rows then share them with ``state``'s tuples)."""
+    return {name: list(map(backing, rel)) for name, rel in state.items()}
 
 
 class Database:
@@ -219,16 +261,8 @@ class Database:
         #: forces the row-at-a-time path everywhere -- the benchmark's
         #: before/after switch.
         self._slotted = slotted
-        self._plans = compile_schema(schema)
-        self._tables: dict[str, _Table] = {
-            s.name: _Table(s, self._plans[s.name]) for s in schema.schemes
-        }
-        # Index every column group an inclusion dependency touches:
-        # right-hand sides for existence checks, left-hand sides for
-        # restrict checks on delete/update and for find_referencing.
-        for ind in schema.inds:
-            self._tables[ind.rhs_scheme].add_group_index(tuple(ind.rhs_attrs))
-            self._tables[ind.lhs_scheme].add_group_index(tuple(ind.lhs_attrs))
+        self._tables: dict[str, _Table] = _empty_tables(schema)
+        self._plans = {name: t.plan for name, t in self._tables.items()}
         #: Undo log of the innermost open transaction (None outside one).
         self._undo_log: list[tuple[str, _Table, tuple[Any, ...], Tuple | None]] | None = None
         if wal is not None and wal_path is not None:
@@ -1109,36 +1143,63 @@ class Database:
     def load_state(self, state: DatabaseState, validate: bool = True) -> None:
         """Bulk-load an existing state (e.g. the image of a state mapping).
 
-        Rows and every index are built in one pass per relation through
-        the compiled access plans -- no per-row constraint checks, no
-        journaling.  With ``validate`` the final contents are checked
-        wholesale via the consistency checker, which is much cheaper
-        than per-row checks with inter-row ordering concerns.
+        Every relation of ``state`` replaces its table's contents through
+        the bulk insert path's columnar install
+        (:func:`~repro.engine.rows.install_rows`) -- no per-row
+        constraint checks, no journaling; the stored rows share the
+        state's tuple values.  Two different rows on one primary key
+        are refused before anything changes.  With ``validate`` the
+        final contents are checked wholesale via the consistency
+        checker, which is much cheaper than per-row checks with
+        inter-row ordering concerns.
         """
+        self._bulk_load(
+            _rows_of(state), validate, lambda: state_to_dict(state)
+        )
+
+    def load_image(self, image: Mapping[str, Any]) -> None:
+        """Bulk-load a state in its JSON form -- the ``state`` of a
+        snapshot or ``load_state`` log record -- straight into the
+        tables: markers are decoded with one probe per relation and the
+        parsed row dicts become the stored rows, without a
+        :class:`DatabaseState` in between.  As ``load_state(...,
+        validate=False)`` otherwise (the image was consistent when it
+        was written); a logged copy is the image itself."""
+        self._bulk_load(
+            decode_relations(image, self.schema), False, lambda: image
+        )
+
+    def _bulk_load(self, relations, validate: bool, encoded) -> None:
+        """The shared core of :meth:`load_state` and :meth:`load_image`;
+        ``encoded()`` is the state's JSON form, for the log record."""
         if self.in_transaction:
             raise ConstraintViolationError(
                 "bulk-load", "cannot bulk-load inside a transaction"
             )
         timed = self._timed
         start = perf_counter() if timed else 0.0
-        if self.wal is not None:
-            from repro.io.state_json import state_to_dict
 
-            # Logged before loading: a failed append leaves both the
+        def log() -> None:
+            # Logged once the rows have passed the install's checks and
+            # before any table changes: a failed append leaves both the
             # log and the tables untouched, a validate failure leaves
             # both holding the loaded state -- they never disagree.
             self._wal_append(
-                {"op": "load_state", "state": state_to_dict(state)},
-                "load_state",
-                None,
+                {"op": "load_state", "state": encoded()}, "load_state", None
             )
-        total = self._install_state(state)
+
+        try:
+            total = install_rows(
+                self, self._tables, relations,
+                log if self.wal is not None else None,
+            )
+        except ConstraintViolationError as exc:
+            if timed:
+                self._observe_reject("load_state", None, exc, start)
+            raise
         self.stats.bulk_rows += total
         if validate:
-            from repro.constraints.checker import ConsistencyChecker
-
-            checker = ConsistencyChecker(self.schema, tracer=self.tracer)
-            violations = checker.violations(self.state())
+            violations = self.violations(self.tracer)
             if violations:
                 exc = ConstraintViolationError(
                     "bulk-load", "; ".join(str(v) for v in violations[:5])
@@ -1149,63 +1210,46 @@ class Database:
         if timed:
             self._observe_ok("load_state", None, start, rows=total)
 
-    def _install_state(self, state: DatabaseState) -> int:
-        """Install ``state``'s rows and rebuild every index in one pass
-        per relation (the shared bulk-load core of :meth:`load_state`
-        and the online-merge schema swap); returns the row total.  No
-        constraint checks, no journaling -- callers own validation."""
-        identical = self.null_semantics == "identical"
-        total = 0
-        for name, relation in state.items():
-            table = self.table(name)
-            plan = table.plan
-            pk_extract = plan.pk
-            rows: dict[tuple[Any, ...], Tuple] = {}
-            for t in relation:
-                rows[pk_extract(t.mapping)] = t
-            table.rows = rows
-            table.version += 1
-            total += len(rows)
-            for key_names, extract in plan.candidate_keys:
-                index: dict[tuple[Any, ...], tuple[Any, ...]] = {}
-                for pk, t in rows.items():
-                    value = extract(t.mapping)
-                    if identical or not any(v is NULL for v in value):
-                        index[value] = pk
-                table.key_indexes[key_names] = index
-            for attrs in table.group_indexes:
-                extract = table.group_extractors[attrs]
-                refs: dict[tuple[Any, ...], dict[tuple[Any, ...], None]] = {}
-                for pk, t in rows.items():
-                    value = extract(t.mapping)
-                    if not any(v is NULL for v in value):
-                        refs.setdefault(value, {})[pk] = None
-                table.group_indexes[attrs] = refs
-        return total
+    def violations(self, tracer: Tracer | None = None) -> list:
+        """Every violation of the schema's ``F ∪ I ∪ N`` by the stored
+        rows, in :class:`~repro.constraints.checker.ConsistencyChecker`
+        order.  The checker reads the tables directly -- no state is
+        built, and no row is hashed unless a null constraint fails --
+        and ``tracer`` gets its events.  The collector is held off while
+        the pass allocates its columns, as on the bulk path."""
+        from repro.constraints.checker import ConsistencyChecker
+
+        checker = ConsistencyChecker(self.schema, tracer=tracer)
+        with _gc_paused():
+            return checker.violations(self._tables)
 
     # -- online schema evolution ---------------------------------------------
 
     def _adopt_schema(
-        self, schema: RelationalSchema, state: DatabaseState
+        self, schema: RelationalSchema, relations: Mapping[str, list]
     ) -> None:
-        """Swap this engine onto ``schema`` holding ``state``, in place.
+        """Swap this engine onto ``schema`` holding ``relations`` (row
+        dicts per scheme, adopted as by
+        :func:`~repro.engine.rows.install_rows`), in place.
 
         Rebuilds the compiled plans, tables and reference indexes the
         way ``__init__`` would, while preserving the stats object, the
         write-ahead log, the tracer and every other attachment -- the
         handles long-lived callers (server sessions, query engines)
-        already hold stay valid.
+        already hold stay valid.  Rows the install refuses leave the
+        engine on its old schema, untouched.
         """
-        self._plans = compile_schema(schema)
-        self._tables = {
-            s.name: _Table(s, self._plans[s.name]) for s in schema.schemes
-        }
-        for ind in schema.inds:
-            self._tables[ind.rhs_scheme].add_group_index(tuple(ind.rhs_attrs))
-            self._tables[ind.lhs_scheme].add_group_index(tuple(ind.lhs_attrs))
+        tables = _empty_tables(schema)
+        install_rows(self, tables, relations)
+        self._swap_schema(schema, tables)
+
+    def _swap_schema(
+        self, schema: RelationalSchema, tables: dict[str, _Table]
+    ) -> None:
+        self._tables = tables
+        self._plans = {name: t.plan for name, t in tables.items()}
         self.schema = schema
         self._schema_evolved = True
-        self._install_state(state)
 
     def _transform_merge(self, members, key_relation, merged_name):
         """Compute the merged-and-simplified schema plus the current
@@ -1268,6 +1312,10 @@ class Database:
                 "merged state fails re-verification: "
                 + "; ".join(str(v) for v in violations[:5]),
             )
+        # Installed before the merge is logged: a row the install
+        # refuses must not leave a logged merge that cannot replay.
+        tables = _empty_tables(simplified.schema)
+        install_rows(self, tables, _rows_of(new_state))
         if self.wal is not None:
             self.wal.begin()
             try:
@@ -1281,7 +1329,7 @@ class Database:
                 except Exception:
                     pass  # the log is already poisoned; surface the cause
                 raise
-        self._adopt_schema(simplified.schema, new_state)
+        self._swap_schema(simplified.schema, tables)
         if timed:
             elapsed = perf_counter() - start
             if self.record_latencies:
@@ -1322,7 +1370,7 @@ class Database:
         simplified, new_state = self._transform_merge(
             members, key_relation, merged_name
         )
-        self._adopt_schema(simplified.schema, new_state)
+        self._adopt_schema(simplified.schema, _rows_of(new_state))
         return simplified
 
     # -- durability ------------------------------------------------------------
@@ -1338,8 +1386,6 @@ class Database:
             raise WalError("cannot checkpoint inside a transaction")
         timed = self._timed
         start = perf_counter() if timed else 0.0
-        from repro.io.state_json import state_to_dict
-
         schema_dict = None
         if self._schema_evolved:
             from repro.io.relational_json import relational_schema_to_dict

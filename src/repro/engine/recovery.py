@@ -10,9 +10,12 @@ validated mutations are ever logged, see :mod:`repro.engine.wal`):
    stops at the first torn, checksum-corrupt, or malformed record; every
    byte from there on is discarded, so a partial mutation is never
    applied.
-2. **Load** the snapshot (``snapshot``/``load_state`` records) through
-   ``Database.load_state`` -- without per-record validation, since the
-   image was consistent when written.
+2. **Load** the snapshot (``snapshot``/``load_state`` records) straight
+   into the tables through ``Database.load_image`` -- the bulk insert
+   path's columnar install, without per-record validation, since the
+   image was consistent when written.  Two different rows on one
+   primary key cannot both be stored, so such an image is refused
+   with the key dependency's violation instead of losing one.
 3. **Replay** the committed records in log order.  Bare mutation
    records (written outside a transaction) re-apply directly, and a
    bare ``batch`` record (one whole ``insert_many``/``apply_batch``)
@@ -27,7 +30,8 @@ validated mutations are ever logged, see :mod:`repro.engine.wal`):
    cancel the inner-block records they name.
 4. **Verify**: the recovered state is re-checked against the schema's
    full ``F ∪ I ∪ N`` constraint set by
-   :class:`~repro.constraints.checker.ConsistencyChecker`; a violation
+   :class:`~repro.constraints.checker.ConsistencyChecker`, reading the
+   stored tables directly (``Database.violations``); a violation
    means the log itself is inconsistent and recovery refuses to hand
    over the database.
 
@@ -282,12 +286,10 @@ def recover_database(
     # 2.1 demands the *same consistent state*, so an inconsistent replay
     # is a hard error, not a warning.
     if verify:
-        from repro.constraints.checker import ConsistencyChecker
-
-        # db.schema, not the schema argument: a replayed online merge
-        # leaves the database on the evolved schema.
-        checker = ConsistencyChecker(db.schema, tracer=tracer)
-        violations = checker.violations(db.state())
+        # Checked against db.schema, not the schema argument: a
+        # replayed online merge leaves the database on the evolved
+        # schema.  The checker reads the tables; no state is built.
+        violations = db.violations(tracer)
         _emit(
             tracer,
             op="verify",
@@ -333,17 +335,24 @@ def _load_image(db, record: dict, report: RecoveryReport) -> None:
     so a post-merge checkpoint recovers against the merged schema and
     not the schema file the recovery was booted from.
     """
-    from repro.io.state_json import state_from_dict
+    from repro.engine.database import ConstraintViolationError
+    from repro.io.state_json import decode_relations
 
     schema_dict = record.get("schema")
-    if schema_dict is not None:
-        from repro.io.relational_json import relational_schema_from_dict
+    try:
+        if schema_dict is not None:
+            from repro.io.relational_json import relational_schema_from_dict
 
-        schema = relational_schema_from_dict(schema_dict)
-        db._adopt_schema(schema, state_from_dict(record["state"], schema))
-    else:
-        state = state_from_dict(record["state"], db.schema)
-        db.load_state(state, validate=False)
+            schema = relational_schema_from_dict(schema_dict)
+            db._adopt_schema(schema, decode_relations(record["state"], schema))
+        else:
+            db.load_image(record["state"])
+    except ConstraintViolationError as exc:
+        # Two different rows on one primary key: the image itself
+        # breaks a key dependency, which step 4 would report.
+        raise RecoveryError(
+            f"recovered state violates the schema constraints: {exc.detail}"
+        ) from exc
     report.snapshot_loaded = True
     report.records_replayed += 1
     db.stats.wal_replayed_records += 1

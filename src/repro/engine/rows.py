@@ -57,7 +57,11 @@ from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.constraints.checker import key_violation
+from repro.constraints.functional import KeyDependency
 from repro.engine.plans import contains_null
+from repro.io.state_json import StateDecodeError
+from repro.relational.relation import Relation
 from repro.relational.tuples import NULL, Tuple, backing
 
 _new_tuple = object.__new__
@@ -87,45 +91,29 @@ def _materialize(table, rows: Sequence[Mapping[str, Any]]):
     tuples with all-C-loop passes.
 
     Returns ``(new, ts)`` -- the insertion-ordered ``pk -> Tuple``
-    dict and the adopted :class:`Tuple` per row -- or ``None``.  Every
-    pass is a C loop; no per-row Python frame runs.  Shape is proved
-    batch-wide: all rows are exactly ``dict``, every row has
-    ``len(attrs)`` keys, and the union of all keys is a subset of
-    ``attrs`` -- together that forces each row's key set to equal
-    ``attrs`` (equal-size subset).  Intra-batch key duplicates show up
-    as ``len(new) != len(rows)``.  The ``new`` dict carries each key's
-    hash, so committing it via ``dict.update`` never rehashes.
+    dict and the adopted :class:`Tuple` per row -- or ``None`` when the
+    shape proof fails.  Every pass is a C loop; no per-row Python frame
+    runs.  Shape is proved batch-wide: all rows are exactly ``dict``,
+    every row has ``len(attrs)`` keys, and the union of all keys is a
+    subset of ``attrs`` -- together that forces each row's key set to
+    equal ``attrs`` (equal-size subset).  Intra-batch key duplicates
+    show up as ``len(new) != len(rows)``.  The ``new`` dict carries
+    each key's hash, so committing it via ``dict.update`` never
+    rehashes.
     """
     plan = table.plan
     attrs = plan.attr_set
     key_names = plan.key_names
-    n = len(rows)
     if set(map(type, rows)) != {dict}:
         return None  # non-dict row (or empty batch): slow path decides
     if set(map(len, rows)) != {len(attrs)} or not attrs.issuperset(
         frozenset().union(*rows)
     ):
         return None  # some row's attribute set differs from the scheme
-    if len(key_names) == 1:
-        # ``zip`` with a single iterable wraps each value in a 1-tuple.
-        pks = zip(map(itemgetter(key_names[0]), rows))
-    else:
-        pks = map(plan.pk, rows)
-    ts = list(map(_new_tuple, repeat(Tuple, n)))
+    ts = list(map(_new_tuple, repeat(Tuple, len(rows))))
     _consume(map(_set_values, ts, rows))
     _consume(map(_set_hash, ts, repeat(None)))
-    new = dict(zip(pks, ts))
-    # Null keys collapse into (or simply are) entries probed after the
-    # build: one dict lookup / one C identity scan replaces a per-row
-    # null filter.  Duplicate null keys also shrink ``len(new)``.
-    if len(new) != n:
-        return None  # intra-batch duplicate primary key
-    if len(key_names) == 1:
-        if (NULL,) in new:
-            return None  # null primary key
-    elif NULL in chain.from_iterable(new):
-        return None  # null component in a primary key
-    return new, ts
+    return dict(zip(_project(key_names, rows), ts)), ts
 
 
 def _validate_inserts(db, groups):
@@ -143,8 +131,17 @@ def _validate_inserts(db, groups):
         plan = table.plan
         made = _materialize(table, rows)
         if made is None:
-            return None  # shape / null-key / intra-batch duplicate
+            return None  # shape
         new, ts = made
+        if len(new) != len(rows):
+            return None  # intra-batch duplicate primary key
+        # One dict lookup / one C identity scan replaces a per-row null
+        # filter (duplicate null keys already shrank ``len(new)``).
+        if len(plan.key_names) == 1:
+            if (NULL,) in new:
+                return None  # null primary key
+        elif NULL in chain.from_iterable(new):
+            return None  # null component in a primary key
         if not table.rows.keys().isdisjoint(new):
             return None  # primary-key clash with stored rows
         for _constraint, check in plan.bulk_null_checks:
@@ -225,18 +222,102 @@ def _commit_inserts(db, prepared) -> None:
     for table, rows, new, _ts in prepared:
         table.rows.update(new)
         table.version += 1
-        for key_names, extract in table.plan.candidate_keys:
-            index = table.key_indexes[key_names]
-            if identical:
-                index.update(zip(map(extract, rows), new))
-            else:
-                index.update(
-                    (v, pk)
-                    for pk, r in zip(new, rows)
-                    if not contains_null(v := extract(r))
-                )
+        for key_names, _extract in table.plan.candidate_keys:
+            values = _project(key_names, rows)
+            pairs = zip(values, new)
+            if not identical and NULL in chain.from_iterable(values):
+                # Under distinct nulls a partly-null key binds nothing.
+                pairs = [p for p in pairs if not contains_null(p[0])]
+            table.key_indexes[key_names].update(pairs)
         for attrs, gindex in table.group_indexes.items():
             _file(gindex, list(new), _project(attrs, rows))
+
+
+def install_rows(
+    db, tables, relations, log: Callable[[], None] | None = None
+) -> int:
+    """Replace the named tables' contents with ``relations``' rows --
+    the one install path of :meth:`Database.load_state`, snapshot
+    recovery, replica bootstrap and the online merge's schema swap.
+
+    ``relations`` maps scheme names to lists of plain row dicts, which
+    the tables adopt as their tuples' values: the caller hands them
+    over.  Each relation takes the insert path's columnar steps --
+    :func:`_materialize` proves the shape and keys the rows,
+    :func:`_commit_inserts` fills the candidate-key and group indexes.
+    Equal rows collapse into one, as in a ``Relation``; two different
+    rows on one primary key are refused with the key dependency's
+    violation, and a row that does not fit its scheme with
+    ``state_from_dict``'s error.  Nothing is touched unless every
+    relation passes; ``log`` runs between the checks and the install.
+    No constraint is checked -- callers own validation.  Returns the
+    number of rows installed.
+    """
+    with _gc_paused():
+        prepared = []
+        for name, rows in relations.items():
+            table = tables.get(name)
+            if table is None:
+                raise KeyError(f"no relation named {name!r}")
+            if not rows:
+                prepared.append((table, rows, {}, []))
+                continue
+            made = _materialize(table, rows)
+            if made is None:
+                _refuse_shape(table, rows)
+            if len(made[0]) != len(rows):
+                rows = _distinct_rows(table, rows)
+                made = _materialize(table, rows)
+            prepared.append((table, rows, *made))
+        if log is not None:
+            log()
+        for table, _rows, _new, _ts in prepared:
+            table.rows = {}
+            table.key_indexes = {k: {} for k in table.key_indexes}
+            table.group_indexes = {a: {} for a in table.group_indexes}
+        _commit_inserts(db, prepared)
+    return sum(len(ts) for _t, _r, _n, ts in prepared)
+
+
+def _refuse_shape(table, rows) -> None:
+    """Raise ``state_from_dict``'s error for rows that do not fit the
+    scheme: the failure path builds the :class:`Relation` whose shape
+    check names the offending row."""
+    try:
+        Relation.from_dicts(table.scheme.attributes, rows)
+    except ValueError as exc:
+        raise StateDecodeError(f"{table.scheme.name}: {exc}") from exc
+    raise TypeError(f"{table.scheme.name}: rows must be plain dicts")
+
+
+def _distinct_rows(table, rows) -> list:
+    """``rows`` with equal rows collapsed, first one kept.  Two rows
+    that share a primary key but differ are refused: a table holds one
+    row per key, so installing both would silently lose one.  On a
+    total key that is the key dependency's violation; a key with a
+    ``NULL`` binds no dependency, so there only storage refuses."""
+    from repro.engine.database import ConstraintViolationError
+
+    pk = table.plan.pk
+    kept: dict = {}
+    for row in rows:
+        key = pk(row)
+        first = kept.setdefault(key, row)
+        if first is row or first == row:
+            continue
+        if contains_null(key):
+            raise ConstraintViolationError(
+                "bulk-load",
+                f"{table.scheme.name}: two different rows on the primary "
+                f"key {key!r}, which holds a null; a table stores one row "
+                "per key value",
+                kind="structure",
+            )
+        violation = key_violation(KeyDependency.of_scheme(table.scheme))
+        raise ConstraintViolationError(
+            "bulk-load", str(violation), kind="key-dependency"
+        )
+    return list(kept.values())
 
 
 def bulk_insert_many(

@@ -14,6 +14,7 @@ colliding with legitimate string values::
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Mapping
 
 from repro.relational.relation import Relation
@@ -44,6 +45,26 @@ def decode_value(value: Any) -> Any:
     return value
 
 
+def decode_row(row: Mapping[str, Any]) -> dict[str, Any]:
+    """One row with every marker decoded (a new dict)."""
+    return {k: decode_value(v) for k, v in row.items()}
+
+
+def decode_rows(rows: list) -> list:
+    """Rows (``None`` entries allowed) with every marker decoded.
+
+    One C-level pass collects the types of all values; only a JSON
+    object can be a marker, so when none is present ``rows`` itself is
+    returned, uncopied.  Otherwise every row goes through
+    :func:`decode_row`.  Shared by the server's wire frames and by
+    snapshot images (:func:`decode_relations`).
+    """
+    values = chain.from_iterable(map(dict.values, filter(None, rows)))
+    if dict not in set(map(type, values)):
+        return rows
+    return [decode_row(r) if r is not None else None for r in rows]
+
+
 def null_default(value: Any) -> Any:
     """The ``default`` hook of a :class:`json.JSONEncoder` that writes
     ``NULL`` anywhere in a payload as the marker object, so payloads
@@ -68,6 +89,37 @@ def state_to_dict(state: DatabaseState) -> dict[str, Any]:
     return {"relations": relations}
 
 
+def decode_relations(
+    data: Mapping[str, Any], schema: RelationalSchema
+) -> dict[str, list[dict[str, Any]]]:
+    """The rows of a state's JSON form, per scheme of ``schema``, with
+    markers decoded by :func:`decode_rows` (marker-free relations keep
+    their parsed rows, uncopied).
+
+    Schemes absent from the data get no rows; unknown relation names
+    and rows that are not JSON objects are an error.  Rows are not
+    checked against their scheme's attributes here --
+    :func:`state_from_dict` and the engine's bulk install do that.
+    """
+    raw = data.get("relations", {})
+    unknown = set(raw) - set(schema.scheme_names)
+    if unknown:
+        raise StateDecodeError(
+            f"state mentions unknown schemes: {sorted(unknown)}"
+        )
+    decoded = {}
+    for scheme in schema.schemes:
+        rows = raw.get(scheme.name, [])
+        if set(map(type, rows)) - {dict}:
+            row = next(r for r in rows if type(r) is not dict)
+            raise StateDecodeError(
+                f"{scheme.name}: row {row!r} is not an "
+                "attribute-name/value object"
+            )
+        decoded[scheme.name] = decode_rows(rows)
+    return decoded
+
+
 def state_from_dict(
     data: Mapping[str, Any], schema: RelationalSchema
 ) -> DatabaseState:
@@ -76,21 +128,13 @@ def state_from_dict(
     Schemes absent from the data get empty relations; unknown relation
     names are an error.
     """
-    raw = data.get("relations", {})
-    unknown = set(raw) - set(schema.scheme_names)
-    if unknown:
-        raise StateDecodeError(
-            f"state mentions unknown schemes: {sorted(unknown)}"
-        )
+    decoded = decode_relations(data, schema)
     relations = {}
     for scheme in schema.schemes:
-        rows = raw.get(scheme.name, [])
-        decoded = [
-            {k: decode_value(v) for k, v in row.items()} for row in rows
-        ]
+        rows = decoded[scheme.name]
         try:
             relations[scheme.name] = Relation.from_dicts(
-                scheme.attributes, decoded
+                scheme.attributes, rows
             )
         except ValueError as exc:
             raise StateDecodeError(f"{scheme.name}: {exc}") from exc

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from itertools import filterfalse
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationalSchema
-from repro.relational.tuples import is_null
+from repro.relational.tuples import Tuple, has_null, is_null, values_on
 
 
 class DatabaseState:
@@ -124,3 +125,46 @@ class DatabaseState:
             for t in rel:
                 values.update(v for v in t.as_dict().values() if not is_null(v))
         return values
+
+
+class Columns:
+    """Column reads over a state, cached for one checking pass.
+
+    ``relations`` maps scheme names to collections of
+    :class:`~repro.relational.tuples.Tuple` -- a :class:`DatabaseState`,
+    or the engine's stored tables.  :meth:`values` is
+    :func:`~repro.relational.tuples.values_on` of one relation, read
+    once per ``(scheme, attrs)`` and shared by every constraint that
+    asks again: a key column is read by its key dependency, by every
+    inclusion dependency into it and by its nulls-not-allowed
+    constraint.  Drop the object when the pass ends; it holds every
+    column it has read.
+    """
+
+    __slots__ = ("relations", "_values", "_totals")
+
+    def __init__(self, relations: Mapping[str, Iterable[Tuple]]):
+        self.relations = relations
+        self._values: dict[tuple[str, tuple[str, ...]], list[tuple]] = {}
+        self._totals: dict[tuple[str, tuple[str, ...]], set[tuple]] = {}
+
+    def values(self, scheme_name: str, names: Sequence[str]) -> list[tuple]:
+        """Each tuple's values on ``names``, in the relation's order."""
+        key = (scheme_name, tuple(names))
+        column = self._values.get(key)
+        if column is None:
+            column = self._values[key] = values_on(
+                self.relations[scheme_name], key[1]
+            )
+        return column
+
+    def total(self, scheme_name: str, names: Sequence[str]) -> set[tuple]:
+        """The distinct values on ``names`` that contain no ``NULL`` --
+        the value-level counterpart of ``total_project``."""
+        key = (scheme_name, tuple(names))
+        total = self._totals.get(key)
+        if total is None:
+            total = self._totals[key] = set(
+                filterfalse(has_null, self.values(scheme_name, key[1]))
+            )
+        return total

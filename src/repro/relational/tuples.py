@@ -9,7 +9,6 @@ singleton and compares equal only to itself.
 
 from __future__ import annotations
 
-from itertools import filterfalse
 from operator import attrgetter, itemgetter, methodcaller
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -231,10 +230,3 @@ def values_on(tuples: Iterable[Tuple], names: Sequence[str]) -> list[tuple]:
         return [() for _ in rows]
     return list(map(itemgetter(*names), rows))
 
-
-def total_values_on(
-    tuples: Iterable[Tuple], names: Sequence[str]
-) -> set[tuple]:
-    """The distinct value tuples of :func:`values_on` that contain no
-    ``NULL`` -- the value-level counterpart of ``total_project``."""
-    return set(filterfalse(has_null, values_on(tuples, names)))

@@ -146,10 +146,15 @@ that writes to the wrong end of the pair learns where to go.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from typing import Any, Iterable, Mapping
 
-from repro.io.state_json import decode_value, encode_value, null_default
+from repro.io.state_json import (  # noqa: F401 - decode_row(s) re-exported
+    decode_row,
+    decode_rows,
+    decode_value,
+    encode_value,
+    null_default,
+)
 
 #: Hard cap on one frame's length in bytes (newline included).  A
 #: JSON-lines protocol has no other framing, so an unbounded line is an
@@ -250,25 +255,6 @@ class RemoteConstraintViolation(RemoteError):
 def encode_row(row: Mapping[str, Any]) -> dict[str, Any]:
     """A tuple's attribute mapping in wire form (NULL -> marker)."""
     return {k: encode_value(v) for k, v in row.items()}
-
-
-def decode_row(row: Mapping[str, Any]) -> dict[str, Any]:
-    """Inverse of :func:`encode_row`."""
-    return {k: decode_value(v) for k, v in row.items()}
-
-
-def decode_rows(rows: list) -> list:
-    """Wire rows (``None`` entries allowed) with every marker decoded.
-
-    One C-level pass collects the types of all values; only a JSON
-    object can be a marker, so when none is present ``rows`` itself is
-    returned, uncopied.  Otherwise every row goes through
-    :func:`decode_row`.
-    """
-    values = chain.from_iterable(map(dict.values, filter(None, rows)))
-    if dict not in set(map(type, values)):
-        return rows
-    return [decode_row(r) if r is not None else None for r in rows]
 
 
 def decode_pk(pk: Iterable[Any]) -> tuple[Any, ...]:

@@ -1016,7 +1016,7 @@ class DatabaseService:
     def load_replica_snapshot(self, snapshot: Mapping[str, Any]) -> None:
         """Replica side: seed the local state (and local log) from a
         primary's ``repl_snapshot`` image."""
-        from repro.io.state_json import state_from_dict
+        from repro.io.state_json import decode_relations
 
         schema_dict = snapshot.get("schema")
         if schema_dict is not None:
@@ -1026,7 +1026,7 @@ class DatabaseService:
 
             schema = relational_schema_from_dict(schema_dict)
             self.db._adopt_schema(
-                schema, state_from_dict(snapshot["state"], schema)
+                schema, decode_relations(snapshot["state"], schema)
             )
             self._refresh_schema_caches()
             # checkpoint() re-logs the image (schema included) into the
@@ -1039,8 +1039,7 @@ class DatabaseService:
                 self.primary_durable_lsn, self.applied_lsn
             )
             return
-        state = state_from_dict(snapshot["state"], self.db.schema)
-        self.db.load_state(state, validate=False)
+        self.db.load_image(snapshot["state"])
         self.db.sync_wal()
         self.applied_lsn = int(snapshot["lsn"])
         self.primary_durable_lsn = max(
@@ -1287,11 +1286,7 @@ class DatabaseService:
             if verb == "find_referencing":
                 return ok_frame(request_id, self._find_referencing(frame))
             if verb == "check":
-                from repro.constraints.checker import ConsistencyChecker
-
-                violations = ConsistencyChecker(self.db.schema).violations(
-                    self.db.state()
-                )
+                violations = self.db.violations()
                 return ok_frame(
                     request_id,
                     {

@@ -4,6 +4,8 @@ import pytest
 
 from repro.constraints.checker import ConsistencyChecker
 from repro.engine.database import ConstraintViolationError, Database
+from repro.engine.wal import MemoryStorage, WriteAheadLog
+from repro.relational.state import DatabaseState
 from repro.relational.tuples import NULL
 from repro.workloads.university import university_state
 
@@ -154,6 +156,33 @@ class TestBulkLoadAndState:
         db = Database(university_schema)
         with pytest.raises(ConstraintViolationError, match="bulk-load"):
             db.load_state(broken)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_load_refuses_two_rows_on_one_key(self, university_schema, validate):
+        """Storing both rows is impossible; keeping one would lose the
+        other silently.  The load is refused before anything changes,
+        the log included."""
+        state = DatabaseState.for_schema(
+            university_schema,
+            {
+                "COURSE": [{"C.NR": "c1"}],
+                "DEPARTMENT": [{"D.NAME": "cs"}, {"D.NAME": "ee"}],
+                "OFFER": [
+                    {"O.C.NR": "c1", "O.D.NAME": "cs"},
+                    {"O.C.NR": "c1", "O.D.NAME": "ee"},
+                ],
+            },
+        )
+        storage = MemoryStorage()
+        db = Database(university_schema, wal=WriteAheadLog(storage))
+        db.insert("COURSE", {"C.NR": "kept"})
+        logged = storage.read()
+        with pytest.raises(ConstraintViolationError) as refused:
+            db.load_state(state, validate=validate)
+        assert refused.value.kind == "key-dependency"
+        assert "[key-dependency] OFFER: O.C.NR -> " in str(refused.value)
+        assert db.count("COURSE") == 1 and db.count("OFFER") == 0
+        assert storage.read() == logged
 
     def test_state_snapshot_consistent(self, db, university_schema):
         assert ConsistencyChecker(university_schema).is_consistent(db.state())

@@ -364,6 +364,47 @@ def test_report_times_replay_and_verify():
     assert written["verify_s"] > 0.0
 
 
+#: A snapshot image whose OFFER relation holds two different rows on
+#: the primary key ``c1``.
+OFFER_CLASH = {
+    "COURSE": [{"C.NR": "c1"}],
+    "DEPARTMENT": [{"D.NAME": "cs"}, {"D.NAME": "ee"}],
+    "OFFER": [
+        {"O.C.NR": "c1", "O.D.NAME": "cs"},
+        {"O.C.NR": "c1", "O.D.NAME": "ee"},
+    ],
+}
+
+
+def _snapshot_log(relations) -> MemoryStorage:
+    log = WriteAheadLog(MemoryStorage())
+    log.write_snapshot({"relations": relations})
+    return log.storage
+
+
+def test_snapshot_with_two_rows_on_one_key_is_refused():
+    """A table holds one row per key: recovery must not keep one of two
+    different rows and call the result verified."""
+    with pytest.raises(
+        RecoveryError, match=r"\[key-dependency\] OFFER: O\.C\.NR -> "
+    ):
+        recover_database(SCHEMA, storage=_snapshot_log(OFFER_CLASH))
+    with pytest.raises(RecoveryError, match="key-dependency"):
+        recover_database(
+            SCHEMA, storage=_snapshot_log(OFFER_CLASH), verify=False
+        )
+
+
+def test_snapshot_with_equal_rows_on_one_key_collapses():
+    """Equal rows are one tuple, as in a Relation."""
+    offer = {"O.C.NR": "c1", "O.D.NAME": "cs"}
+    relations = dict(OFFER_CLASH, OFFER=[offer, dict(offer)])
+    result = recover_database(SCHEMA, storage=_snapshot_log(relations))
+    assert result.report.verified
+    assert result.database.count("OFFER") == 1
+    assert result.database.get("OFFER", "c1").mapping == offer
+
+
 def test_recovery_counters_and_trace_events():
     db = _db()
     db.insert("COURSE", {"C.NR": "c1"})

@@ -12,13 +12,17 @@ import socket
 import pytest
 
 from repro.client import Client
-from repro.relational.tuples import NULL
+from repro.constraints.checker import ConsistencyChecker
+from repro.engine.database import Database
+from repro.relational.tuples import NULL, Tuple
+from repro.server import ServerThread
 from repro.server.protocol import (
     RemoteConstraintViolation,
     RemoteError,
     decode_frame,
     encode_frame,
 )
+from repro.workloads.university import university_relational, university_state
 
 
 def test_insert_get_update_delete_round_trip(client):
@@ -120,6 +124,30 @@ def test_check_explain_metrics_stats(client):
     assert stats["inserts"] == 1
     assert stats["wal_group_commits"] >= 1
     assert stats["wal_batched_records"] >= 1
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_check_verb_answers_as_the_checker_over_the_state(consistent):
+    """The verb re-checks the tables directly; its answer is the one a
+    checker pass over the rebuilt state gives, violations in order."""
+    schema = university_relational()
+    state = university_state(n_courses=30, seed=5)
+    if not consistent:
+        state = state.with_relation(
+            "OFFER",
+            state["OFFER"].with_tuples(
+                [Tuple({"O.C.NR": "ghost", "O.D.NAME": "nowhere"})]
+            ),
+        ).with_relation(
+            "COURSE", state["COURSE"].with_tuples([Tuple({"C.NR": NULL})])
+        )
+    db = Database(schema)
+    db.load_state(state, validate=False)
+    want = [str(v) for v in ConsistencyChecker(schema).violations(db.state())]
+    assert bool(want) != consistent
+    with ServerThread(db) as thread, Client(port=thread.port) as c:
+        verdict = c.check()
+    assert verdict == {"consistent": consistent, "violations": want}
 
 
 def test_acks_only_after_the_barrier(served_db, client):
