@@ -21,9 +21,8 @@ time and can never drift from the value they mirror.
 
 Everything here is synchronous and allocation-light: recording into a
 counter or histogram is a dict lookup and an increment, which is what
-lets the server keep the registry enabled under load (the measured
-throughput cost is under 5%; see ``benchmarks/bench_server.py
---metrics``).
+lets the server keep the registry always on (its throughput cost is
+not measured on its own).
 """
 
 from __future__ import annotations
@@ -255,8 +254,10 @@ class Counter(_Family):
         self._default_child().inc(amount)
 
     def value(self, **labels: Any) -> float:
-        """The current value under one label combination."""
-        return super().labels(**labels).value
+        """The current value under one label combination (0 before its
+        first increment; reading adds no sample to the exposition)."""
+        cell = self._children.get(self._child_values(labels))
+        return cell.value if cell is not None else 0.0
 
     def render(self) -> list[str]:
         """Exposition sample lines for every child."""

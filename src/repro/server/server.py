@@ -17,9 +17,8 @@ connections are closed immediately; a connection mid-request gets its
 response first.
 
 :class:`ServerThread` hosts a server on a private event loop in a
-background thread -- the harness both the test suite and
-``benchmarks/bench_server.py`` use, since the repository's toolchain has
-no async test runner.
+background thread -- the harness the test suite uses, since the
+repository's toolchain has no async test runner.
 """
 
 from __future__ import annotations
@@ -71,10 +70,6 @@ class ServerConfig:
     queue_depth: int = 1024
     #: Compact the WAL into a snapshot as part of graceful drain.
     checkpoint_on_drain: bool = True
-    #: Record server-layer metrics (the :class:`ServerMetrics`
-    #: registry).  Off is the baseline configuration
-    #: ``bench_server --metrics`` measures overhead against.
-    metrics: bool = True
     #: Port for the sidecar HTTP endpoint serving ``/metrics``,
     #: ``/healthz`` and ``/readyz``; 0 asks the OS for a free one
     #: (read it back from :attr:`ReproServer.metrics_port`), ``None``
@@ -154,7 +149,6 @@ class ReproServer:
             max_batch=self.config.max_batch,
             max_delay=self.config.max_delay,
             queue_depth=self.config.queue_depth,
-            metrics=self.config.metrics,
             shard=self.config.shard,
             prepare_timeout=self.config.prepare_timeout,
             role="replica" if self.config.replicate_from else "primary",
@@ -170,8 +164,9 @@ class ReproServer:
         #: Bound port of the sidecar metrics endpoint (``None`` until
         #: started, or when :attr:`ServerConfig.metrics_port` is unset).
         self.metrics_port: int | None = None
+        #: Sessions accepted so far (a session's id is this count at
+        #: its acceptance).
         self.sessions_opened = 0
-        self.rejected_connections = 0
         #: True once startup (including WAL recovery, done before
         #: construction) is complete and the listener is bound -- the
         #: ``/readyz`` signal.
@@ -281,9 +276,7 @@ class ReproServer:
             len(self._connections) >= self.config.max_connections
             or self._draining.is_set()
         ):
-            self.rejected_connections += 1
-            if self.service.metrics is not None:
-                self.service.metrics.rejected_connections.inc()
+            self.service.metrics.rejected_connections.inc()
             kind = (
                 "shutting-down" if self._draining.is_set() else "overloaded"
             )
@@ -300,8 +293,7 @@ class ReproServer:
         self._connections.add(task)
         self.service.connections += 1
         self.sessions_opened += 1
-        if self.service.metrics is not None:
-            self.service.metrics.sessions.inc()
+        self.service.metrics.sessions.inc()
         peername = writer.get_extra_info("peername")
         session = Session(
             id=self.sessions_opened,
@@ -594,7 +586,9 @@ def drain_summary(server: ReproServer) -> dict:
     return {
         "event": "drained",
         "sessions": server.sessions_opened,
-        "rejected_connections": server.rejected_connections,
+        "rejected_connections": int(
+            server.service.metrics.rejected_connections.value()
+        ),
         "requests": server.service.requests_served,
         "group_commits": stats.wal_group_commits,
         "batched_records": stats.wal_batched_records,

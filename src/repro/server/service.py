@@ -370,7 +370,6 @@ class DatabaseService:
         max_batch: int = 64,
         max_delay: float = 0.002,
         queue_depth: int = 1024,
-        metrics: bool = True,
         shard: ShardInfo | None = None,
         prepare_timeout: float = 30.0,
         role: str = "primary",
@@ -438,10 +437,9 @@ class DatabaseService:
         #: than the generic ``no-prepared-batch``.
         self._held_xid: str | None = None
         self._expired_xids: deque[str] = deque(maxlen=8)
+        #: Prepares this worker has held (their outcomes are counted
+        #: by ``repro_server_prepares_total``).
         self.prepares = 0
-        self.prepare_commits = 0
-        self.prepare_aborts = 0
-        self.prepare_expired = 0
         # -- replication state (see docs/REPLICATION.md) ---------------
         #: ``"primary"`` (read-write, ships its WAL) or ``"replica"``
         #: (read-only, applies a primary's records); flipped by the
@@ -469,9 +467,6 @@ class DatabaseService:
         #: receipt; deferred mutation acks wait on it.
         self._confirm_waiter: asyncio.Future | None = None
         self._draining = False
-        #: WAL records shipped to replicas / applied from the primary.
-        self.repl_shipped = 0
-        self.repl_applied = 0
         #: Replica side: the primary's lsn of the last applied record,
         #: and the primary's durable lsn as of the last poll (their
         #: difference is the replication lag).
@@ -501,12 +496,10 @@ class DatabaseService:
         #: the same trace.  Bounded; WAL payloads stay untouched (their
         #: checksums cover exact bytes).
         self._span_ctx_by_lsn: dict[int, str] = {}
-        #: Server-layer metric families (``None`` disables the registry
-        #: entirely -- the configuration ``bench_server --metrics``
-        #: compares against).
-        self.metrics: ServerMetrics | None = (
-            ServerMetrics(self) if metrics else None
-        )
+        #: Server-layer metric families; also the one count of
+        #: prepare outcomes, shipped/applied records and rejected
+        #: connections that ``stats`` and the drain summary read.
+        self.metrics = ServerMetrics(self)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -666,25 +659,22 @@ class DatabaseService:
             error.setdefault("trace_id", trace_id)
         if not response.get("ok"):
             session.rejections += 1
-        if self.metrics is not None:
-            self.metrics.requests.labels(verb=verb).inc()
-            self.metrics.request_seconds.labels(verb=verb).observe(
-                perf_counter() - started
-            )
-            error = response.get("error")
-            if isinstance(error, dict):
-                self.metrics.errors.labels(
-                    type=error.get("type", "server-error")
+        self.metrics.requests.labels(verb=verb).inc()
+        self.metrics.request_seconds.labels(verb=verb).observe(
+            perf_counter() - started
+        )
+        if isinstance(error, dict):
+            self.metrics.errors.labels(
+                type=error.get("type", "server-error")
+            ).inc()
+            if error.get("type") == "constraint-violation":
+                self.metrics.violations.labels(
+                    kind=error.get("kind", ""),
+                    rule=error.get("rule", ""),
                 ).inc()
-                if error.get("type") == "constraint-violation":
-                    self.metrics.violations.labels(
-                        kind=error.get("kind", ""),
-                        rule=error.get("rule", ""),
-                    ).inc()
         if span is not None and self.span_sink is not None:
             if response.get("lsn") is not None:
                 span.attributes["lsn"] = response["lsn"]
-            error = response.get("error")
             status = (
                 error.get("type", "error") if isinstance(error, dict) else None
             )
@@ -987,9 +977,7 @@ class DatabaseService:
                     after, self.db.wal.durable_lsn, max_records
                 )
         if records:
-            self.repl_shipped += len(records)
-            if self.metrics is not None:
-                self.metrics.repl_shipped.inc(len(records))
+            self.metrics.repl_shipped.inc(len(records))
             if self._span_ctx_by_lsn:
                 # Stamp the originating span context onto shipped
                 # *copies* (never the WAL payloads themselves -- their
@@ -1117,9 +1105,8 @@ class DatabaseService:
             # replays it through apply_merge_online).
             self._refresh_schema_caches()
         self.db.sync_wal()
-        self.repl_applied += len(records)
         self.primary_durable_lsn = max(self.primary_durable_lsn, durable_lsn)
-        if self.metrics is not None and records:
+        if records:
             self.metrics.repl_applied.inc(len(records))
 
     def _check_shard(self, verb: str, frame: Mapping[str, Any]) -> None:
@@ -1368,15 +1355,13 @@ class DatabaseService:
         and latency histograms followed by the server-layer registry
         (the body of the ``metrics`` verb and the ``/metrics`` HTTP
         endpoint)."""
-        text = self.db.stats.to_prometheus()
-        if self.metrics is not None:
-            text += self.metrics.registry.render()
-        return text
+        return self.db.stats.to_prometheus() + self.metrics.registry.render()
 
     def server_stats(self) -> dict[str, Any]:
         """Live server-layer state for the ``stats`` verb: request and
-        queue gauges plus (when enabled) the metric registry's JSON
-        snapshot -- what ``python -m repro monitor`` polls."""
+        queue gauges plus the metric registry's JSON snapshot -- what
+        ``python -m repro monitor`` polls."""
+        prepares = self.metrics.prepares
         out: dict[str, Any] = {
             "requests_served": self.requests_served,
             "connections": self.connections,
@@ -1387,16 +1372,16 @@ class DatabaseService:
             "prepares": {
                 "held": self._held_xid is not None,
                 "prepared": self.prepares,
-                "committed": self.prepare_commits,
-                "aborted": self.prepare_aborts,
-                "expired": self.prepare_expired,
+                "committed": int(prepares.value(outcome="committed")),
+                "aborted": int(prepares.value(outcome="aborted")),
+                "expired": int(prepares.value(outcome="expired")),
             },
             "replication": {
                 "role": self.role,
                 "primary": self.primary,
                 "replicas": len(self._replicas),
-                "shipped": self.repl_shipped,
-                "applied": self.repl_applied,
+                "shipped": int(self.metrics.repl_shipped.value()),
+                "applied": int(self.metrics.repl_applied.value()),
                 "applied_lsn": self.applied_lsn,
                 "lag": self.replication_lag(),
             },
@@ -1413,8 +1398,7 @@ class DatabaseService:
                 "exported": self.span_sink.exported,
                 "sample": self.span_sink.sample,
             }
-        if self.metrics is not None:
-            out["metrics"] = self.metrics.registry.snapshot()
+        out["metrics"] = self.metrics.registry.snapshot()
         return out
 
     def wal_size_bytes(self) -> int:
@@ -1625,8 +1609,7 @@ class DatabaseService:
                 ) = await asyncio.wait_for(self._decisions.get(), remaining)
                 if dxid == "__drain__":
                     prepared.abort()
-                    self.prepare_aborts += 1
-                    self._observe_prepare("aborted")
+                    self.metrics.prepares.labels(outcome="aborted").inc()
                     return
                 if dxid != xid:
                     # A stale decision (its hold already resolved).
@@ -1642,16 +1625,14 @@ class DatabaseService:
                 break
         except asyncio.TimeoutError:
             prepared.abort()
-            self.prepare_expired += 1
             self._expired_xids.append(xid)
-            self._observe_prepare("expired")
+            self.metrics.prepares.labels(outcome="expired").inc()
             return
         finally:
             self._held_xid = None
         if not commit:
             prepared.abort()
-            self.prepare_aborts += 1
-            self._observe_prepare("aborted")
+            self.metrics.prepares.labels(outcome="aborted").inc()
             if not dfuture.done():
                 dfuture.set_result(ok_frame(drequest_id, None))
             return
@@ -1671,8 +1652,7 @@ class DatabaseService:
         except Exception as exc:
             outcome = error_frame(drequest_id, "server-error", repr(exc))
         else:
-            self.prepare_commits += 1
-            self._observe_prepare("committed")
+            self.metrics.prepares.labels(outcome="committed").inc()
             outcome = ok_frame(drequest_id, _result_rows(results))
             if self.db.wal is not None:
                 outcome["lsn"] = self.db.wal.next_lsn - 1
@@ -1700,10 +1680,6 @@ class DatabaseService:
             await self._await_replication(self.db.wal.durable_lsn)
         if not dfuture.done():
             dfuture.set_result(outcome)
-
-    def _observe_prepare(self, outcome: str) -> None:
-        if self.metrics is not None:
-            self.metrics.prepares.labels(outcome=outcome).inc()
 
     def _ack_mutation(self, future: asyncio.Future, outcome: dict) -> None:
         """Resolve one queued mutation's future (inflight bookkeeping
@@ -1852,10 +1828,9 @@ class DatabaseService:
                     )
                 ]
             else:
-                if self.metrics is not None:
-                    self.metrics.wal_sync_seconds.observe(
-                        perf_counter() - sync_started
-                    )
+                self.metrics.wal_sync_seconds.observe(
+                    perf_counter() - sync_started
+                )
                 # Wake parked replica polls: new durable records exist.
                 self._signal_commit()
             finally:
@@ -1866,8 +1841,7 @@ class DatabaseService:
                             None if self.poisoned is None else "wal-error"
                         )
                     )
-        if self.metrics is not None:
-            self.metrics.batch_size.observe(len(batch))
+        self.metrics.batch_size.observe(len(batch))
         acked_lsn = (
             self.db.wal.durable_lsn
             if self.db.wal is not None and self.poisoned is None

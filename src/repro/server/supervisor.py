@@ -281,7 +281,7 @@ class _suppress_process_errors:
 
 class FleetProcess:
     """A ``repro serve --workers N`` fleet run as a child process -- the
-    harness tests and ``bench_server`` drive.
+    harness the fleet tests and ``perfbench/`` drive.
 
     Parses the supervisor's stdout protocol: :attr:`port` (the shared
     public port), :attr:`worker_ports` and :attr:`worker_pids` by worker
@@ -425,11 +425,11 @@ class ServerProcess:
     """A plain (one-worker) ``repro serve`` run as a child process.
 
     The single-server sibling of :class:`FleetProcess`, used by the
-    replication tests and ``bench_server --replicated``: it parses the
-    ``listening on`` readiness line, exposes the stdout transcript for
-    assertions (``replica caught up ...``, ``promoted to primary``),
-    and supports both graceful drain (:meth:`stop`) and crash
-    injection (:meth:`kill`).
+    replication tests and ``perfbench/``: it parses the ``listening
+    on`` readiness line, exposes the stdout transcript for assertions
+    (``replica caught up ...``, ``promoted to primary``), and supports
+    both graceful drain (:meth:`stop`) and crash injection
+    (:meth:`kill`).
     """
 
     def __init__(

@@ -43,6 +43,17 @@ def test_counter_labels_and_render():
     assert text.endswith("\n")
 
 
+def test_counter_value_reads_without_adding_a_sample():
+    reg = MetricsRegistry()
+    c = reg.counter("reqs_total", "Requests.", labelnames=("verb",))
+    u = reg.counter("u_total", "Unlabeled.")
+    assert c.value(verb="delete") == 0
+    assert u.value() == 0
+    text = reg.render()
+    assert "reqs_total{" not in text
+    assert "u_total 0" not in text
+
+
 def test_counter_rejects_decrease_and_label_mismatch():
     reg = MetricsRegistry()
     c = reg.counter("c_total", "c", labelnames=("a",))

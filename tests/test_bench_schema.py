@@ -2,12 +2,12 @@
 
 The committed report must conform, and the validator must actually
 catch the drift it exists to catch: a dropped column in any entry kind
-(engine result, wal sub-entry, server run, metrics-overhead run).
+(engine result, wal and advisor sub-entries, backend comparison), and
+an entry whose harness script no longer exists.
 """
 
 from __future__ import annotations
 
-import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -49,70 +49,6 @@ def test_missing_wal_key_is_caught():
     assert any("checkpoint_ms" in p for p in validate_report(report))
 
 
-def test_missing_server_run_key_is_caught():
-    report = _committed_report()
-    del report["server"]["flush"]["group_commit"]["p99_us"]
-    problems = validate_report(report)
-    assert any("server.flush.group_commit" in p for p in problems)
-
-
-def test_missing_metrics_overhead_field_is_caught():
-    report = _committed_report()
-    if "server_metrics" not in report:  # tolerate a pre-overhead report
-        return
-    broken = copy.deepcopy(report)
-    del broken["server_metrics"]["overhead_pct"]
-    assert any("overhead_pct" in p for p in validate_report(broken))
-    broken = copy.deepcopy(report)
-    del broken["server_metrics"]["metrics_on"]
-    assert any("metrics_on" in p for p in validate_report(broken))
-
-
-def test_missing_spans_overhead_field_is_caught():
-    report = _committed_report()
-    if "server_spans" not in report:  # tolerate a pre-spans report
-        return
-    broken = copy.deepcopy(report)
-    del broken["server_spans"]["overhead_pct_1pct"]
-    assert any("overhead_pct_1pct" in p for p in validate_report(broken))
-    broken = copy.deepcopy(report)
-    del broken["server_spans"]["spans_100pct"]
-    assert any(
-        "missing run 'spans_100pct'" in p for p in validate_report(broken)
-    )
-    broken = copy.deepcopy(report)
-    del broken["server_spans"]["spans_1pct"]["spans_exported"]
-    assert any(
-        "server_spans.spans_1pct" in p and "spans_exported" in p
-        for p in validate_report(broken)
-    )
-
-
-def test_missing_sharded_field_is_caught():
-    report = _committed_report()
-    if "server_sharded" not in report:  # tolerate a pre-sharding report
-        return
-    broken = copy.deepcopy(report)
-    del broken["server_sharded"]["sharded_speedup_x"]
-    assert any("sharded_speedup_x" in p for p in validate_report(broken))
-    broken = copy.deepcopy(report)
-    run = next(
-        k for k in broken["server_sharded"] if k.startswith("workers_")
-    )
-    del broken["server_sharded"][run]["inserts_per_s"]
-    assert any(
-        f"server_sharded.{run}" in p for p in validate_report(broken)
-    )
-    broken = copy.deepcopy(report)
-    for k in [
-        k for k in broken["server_sharded"] if k.startswith("workers_")
-    ][1:]:
-        del broken["server_sharded"][k]
-    assert any(
-        "at least two workers_N runs" in p for p in validate_report(broken)
-    )
-
-
 def test_missing_advisor_key_is_caught():
     report = _committed_report()
     entry = next(e for e in report["results"] if "advisor" in e)
@@ -147,4 +83,13 @@ def test_missing_backend_field_is_caught():
     assert any(
         "backend_sqlite" in p and "sqlite_bulk_rows_per_s" in p
         for p in problems
+    )
+
+
+def test_entry_naming_a_missing_harness_is_caught():
+    report = _committed_report()
+    report["backend_sqlite"]["harness"] = "benchmarks/bench_gone.py --flag"
+    problems = validate_report(report)
+    assert any(
+        "backend_sqlite" in p and "bench_gone.py" in p for p in problems
     )
