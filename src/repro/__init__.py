@@ -23,139 +23,89 @@ See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
 """
 
-from repro.relational import (
-    NULL,
-    Attribute,
-    DatabaseState,
-    Domain,
-    Relation,
-    RelationScheme,
-    RelationalSchema,
-    Tuple,
-)
-from repro.constraints import (
-    ConsistencyChecker,
-    FunctionalDependency,
-    InclusionDependency,
-    KeyDependency,
-    NullExistenceConstraint,
-    PartNullConstraint,
-    TotalEqualityConstraint,
-    null_synchronization_set,
-    nulls_not_allowed,
-)
-from repro.core import (
-    Merge,
-    MergeError,
-    MergePlanner,
-    MergeResult,
-    MergeStrategy,
-    Remove,
-    find_key_relation,
-    prop51_key_based_inds_only,
-    prop51_keys_not_null,
-    prop52_nulls_not_allowed_only,
-    remove_all,
-    removable_sets,
-    verify_information_capacity,
-)
-from repro.core.merge import merge
-from repro.eer import (
-    Cardinality,
-    EERAttribute,
-    EERBuilder,
-    EERSchema,
-    EntitySet,
-    Generalization,
-    Participation,
-    RelationshipSet,
-    WeakEntitySet,
-    find_amenable_structures,
-    translate_eer,
-    translate_teorey,
-)
-from repro.ddl import (
-    DB2,
-    INGRES_63,
-    SYBASE_40,
-    SchemaDefinitionTool,
-    SDTOptions,
-    generate_ddl,
-)
-from repro.engine import Database, QueryEngine
-from repro.constraints.minimize import minimize_schema
-from repro.io import (
-    eer_schema_from_dict,
-    eer_schema_to_dict,
-    relational_schema_from_dict,
-    relational_schema_to_dict,
-    state_from_dict,
-    state_to_dict,
-)
-from repro.workloads.university import university_eer, university_relational
+import importlib
+
+#: Each public name and the module that defines it.  Names resolve on
+#: first use (:func:`__getattr__`), so ``import repro`` -- and every
+#: ``python -m repro`` start -- loads none of the subpackages until a
+#: name from one of them is used.
+_EXPORTS: dict[str, str] = {
+    "NULL": "repro.relational",
+    "Attribute": "repro.relational",
+    "DatabaseState": "repro.relational",
+    "Domain": "repro.relational",
+    "Relation": "repro.relational",
+    "RelationScheme": "repro.relational",
+    "RelationalSchema": "repro.relational",
+    "Tuple": "repro.relational",
+    "ConsistencyChecker": "repro.constraints",
+    "FunctionalDependency": "repro.constraints",
+    "InclusionDependency": "repro.constraints",
+    "KeyDependency": "repro.constraints",
+    "NullExistenceConstraint": "repro.constraints",
+    "PartNullConstraint": "repro.constraints",
+    "TotalEqualityConstraint": "repro.constraints",
+    "null_synchronization_set": "repro.constraints",
+    "nulls_not_allowed": "repro.constraints",
+    "Merge": "repro.core",
+    "MergeError": "repro.core",
+    "MergePlanner": "repro.core",
+    "MergeResult": "repro.core",
+    "MergeStrategy": "repro.core",
+    "Remove": "repro.core",
+    "find_key_relation": "repro.core",
+    "prop51_key_based_inds_only": "repro.core",
+    "prop51_keys_not_null": "repro.core",
+    "prop52_nulls_not_allowed_only": "repro.core",
+    "remove_all": "repro.core",
+    "removable_sets": "repro.core",
+    "verify_information_capacity": "repro.core",
+    "merge": "repro.core.merge",
+    "Cardinality": "repro.eer",
+    "EERAttribute": "repro.eer",
+    "EERBuilder": "repro.eer",
+    "EERSchema": "repro.eer",
+    "EntitySet": "repro.eer",
+    "Generalization": "repro.eer",
+    "Participation": "repro.eer",
+    "RelationshipSet": "repro.eer",
+    "WeakEntitySet": "repro.eer",
+    "find_amenable_structures": "repro.eer",
+    "translate_eer": "repro.eer",
+    "translate_teorey": "repro.eer",
+    "DB2": "repro.ddl",
+    "INGRES_63": "repro.ddl",
+    "SYBASE_40": "repro.ddl",
+    "SchemaDefinitionTool": "repro.ddl",
+    "SDTOptions": "repro.ddl",
+    "generate_ddl": "repro.ddl",
+    "Database": "repro.engine",
+    "QueryEngine": "repro.engine",
+    "minimize_schema": "repro.constraints.minimize",
+    "eer_schema_from_dict": "repro.io",
+    "eer_schema_to_dict": "repro.io",
+    "relational_schema_from_dict": "repro.io",
+    "relational_schema_to_dict": "repro.io",
+    "state_from_dict": "repro.io",
+    "state_to_dict": "repro.io",
+    "university_eer": "repro.workloads.university",
+    "university_relational": "repro.workloads.university",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "NULL",
-    "Attribute",
-    "DatabaseState",
-    "Domain",
-    "Relation",
-    "RelationScheme",
-    "RelationalSchema",
-    "Tuple",
-    "ConsistencyChecker",
-    "FunctionalDependency",
-    "InclusionDependency",
-    "KeyDependency",
-    "NullExistenceConstraint",
-    "PartNullConstraint",
-    "TotalEqualityConstraint",
-    "null_synchronization_set",
-    "nulls_not_allowed",
-    "Merge",
-    "merge",
-    "MergeError",
-    "MergePlanner",
-    "MergeResult",
-    "MergeStrategy",
-    "Remove",
-    "find_key_relation",
-    "prop51_key_based_inds_only",
-    "prop51_keys_not_null",
-    "prop52_nulls_not_allowed_only",
-    "remove_all",
-    "removable_sets",
-    "verify_information_capacity",
-    "Cardinality",
-    "EERAttribute",
-    "EERBuilder",
-    "EERSchema",
-    "EntitySet",
-    "Generalization",
-    "Participation",
-    "RelationshipSet",
-    "WeakEntitySet",
-    "find_amenable_structures",
-    "translate_eer",
-    "translate_teorey",
-    "DB2",
-    "INGRES_63",
-    "SYBASE_40",
-    "SchemaDefinitionTool",
-    "SDTOptions",
-    "generate_ddl",
-    "Database",
-    "QueryEngine",
-    "minimize_schema",
-    "eer_schema_from_dict",
-    "eer_schema_to_dict",
-    "relational_schema_from_dict",
-    "relational_schema_to_dict",
-    "state_from_dict",
-    "state_to_dict",
-    "university_eer",
-    "university_relational",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the module behind a public name on first use."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -37,29 +37,32 @@ import sys
 from typing import Any
 
 from repro.constraints.checker import ConsistencyChecker
-from repro.constraints.minimize import minimize_schema
-from repro.core.merge import merge as apply_merge
-from repro.core.planner import MergePlanner, MergeStrategy
-from repro.core.remove import remove_all
-from repro.ddl.dialects import DB2, INGRES_63, SQLITE, SYBASE_40, DialectProfile
-from repro.ddl.generate import generate_ddl
-from repro.eer.patterns import find_amenable_structures
-from repro.eer.teorey import translate_teorey
-from repro.eer.translate import translate_eer
-from repro.io import (
-    eer_schema_from_dict,
+from repro.io.relational_json import (
     relational_schema_from_dict,
     relational_schema_to_dict,
-    state_from_dict,
-    state_to_dict,
 )
+from repro.io.state_json import state_from_dict, state_to_dict
 
-DIALECTS: dict[str, DialectProfile] = {
-    "db2": DB2,
-    "sybase": SYBASE_40,
-    "ingres": INGRES_63,
-    "sqlite": SQLITE,
+# Every command imports what it uses, so a start -- ``serve`` above all
+# -- loads only its own modules.  The option choices below are literal
+# for the same reason.
+
+#: ``--dialect`` names and the profiles in :mod:`repro.ddl.dialects`.
+DIALECTS = {
+    "db2": "DB2",
+    "ingres": "INGRES_63",
+    "sqlite": "SQLITE",
+    "sybase": "SYBASE_40",
 }
+#: ``--strategy`` values: :class:`repro.core.planner.MergeStrategy`'s.
+STRATEGIES = ("aggressive", "key-based", "nna-only")
+
+
+def _dialect(name: str):
+    """The DDL dialect profile a ``--dialect`` name stands for."""
+    from repro.ddl import dialects
+
+    return getattr(dialects, DIALECTS[name])
 
 
 class CliError(SystemExit):
@@ -94,6 +97,8 @@ def _load_relational(path: str):
 
 
 def _load_eer(path: str):
+    from repro.io.eer_json import eer_schema_from_dict
+
     data = _load_json(path)
     if "object_sets" not in data:
         raise CliError(f"{path} does not look like an EER schema")
@@ -239,6 +244,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     """``explain``: show enforcement plans (or, with ``--plan``, the
     merge planner's reasoning) without executing anything."""
+    from repro.core.planner import MergePlanner, MergeStrategy
     from repro.engine.database import Database
     from repro.obs.explain import explain_database, render_database
 
@@ -268,6 +274,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_families(args: argparse.Namespace) -> int:
     """``families``: list mergeable families with Prop 5.x verdicts."""
+    from repro.core.planner import MergePlanner
+
     schema = _load_relational(args.schema)
     families = MergePlanner(schema).candidate_families()
     if not families:
@@ -280,6 +288,9 @@ def cmd_families(args: argparse.Namespace) -> int:
 
 def cmd_merge(args: argparse.Namespace) -> int:
     """``merge``: apply Merge (and by default Remove) to named schemes."""
+    from repro.core.merge import merge as apply_merge
+    from repro.core.remove import remove_all
+
     schema = _load_relational(args.schema)
     tracer, trace_path = _open_tracer(args.trace)
     result = apply_merge(schema, args.members, merged_name=args.name)
@@ -336,6 +347,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     """``plan``: merge every family admitted by the strategy."""
+    from repro.core.planner import MergePlanner, MergeStrategy
     from repro.core.script import MigrationScript
 
     schema = _load_relational(args.schema)
@@ -392,6 +404,9 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     that script to a live SQLite database file holding the source
     schema's deployment.
     """
+    from repro.core.merge import merge as apply_merge
+    from repro.core.remove import remove_all
+
     schema = _load_relational(args.schema)
     state = state_from_dict(_load_json(args.state), schema)
     violations = ConsistencyChecker(schema).violations(state)
@@ -438,8 +453,10 @@ def cmd_migrate(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     """``compile``: generate DDL and optionally execute it on SQLite."""
+    from repro.ddl.generate import generate_ddl
+
     schema = _load_relational(args.schema)
-    dialect = DIALECTS[args.dialect]
+    dialect = _dialect(args.dialect)
     script = generate_ddl(schema, dialect)
     if args.output and args.output != "-":
         with open(args.output, "w") as f:
@@ -474,6 +491,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     """``translate``: EER design to relational schema (or Teorey baseline)."""
+    from repro.eer.teorey import translate_teorey
+    from repro.eer.translate import translate_eer
+
     eer = _load_eer(args.eer)
     if args.teorey:
         translation = translate_teorey(eer)
@@ -491,6 +511,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_structures(args: argparse.Namespace) -> int:
     """``structures``: classify single-relation EER structures (Fig 8)."""
+    from repro.eer.patterns import find_amenable_structures
+
     eer = _load_eer(args.eer)
     structures = find_amenable_structures(eer)
     if not structures:
@@ -505,9 +527,10 @@ def cmd_structures(args: argparse.Namespace) -> int:
 
 def cmd_ddl(args: argparse.Namespace) -> int:
     """``ddl``: emit the schema definition for one target DBMS."""
+    from repro.ddl.generate import generate_ddl
+
     schema = _load_relational(args.schema)
-    dialect = DIALECTS[args.dialect]
-    script = generate_ddl(schema, dialect)
+    script = generate_ddl(schema, _dialect(args.dialect))
     print(script.sql())
     print()
     print(f"-- {script.summary()}")
@@ -550,6 +573,8 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 def cmd_minimize(args: argparse.Namespace) -> int:
     """``minimize``: drop implied constraints from a schema."""
+    from repro.constraints.minimize import minimize_schema
+
     schema = _load_relational(args.schema)
     minimized = minimize_schema(schema)
     dropped_inds = len(schema.inds) - len(minimized.inds)
@@ -1134,8 +1159,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--strategy",
-        choices=[s.value for s in MergeStrategy],
-        default=MergeStrategy.AGGRESSIVE.value,
+        choices=STRATEGIES,
+        default="aggressive",
         help="strategy for --plan",
     )
     p.add_argument("-o", "--output", help="write the explanation JSON")
@@ -1167,8 +1192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schema")
     p.add_argument(
         "--strategy",
-        choices=[s.value for s in MergeStrategy],
-        default=MergeStrategy.AGGRESSIVE.value,
+        choices=STRATEGIES,
+        default="aggressive",
     )
     p.add_argument("-o", "--output")
     p.add_argument(
@@ -1435,7 +1460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", metavar="HOST:PORT")
     p.add_argument(
         "--strategy",
-        choices=[s.value for s in MergeStrategy],
+        choices=STRATEGIES,
         default=None,
         help=(
             "admissibility filter (default: the advisor's key-based "

@@ -18,7 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from repro.constraints.functional import FunctionalDependency, KeyDependency
-from repro.obs.rules import classify_null_constraint, paper_rule
+# The module, not its names: ``repro.obs.rules`` imports the null
+# constraints, so whichever of the two packages loads first finds the
+# other half-initialized -- its names are read at call time.
+from repro.obs import rules
 from repro.obs.trace import TraceEvent, Tracer
 from repro.relational.schema import RelationalSchema
 from repro.relational.state import Columns, DatabaseState
@@ -57,7 +60,7 @@ def key_violation(fd: FunctionalDependency) -> Violation:
         str(fd),
         "two tuples agree on a total left-hand side but "
         "differ on the right-hand side",
-        rule=paper_rule("key-dependency"),
+        rule=rules.paper_rule("key-dependency"),
     )
 
 
@@ -99,7 +102,7 @@ class ConsistencyChecker:
                     scheme=scheme_name,
                     constraint=constraint,
                     kind=kind,
-                    rule=paper_rule(kind),
+                    rule=rules.paper_rule(kind),
                     outcome="ok" if ok else "violation",
                     rows=rows,
                 )
@@ -134,7 +137,7 @@ class ConsistencyChecker:
                     "scheme": scheme,
                     "constraint": constraint,
                     "kind": kind,
-                    "rule": paper_rule(kind),
+                    "rule": rules.paper_rule(kind),
                 }
             )
 
@@ -154,7 +157,7 @@ class ConsistencyChecker:
                 "null-constraint",
                 nc.scheme_name,
                 str(nc),
-                classify_null_constraint(nc),
+                rules.classify_null_constraint(nc),
             )
         return {"schemes": len(self.schema.schemes), "checks": checks}
 
@@ -174,19 +177,29 @@ class ConsistencyChecker:
                 lines.append(f"       rule: {check['rule']}")
         return "\n".join(lines)
 
-    def iter_violations(self, state: StateLike) -> Iterator[Violation]:
+    def iter_violations(
+        self, state: StateLike, scheme: str | None = None
+    ) -> Iterator[Violation]:
         """Yield every violation of the schema's constraints by ``state``.
 
         ``state`` is a :class:`DatabaseState` or any mapping of scheme
         names to relation-like collections of tuples with
         ``attribute_names`` and ``tuples`` -- the engine passes its
         stored tables, so its re-check builds no :class:`Relation`.
-        Every column is read once per pass (:class:`Columns`).
+        Every column is read once per pass (:class:`Columns`).  With
+        ``scheme``, only the constraints that name it are evaluated (in
+        the same order): its structure, key dependencies and null
+        constraints, and every inclusion dependency with it on either
+        side -- the online merge's check of the merged scheme.
         """
+
+        def named(*names: str) -> bool:
+            return scheme is None or scheme in names
+
         columns = Columns(state)
-        yield from self._structural_violations(state)
+        yield from self._structural_violations(state, scheme)
         for fd in list(self.schema.fds) + self._implicit_keys:
-            if fd.scheme_name not in state:
+            if fd.scheme_name not in state or not named(fd.scheme_name):
                 continue
             ok = fd.holds_in(columns)
             self._trace_check(
@@ -200,6 +213,8 @@ class ConsistencyChecker:
                 yield self._emit(key_violation(fd))
         for ind in self.schema.inds:
             if ind.lhs_scheme not in state or ind.rhs_scheme not in state:
+                continue
+            if not named(ind.lhs_scheme, ind.rhs_scheme):
                 continue
             ok = ind.holds_in(columns)
             self._trace_check(
@@ -217,13 +232,13 @@ class ConsistencyChecker:
                         str(ind),
                         "total projection of the left side is not contained "
                         "in the total projection of the right side",
-                        rule=paper_rule("inclusion-dependency"),
+                        rule=rules.paper_rule("inclusion-dependency"),
                     )
                 )
         for nc in self.schema.null_constraints:
-            if nc.scheme_name not in state:
+            if nc.scheme_name not in state or not named(nc.scheme_name):
                 continue
-            kind = classify_null_constraint(nc)
+            kind = rules.classify_null_constraint(nc)
             rel = state[nc.scheme_name]
             ok = nc.holds_in(columns)
             self._trace_check(
@@ -239,13 +254,17 @@ class ConsistencyChecker:
                         nc.scheme_name,
                         str(nc),
                         f"violated by tuple {t!r}",
-                        rule=paper_rule(kind),
+                        rule=rules.paper_rule(kind),
                     )
                 )
 
-    def _structural_violations(self, state: StateLike) -> Iterator[Violation]:
-        rule = paper_rule("structure")
+    def _structural_violations(
+        self, state: StateLike, only: str | None = None
+    ) -> Iterator[Violation]:
+        rule = rules.paper_rule("structure")
         for scheme in self.schema.schemes:
+            if only is not None and scheme.name != only:
+                continue
             if scheme.name not in state:
                 yield self._emit(
                     Violation(

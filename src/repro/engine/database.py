@@ -34,7 +34,8 @@ Two layers keep the enforcement fast (see ``docs/PERFORMANCE.md``):
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.engine.plans import (
     CompiledReference,
@@ -44,6 +45,7 @@ from repro.engine.plans import (
 )
 from repro.engine.rows import (
     _gc_paused,
+    adopt_row,
     bulk_apply,
     bulk_insert_many,
     install_rows,
@@ -141,6 +143,29 @@ class _Table:
         self.group_indexes[attrs] = index
         self.group_extractors[attrs] = extract
 
+    def keep_group_indexes(self, groups: Iterable[tuple[str, ...]]) -> None:
+        """Index exactly ``groups``: drop every other group index, and
+        register (and backfill) the missing ones."""
+        groups = dict.fromkeys(groups)
+        for attrs in [a for a in self.group_indexes if a not in groups]:
+            del self.group_indexes[attrs], self.group_extractors[attrs]
+        for attrs in groups:
+            self.add_group_index(attrs)
+
+    def total_values(self, attrs: tuple[str, ...]):
+        """The distinct ``NULL``-free values of the stored rows on
+        ``attrs``, as the key view of the index that holds them -- the
+        primary-key index, or a reverse-reference index (which files
+        only total values) -- or ``None`` when no index covers
+        ``attrs``.  The consistency checker's column reads take it
+        instead of walking the rows."""
+        if attrs == self.plan.key_names:
+            if NULL in chain.from_iterable(self.rows):
+                return None  # a bulk-loaded null key: not a total value
+            return self.rows.keys()
+        index = self.group_indexes.get(attrs)
+        return None if index is None else index.keys()
+
     def pk_of(self, t: Tuple) -> tuple[Any, ...]:
         """The primary-key value tuple of a stored row."""
         return self.plan.pk(t.mapping)
@@ -192,17 +217,108 @@ def _snapshot_scan(table: _Table) -> Iterator[Tuple]:
         yield t
 
 
-def _empty_tables(schema: RelationalSchema) -> dict[str, _Table]:
-    """Empty tables over ``schema``'s compiled plans.  Every column
-    group an inclusion dependency touches is indexed: right-hand sides
-    for existence checks, left-hand sides for restrict checks on
-    delete/update and for find_referencing."""
-    plans = compile_schema(schema)
-    tables = {s.name: _Table(s, plans[s.name]) for s in schema.schemes}
+def _indexed_groups(schema: RelationalSchema) -> dict[str, list[tuple[str, ...]]]:
+    """The column groups each scheme indexes: both sides of every
+    inclusion dependency -- right-hand sides for existence checks,
+    left-hand sides for restrict checks on delete/update and for
+    find_referencing."""
+    groups: dict[str, list[tuple[str, ...]]] = {}
     for ind in schema.inds:
-        tables[ind.rhs_scheme].add_group_index(tuple(ind.rhs_attrs))
-        tables[ind.lhs_scheme].add_group_index(tuple(ind.lhs_attrs))
+        groups.setdefault(ind.rhs_scheme, []).append(tuple(ind.rhs_attrs))
+        groups.setdefault(ind.lhs_scheme, []).append(tuple(ind.lhs_attrs))
+    return groups
+
+
+def _empty_tables(schema: RelationalSchema) -> dict[str, _Table]:
+    """Empty tables over ``schema``'s compiled plans, each indexing its
+    :func:`_indexed_groups`."""
+    plans = compile_schema(schema)
+    groups = _indexed_groups(schema)
+    tables = {}
+    for s in schema.schemes:
+        table = tables[s.name] = _Table(s, plans[s.name])
+        table.keep_group_indexes(groups.get(s.name, ()))
     return tables
+
+
+class _Pending(list):
+    """Rows of one scheme not yet stored, read by the consistency
+    checker like a relation (``attribute_names``, ``tuples``)."""
+
+    def __init__(self, attribute_names: tuple[str, ...], rows):
+        super().__init__(map(adopt_row, rows))
+        self.attribute_names = attribute_names
+
+    @property
+    def tuples(self) -> frozenset[Tuple]:
+        """The rows as a set (only a failed null check reads it)."""
+        return frozenset(self)
+
+
+def _merged_rows(
+    tables: Mapping[str, _Table], info, names: tuple[str, ...]
+) -> list[dict[str, Any]]:
+    """The merged relation of ``info`` (a ``MergedSchemeInfo``) as row
+    dicts over ``names``: Definition 4.1's eta, then each ``Remove``
+    step's projection, read off the member tables.
+
+    Eta outer-equi-joins the key-relation with every other member on
+    ``Km = Ki``.  Every member table is keyed by its primary key, so
+    each merged row is one walk step over the key-relation's table (a
+    synthesized key-relation is the union of the member keys) plus one
+    primary-key lookup per member; a member without a row contributes
+    nulls.  Only the attributes ``Remove`` left in place are read.  A
+    member row no key-relation row matches -- which no consistent state
+    has -- joins nothing and stands alone, padded with nulls, as in the
+    outer join; equal rows then collapse as in a relation.
+    """
+    family = info.family
+    if info.synthesized:
+        keys: dict[tuple[Any, ...], None] = {}
+        for member in family:
+            keys.update(dict.fromkeys(tables[member].rows))
+        heads = zip(keys, keys)
+        joined = family
+    else:
+        key_table = tables[info.key_relation]
+        keys = key_table.rows
+        head = attr_extractor(info.family_attrs[info.key_relation])
+        heads = ((pk, head(backing(t))) for pk, t in keys.items())
+        joined = [m for m in family if m != info.key_relation]
+    parts = []
+    for member in joined:
+        attrs = info.family_attrs[member]
+        parts.append(
+            (tables[member].rows, attr_extractor(attrs), (NULL,) * len(attrs))
+        )
+    rows = []
+    append = rows.append
+    for pk, values in heads:
+        total = NULL not in pk
+        for member_rows, extract, pad in parts:
+            t = member_rows.get(pk) if total else None
+            values += pad if t is None else extract(backing(t))
+        append(dict(zip(names, values)))
+    orphans = []
+    end = len(names) - sum(len(pad) for _rows, _extract, pad in parts)
+    for member_rows, extract, pad in parts:
+        start, end = end, end + len(pad)
+        if member_rows.keys() <= keys.keys() and NULL not in chain.from_iterable(
+            member_rows
+        ):
+            continue  # every member row joined a key-relation row
+        before, after = (NULL,) * start, (NULL,) * (len(names) - end)
+        for pk, t in member_rows.items():
+            if NULL in pk or pk not in keys:
+                orphans.append(
+                    dict(zip(names, before + extract(backing(t)) + after))
+                )
+    if not orphans:
+        return rows
+    distinct: dict[frozenset, dict[str, Any]] = {}
+    for row in rows + orphans:
+        distinct.setdefault(frozenset(row.items()), row)
+    return list(distinct.values())
 
 
 def _rows_of(state: DatabaseState) -> dict[str, list[dict[str, Any]]]:
@@ -1251,21 +1367,91 @@ class Database:
         self.schema = schema
         self._schema_evolved = True
 
-    def _transform_merge(self, members, key_relation, merged_name):
-        """Compute the merged-and-simplified schema plus the current
-        state pushed through the composed forward mapping (Definition
-        4.1 eta, then each ``Remove`` step's mu)."""
+    def _merge(
+        self,
+        members: Sequence[str],
+        key_relation: str | None,
+        merged_name: str | None,
+        verify: bool,
+        log: Callable[[], None] | None = None,
+    ):
+        """``Merge`` (Definition 4.1), then ``Remove`` to a fixpoint,
+        applied to what they change: the member tables.
+
+        Eta reads the member tables through their primary-key indexes
+        (:func:`_merged_rows`).  With ``verify``, only the constraints
+        of the new schema that name the merged scheme are checked --
+        its key dependencies, its null constraints and the rewritten
+        inclusion dependencies, whose other side is read from the live
+        table's index.  Every other constraint held before the merge
+        and reads tables it leaves alone.  The merged table is built off
+        to the side; ``log`` runs once it stands, and only then is it
+        swapped in: the member tables go, and every other table keeps
+        its rows and indexes under a recompiled plan.
+        """
         from repro.core.merge import merge
         from repro.core.remove import remove_all
 
-        result = merge(
-            self.schema,
-            members,
-            merged_name=merged_name,
-            key_relation=key_relation,
+        simplified = remove_all(
+            merge(
+                self.schema,
+                members,
+                merged_name=merged_name,
+                key_relation=key_relation,
+            )
         )
-        simplified = remove_all(result)
-        return simplified, simplified.forward.apply(self.state())
+        schema, info = simplified.schema, simplified.info
+        name = info.merged_name
+        scheme = schema.scheme(name)
+        plans = compile_schema(schema)
+        groups = _indexed_groups(schema)
+        table = _Table(scheme, plans[name])
+        table.keep_group_indexes(groups.get(name, ()))
+        # The collector is held off while the merged rows are built,
+        # as on the bulk path: a full collection would walk the whole
+        # database heap, the part the merge leaves alone.
+        with _gc_paused():
+            rows = _merged_rows(self._tables, info, scheme.attribute_names)
+            if verify:
+                self._verify_merged(schema, name, rows)
+            # Installed before the merge is logged: a row the install
+            # refuses must not leave a logged merge that cannot replay.
+            install_rows(self, {name: table}, {name: rows})
+        if log is not None:
+            log()
+        tables = {}
+        for s in schema.schemes:
+            if s.name == name:
+                tables[name] = table
+                continue
+            kept = tables[s.name] = self._tables[s.name]
+            kept.plan = plans[s.name]
+            kept.keep_group_indexes(groups.get(s.name, ()))
+        self._swap_schema(schema, tables)
+        return simplified
+
+    def _verify_merged(
+        self,
+        schema: RelationalSchema,
+        name: str,
+        rows: list[dict[str, Any]],
+    ) -> None:
+        """Check the constraints of ``schema`` that name the merged
+        scheme ``name`` against its not-yet-stored ``rows``; raise the
+        ``online-merge`` violation when any fails.  The member tables
+        are still in place, but no constraint of ``schema`` names them."""
+        from repro.constraints.checker import ConsistencyChecker
+
+        pending = _Pending(schema.scheme(name).attribute_names, rows)
+        relations = {**self._tables, name: pending}
+        checker = ConsistencyChecker(schema, tracer=self.tracer)
+        violations = list(checker.iter_violations(relations, name))
+        if violations:
+            raise ConstraintViolationError(
+                "online-merge",
+                "merged state fails re-verification: "
+                + "; ".join(str(v) for v in violations[:5]),
+            )
 
     def apply_merge_online(
         self,
@@ -1276,22 +1462,22 @@ class Database:
         """Merge a scheme family on the live engine, atomically.
 
         The paper's ``Merge`` (Definition 4.1) followed by ``Remove`` to
-        a fixpoint, executed against the running database: transform the
-        current state through the composed eta mapping, re-verify the
-        result satisfies the merged schema (Definition 2.1), then write
-        one ``merge`` record inside its own WAL ``begin``/``commit``
-        bracket and only after the commit marker is down swap the
-        in-memory schema, plans, tables and indexes in place.  Crash
-        recovery therefore lands on the fully-merged schema (marker
-        durable) or the fully-unmerged one (marker absent) -- never a
-        torn hybrid.  See ``docs/ADVISOR.md``.
+        a fixpoint, executed against the running database: build the
+        merged table from the member tables through the composed eta
+        mapping, check it against the constraints that name it
+        (Definition 2.1), then write one ``merge`` record inside its own
+        WAL ``begin``/``commit`` bracket and only after the commit
+        marker is down swap the merged table in for the members.
+        Crash recovery therefore lands on the fully-merged schema
+        (marker durable) or the fully-unmerged one (marker absent) --
+        never a torn hybrid.  See ``docs/ADVISOR.md``.
 
         Returns the :class:`~repro.core.remove.SimplifyResult` so the
         caller keeps the merged-scheme info and both state mappings.
         Raises :class:`~repro.core.merge.MergeError` when the family is
         not mergeable, :class:`ConstraintViolationError` when the
-        transformed state fails re-verification, and refuses inside a
-        transaction or while a checkpoint could not run.
+        merged table fails re-verification, and refuses inside a
+        transaction.
         """
         if self.in_transaction:
             raise ConstraintViolationError(
@@ -1299,24 +1485,8 @@ class Database:
             )
         timed = self._timed
         start = perf_counter() if timed else 0.0
-        simplified, new_state = self._transform_merge(
-            members, key_relation, merged_name
-        )
-        from repro.constraints.checker import ConsistencyChecker
 
-        checker = ConsistencyChecker(simplified.schema, tracer=self.tracer)
-        violations = checker.violations(new_state)
-        if violations:
-            raise ConstraintViolationError(
-                "online-merge",
-                "merged state fails re-verification: "
-                + "; ".join(str(v) for v in violations[:5]),
-            )
-        # Installed before the merge is logged: a row the install
-        # refuses must not leave a logged merge that cannot replay.
-        tables = _empty_tables(simplified.schema)
-        install_rows(self, tables, _rows_of(new_state))
-        if self.wal is not None:
+        def log() -> None:
             self.wal.begin()
             try:
                 self.wal.append(
@@ -1329,7 +1499,14 @@ class Database:
                 except Exception:
                     pass  # the log is already poisoned; surface the cause
                 raise
-        self._swap_schema(simplified.schema, tables)
+
+        simplified = self._merge(
+            members,
+            key_relation,
+            merged_name,
+            verify=True,
+            log=log if self.wal is not None else None,
+        )
         if timed:
             elapsed = perf_counter() - start
             if self.record_latencies:
@@ -1362,16 +1539,13 @@ class Database:
         """Replay one logged ``merge`` record (recovery/replication).
 
         Recomputes the deterministic ``Merge`` + ``Remove`` pipeline
-        from the current schema and swaps in place, without re-logging
-        and without re-verifying (recovery re-checks the final state
-        wholesale; a replica trusts its primary's verification exactly
-        as :meth:`redo_insert` does).
+        from the current schema and swaps in place through the same
+        member-scoped path as :meth:`apply_merge_online`, without
+        re-logging and without re-verifying (recovery re-checks the
+        final state wholesale; a replica trusts its primary's
+        verification exactly as :meth:`redo_insert` does).
         """
-        simplified, new_state = self._transform_merge(
-            members, key_relation, merged_name
-        )
-        self._adopt_schema(simplified.schema, _rows_of(new_state))
-        return simplified
+        return self._merge(members, key_relation, merged_name, verify=False)
 
     # -- durability ------------------------------------------------------------
 

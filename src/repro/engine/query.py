@@ -16,11 +16,13 @@ the residual cases scan (``tuples_scanned``).
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.core.merge import MergedSchemeInfo
 from repro.engine.database import Database
 from repro.relational.tuples import NULL, Tuple, is_null
+
+if TYPE_CHECKING:  # the merge machinery loads on the first merge
+    from repro.core.merge import MergedSchemeInfo
 
 
 class QueryEngine:

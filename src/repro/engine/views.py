@@ -17,11 +17,13 @@ object is absent).
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.core.merge import MergedSchemeInfo
 from repro.engine.database import Database
 from repro.relational.tuples import Tuple
+
+if TYPE_CHECKING:  # the merge machinery loads on the first merge
+    from repro.core.merge import MergedSchemeInfo
 
 
 class MergedViewResolver:

@@ -19,7 +19,6 @@ from repro.io.relational_json import (
     relational_schema_from_dict,
     relational_schema_to_dict,
 )
-from repro.io.eer_json import eer_schema_from_dict, eer_schema_to_dict
 from repro.io.state_json import (
     decode_value,
     encode_value,
@@ -37,3 +36,13 @@ __all__ = [
     "encode_value",
     "decode_value",
 ]
+
+
+def __getattr__(name: str):
+    """The EER codec loads the EER model, which schema and state I/O
+    never needs: import it on first use."""
+    if name in ("eer_schema_from_dict", "eer_schema_to_dict"):
+        from repro.io import eer_json
+
+        return getattr(eer_json, name)
+    raise AttributeError(f"module 'repro.io' has no attribute {name!r}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import filterfalse
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationalSchema
@@ -158,13 +158,20 @@ class Columns:
             )
         return column
 
-    def total(self, scheme_name: str, names: Sequence[str]) -> set[tuple]:
+    def total(self, scheme_name: str, names: Sequence[str]) -> AbstractSet[tuple]:
         """The distinct values on ``names`` that contain no ``NULL`` --
-        the value-level counterpart of ``total_project``."""
+        the value-level counterpart of ``total_project``.  A relation
+        with a ``total_values(names)`` method (the engine's stored
+        table) answers from an index when it has one, as that index's
+        key view; otherwise the column is read."""
         key = (scheme_name, tuple(names))
         total = self._totals.get(key)
         if total is None:
-            total = self._totals[key] = set(
-                filterfalse(has_null, self.values(scheme_name, key[1]))
-            )
+            indexed = getattr(self.relations[scheme_name], "total_values", None)
+            total = indexed(key[1]) if indexed is not None else None
+            if total is None:
+                total = set(
+                    filterfalse(has_null, self.values(scheme_name, key[1]))
+                )
+            self._totals[key] = total
         return total

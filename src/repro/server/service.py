@@ -40,6 +40,7 @@ log cannot prove committed.
 from __future__ import annotations
 
 import asyncio
+import os
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -1402,15 +1403,19 @@ class DatabaseService:
         return out
 
     def wal_size_bytes(self) -> int:
-        """On-disk WAL size for the process gauge (0 when the WAL is
-        memory-backed, detached, or unreadable)."""
+        """WAL size for the process gauge (0 when the WAL is detached
+        or unreadable).  A drained server has closed its log, which then
+        refuses reads; its file still holds the final length."""
         wal = self.db.wal
         if wal is None:
             return 0
         try:
             return int(wal.storage.size())
         except Exception:
-            return 0
+            try:
+                return os.path.getsize(wal.storage.path)
+            except (AttributeError, OSError):
+                return 0
 
     def _source_row(self, frame: Mapping[str, Any]):
         scheme = _require(frame, "scheme", str)

@@ -121,3 +121,16 @@ def test_rejected_connection_read_through_stats_and_drain_summary():
     assert summary["rejected_connections"] == 1
     assert isinstance(summary["rejected_connections"], int)
     assert summary["sessions"] == 1
+
+
+def test_drain_summary_reports_the_closed_file_wal_size(tmp_path):
+    """The drain closes the log before the summary reads the WAL-size
+    gauge; a file WAL still has its final length on disk."""
+    path = tmp_path / "served.wal"
+    st = ServerThread(Database(university_relational(), wal_path=str(path)))
+    with st, Client(port=st.port, timeout=30) as c:
+        c.insert("COURSE", {"C.NR": "c1"})
+        c.insert("COURSE", {"C.NR": "c2"})
+    summary = drain_summary(st.server)
+    size = _counter(summary, "repro_server_wal_size_bytes")
+    assert size == path.stat().st_size > 0

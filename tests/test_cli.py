@@ -464,3 +464,43 @@ def test_promote_unreachable_server_errors(capsys):
     with pytest.raises(SystemExit):
         main(["promote", f"127.0.0.1:{port}"])
     assert "cannot reach" in capsys.readouterr().err
+
+
+def test_cli_import_defers_the_commands_modules():
+    """Every ``python -m repro`` start imports the CLI: that loads no
+    EER, DDL, backend, advisor or normalization code, and the package's
+    public names still resolve (on first use)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import json, sys\n"
+        "import repro.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro'))\n"
+        "from repro import Database, merge\n"
+        "from repro.core.planner import MergeStrategy\n"
+        "print(json.dumps({'loaded': loaded, 'merge': merge.__module__,\n"
+        "    'database': Database.__module__,\n"
+        "    'strategies': [s.value for s in MergeStrategy]}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    result = json.loads(out)
+    deferred = ("repro.eer", "repro.ddl.generate", "repro.backend",
+                "repro.advisor", "repro.normalization")
+    assert not [m for m in result["loaded"] if m.startswith(deferred)]
+    assert result["merge"] == "repro.core.merge"
+    assert result["database"] == "repro.engine.database"
+    from repro.cli import STRATEGIES
+
+    assert list(STRATEGIES) == result["strategies"]
