@@ -9,10 +9,14 @@ and recovers it ``--repeats`` times in one child process per workload,
 each time from a fresh copy of the log.  The split is read from the
 recovery's own timers -- ``RecoveryReport.replay_s`` (parse, snapshot
 load, replay) and ``verify_s`` (the ``F ∪ I ∪ N`` re-check) -- not
-timed again here.  Peak RSS is the child's high-water mark (``VmHWM``;
-``ru_maxrss`` where there is no ``/proc``, which on Linux also counts
-the forking parent): interpreter, imports and every recovery, which is
-what a starting server holds too::
+timed again here.  After each recovery the child times one
+``Database.checkpoint()`` of the recovered state (``checkpoint_s``: the
+snapshot image built from the tables, encoded and written over the
+copy -- what ``serve`` does on every graceful drain).  Peak RSS is the
+child's high-water mark (``VmHWM``; ``ru_maxrss`` where there is no
+``/proc``, which on Linux also counts the forking parent): interpreter,
+imports and every recovery and checkpoint, which is what a starting
+and draining server holds too::
 
     python benchmarks/bench_cold_start.py --seed 1 --repeats 5
 """
@@ -28,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -47,23 +52,32 @@ def write_preload(workload: str, seed: int, path: str) -> int:
 
 
 def recover_repeatedly(wal: str, repeats: int) -> dict:
-    """Recover copies of ``wal`` in this process; the timers of each
-    recovery and the process's peak RSS."""
+    """Recover copies of ``wal`` in this process and checkpoint each
+    recovered database once; the timers of each recovery, each
+    checkpoint's time, and the process's peak RSS."""
     from repro.engine.recovery import recover_database
     from repro.workloads.university import university_relational
 
     schema = university_relational()
-    replay, verify = [], []
+    replay, verify, checkpoint = [], [], []
     for i in range(repeats):
         copy = f"{wal}.{i}"
         shutil.copyfile(wal, copy)
         result = recover_database(schema, copy)
+        start = perf_counter()
+        result.database.checkpoint()
+        checkpoint.append(perf_counter() - start)
         result.database.wal.close()
         replay.append(result.report.replay_s)
         verify.append(result.report.verify_s)
         del result
         os.remove(copy)
-    return {"replay_s": replay, "verify_s": verify, "peak_rss_mb": _peak_mb()}
+    return {
+        "replay_s": replay,
+        "verify_s": verify,
+        "checkpoint_s": checkpoint,
+        "peak_rss_mb": _peak_mb(),
+    }
 
 
 def _peak_mb() -> float:
@@ -100,11 +114,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     print(
-        f"in-process recovery, seed {args.seed}, {args.repeats} repeat(s), "
+        f"in-process recovery and checkpoint, seed {args.seed}, "
+        f"{args.repeats} repeat(s), "
         f"{os.cpu_count()} CPU(s), Python {sys.version.split()[0]}"
     )
-    print("| workload | rows | replay_s | verify_s | peak RSS MiB |")
-    print("|---|---:|---:|---:|---:|")
+    print(
+        "| workload | rows | replay_s | verify_s | checkpoint_s "
+        "| peak RSS MiB |"
+    )
+    print("|---|---:|---:|---:|---:|---:|")
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
             wal = os.path.join(tmp, f"{workload}.wal")
@@ -117,7 +135,8 @@ def main(argv: list[str] | None = None) -> int:
             r = json.loads(out.strip().splitlines()[-1])
             print(
                 f"| {workload} | {rows} | {_median_iqr(r['replay_s'])} | "
-                f"{_median_iqr(r['verify_s'])} | {r['peak_rss_mb']:.1f} |"
+                f"{_median_iqr(r['verify_s'])} | "
+                f"{_median_iqr(r['checkpoint_s'])} | {r['peak_rss_mb']:.1f} |"
             )
     return 0
 

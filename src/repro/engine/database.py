@@ -61,7 +61,7 @@ from repro.engine.wal import (
     op_runs,
     update_record,
 )
-from repro.io.state_json import decode_relations, decode_value, state_to_dict
+from repro.io.state_json import decode_relations, decode_value
 from repro.obs.rules import classify_null_constraint, paper_rule
 from repro.obs.trace import TraceEvent, Tracer
 from repro.relational.relation import Relation
@@ -355,7 +355,6 @@ class Database:
         stats: EngineStats | None = None,
         null_semantics: str = "distinct",
         tracer: Tracer | None = None,
-        record_latencies: bool = False,
         wal: WriteAheadLog | None = None,
         wal_path: str | None = None,
         slotted: bool = True,
@@ -369,9 +368,7 @@ class Database:
         self.stats = stats if stats is not None else EngineStats()
         #: Trace sink for enforcement decisions (None = tracing off).
         self.tracer = tracer
-        #: Whether mutations time themselves into ``stats.latencies``.
-        self.record_latencies = record_latencies
-        self._timed = tracer is not None or record_latencies
+        self._timed = tracer is not None
         #: Whether eligible bulk mutations may take the columnar
         #: slotted-row path (:mod:`repro.engine.rows`).  ``False``
         #: forces the row-at-a-time path everywhere -- the benchmark's
@@ -392,9 +389,10 @@ class Database:
         #: The :class:`~repro.engine.recovery.RecoveryReport` of the
         #: recovery that built this engine (``None`` for a fresh one).
         self.recovery_report = None
-        #: Whether an online merge has moved this engine off the schema
-        #: it was constructed with; checkpoints then embed the current
-        #: schema in the snapshot record.
+        #: Whether an online merge (or an installed image that carried
+        #: a schema) has moved this engine off the schema it was
+        #: constructed with; :meth:`snapshot_image` then embeds the
+        #: current schema.
         self._schema_evolved = False
 
     # -- access ----------------------------------------------------------
@@ -416,12 +414,7 @@ class Database:
     def set_tracer(self, tracer: Tracer | None) -> None:
         """Attach (or with ``None`` detach) a trace sink."""
         self.tracer = tracer
-        self._timed = tracer is not None or self.record_latencies
-
-    def set_record_latencies(self, enabled: bool) -> None:
-        """Toggle per-mutation latency recording into ``stats.latencies``."""
-        self.record_latencies = enabled
-        self._timed = self.tracer is not None or enabled
+        self._timed = tracer is not None
 
     def explain(self, op: str, scheme_name: str) -> dict:
         """The ordered checks ``op`` ("insert"/"update"/"delete") runs on
@@ -440,21 +433,17 @@ class Database:
     def _observe_ok(
         self, op: str, scheme: str | None, start: float, rows: int = 1
     ) -> None:
-        """Record one accepted mutation (latency and/or trace event)."""
-        elapsed = perf_counter() - start
-        if self.record_latencies:
-            self.stats.observe(op, elapsed)
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEvent(
-                    event="mutation",
-                    op=op,
-                    scheme=scheme,
-                    outcome="ok",
-                    rows=rows,
-                    elapsed_us=round(elapsed * 1e6, 3),
-                )
+        """Trace one accepted mutation with its elapsed time."""
+        self.tracer.emit(
+            TraceEvent(
+                event="mutation",
+                op=op,
+                scheme=scheme,
+                outcome="ok",
+                rows=rows,
+                elapsed_us=round((perf_counter() - start) * 1e6, 3),
             )
+        )
 
     def _observe_reject(
         self,
@@ -463,24 +452,20 @@ class Database:
         exc: ConstraintViolationError,
         start: float,
     ) -> None:
-        """Record one rejected mutation with its constraint provenance."""
-        elapsed = perf_counter() - start
-        if self.record_latencies:
-            self.stats.observe(op, elapsed)
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEvent(
-                    event="reject",
-                    op=op,
-                    scheme=scheme,
-                    constraint=exc.constraint,
-                    kind=exc.kind,
-                    rule=exc.rule,
-                    outcome="rejected",
-                    detail=exc.detail,
-                    elapsed_us=round(elapsed * 1e6, 3),
-                )
+        """Trace one rejected mutation with its constraint provenance."""
+        self.tracer.emit(
+            TraceEvent(
+                event="reject",
+                op=op,
+                scheme=scheme,
+                constraint=exc.constraint,
+                kind=exc.kind,
+                rule=exc.rule,
+                outcome="rejected",
+                detail=exc.detail,
+                elapsed_us=round((perf_counter() - start) * 1e6, 3),
             )
+        )
 
     def _wal_append(
         self, record: dict, op: str, scheme: str | None, rows: int = 1
@@ -1269,25 +1254,69 @@ class Database:
         checker, which is much cheaper than per-row checks with
         inter-row ordering concerns.
         """
-        self._bulk_load(
-            _rows_of(state), validate, lambda: state_to_dict(state)
-        )
+        self._bulk_load(_rows_of(state), validate, self._tables)
+
+    def snapshot_image(self) -> dict[str, Any]:
+        """The current contents as a snapshot image: ``{"state":
+        {"relations": ...}}``, plus the ``schema`` once an online merge
+        has moved this engine off the schema it was built with.  It is
+        the body of a checkpoint's ``snapshot`` record and of a
+        ``repl_snapshot`` frame; :meth:`load_image` installs it.
+
+        The rows are the tables' stored row mappings themselves, in
+        table order and with ``NULL`` as stored: the log's and the
+        wire's JSON encoders write ``NULL`` as the marker, so nothing
+        is copied, converted or sorted.  A stored mapping is replaced
+        on update, never changed in place, so an image taken now still
+        encodes this state after later mutations."""
+        image: dict[str, Any] = {
+            "state": {
+                "relations": {
+                    name: list(map(backing, table.rows.values()))
+                    for name, table in self._tables.items()
+                }
+            }
+        }
+        if self._schema_evolved:
+            from repro.io.relational_json import relational_schema_to_dict
+
+            image["schema"] = relational_schema_to_dict(self.schema)
+        return image
 
     def load_image(self, image: Mapping[str, Any]) -> None:
-        """Bulk-load a state in its JSON form -- the ``state`` of a
-        snapshot or ``load_state`` log record -- straight into the
-        tables: markers are decoded with one probe per relation and the
-        parsed row dicts become the stored rows, without a
-        :class:`DatabaseState` in between.  As ``load_state(...,
-        validate=False)`` otherwise (the image was consistent when it
-        was written); a logged copy is the image itself."""
-        self._bulk_load(
-            decode_relations(image, self.schema), False, lambda: image
-        )
+        """Install a snapshot image -- a :meth:`snapshot_image`, a
+        ``snapshot``/``load_state`` log record or a ``repl_snapshot``
+        frame -- in place of the current contents.
 
-    def _bulk_load(self, relations, validate: bool, encoded) -> None:
-        """The shared core of :meth:`load_state` and :meth:`load_image`;
-        ``encoded()`` is the state's JSON form, for the log record."""
+        An embedded ``schema`` is adopted first: the image's rows are
+        decoded against it and installed into fresh tables on it, which
+        then replace the old ones while the stats, the log, the tracer
+        and every other attachment stay.  The rows go straight into the
+        tables, as by ``load_state(..., validate=False)`` (the image
+        was consistent when it was taken): markers are decoded with one
+        probe per relation, and parsed row dicts become the stored
+        rows.  Refused rows leave the engine untouched."""
+        schema_dict = image.get("schema")
+        schema, tables = self.schema, self._tables
+        if schema_dict is not None:
+            from repro.io.relational_json import relational_schema_from_dict
+
+            schema = relational_schema_from_dict(schema_dict)
+            tables = _empty_tables(schema)
+        self._bulk_load(
+            decode_relations(image["state"], schema), False, tables,
+            schema_dict,
+        )
+        if schema_dict is not None:
+            self._swap_schema(schema, tables)
+
+    def _bulk_load(
+        self, relations, validate: bool, tables, schema_dict=None
+    ) -> None:
+        """The shared core of :meth:`load_state` and :meth:`load_image`:
+        install ``relations`` (row dicts per scheme) into ``tables``.
+        The log record is a ``load_state`` of those rows, carrying
+        ``schema_dict`` (the schema of ``tables``) when given."""
         if self.in_transaction:
             raise ConstraintViolationError(
                 "bulk-load", "cannot bulk-load inside a transaction"
@@ -1300,13 +1329,14 @@ class Database:
             # before any table changes: a failed append leaves both the
             # log and the tables untouched, a validate failure leaves
             # both holding the loaded state -- they never disagree.
-            self._wal_append(
-                {"op": "load_state", "state": encoded()}, "load_state", None
-            )
+            record = {"op": "load_state", "state": {"relations": relations}}
+            if schema_dict is not None:
+                record["schema"] = schema_dict
+            self._wal_append(record, "load_state", None)
 
         try:
             total = install_rows(
-                self, self._tables, relations,
+                self, tables, relations,
                 log if self.wal is not None else None,
             )
         except ConstraintViolationError as exc:
@@ -1340,24 +1370,6 @@ class Database:
             return checker.violations(self._tables)
 
     # -- online schema evolution ---------------------------------------------
-
-    def _adopt_schema(
-        self, schema: RelationalSchema, relations: Mapping[str, list]
-    ) -> None:
-        """Swap this engine onto ``schema`` holding ``relations`` (row
-        dicts per scheme, adopted as by
-        :func:`~repro.engine.rows.install_rows`), in place.
-
-        Rebuilds the compiled plans, tables and reference indexes the
-        way ``__init__`` would, while preserving the stats object, the
-        write-ahead log, the tracer and every other attachment -- the
-        handles long-lived callers (server sessions, query engines)
-        already hold stay valid.  Rows the install refuses leave the
-        engine on its old schema, untouched.
-        """
-        tables = _empty_tables(schema)
-        install_rows(self, tables, relations)
-        self._swap_schema(schema, tables)
 
     def _swap_schema(
         self, schema: RelationalSchema, tables: dict[str, _Table]
@@ -1508,26 +1520,22 @@ class Database:
             log=log if self.wal is not None else None,
         )
         if timed:
-            elapsed = perf_counter() - start
-            if self.record_latencies:
-                self.stats.observe("apply_merge", elapsed)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    TraceEvent(
-                        event="merge-applied-online",
-                        op="apply_merge",
-                        scheme=simplified.info.merged_name,
-                        kind="merge-admission",
-                        rule="Definition 4.1 (Merge) + Definition 4.3 (Remove)",
-                        outcome="ok",
-                        rows=sum(len(t) for t in self._tables.values()),
-                        detail=(
-                            f"members={','.join(members)} "
-                            f"key_relation={simplified.info.key_relation}"
-                        ),
-                        elapsed_us=round(elapsed * 1e6, 3),
-                    )
+            self.tracer.emit(
+                TraceEvent(
+                    event="merge-applied-online",
+                    op="apply_merge",
+                    scheme=simplified.info.merged_name,
+                    kind="merge-admission",
+                    rule="Definition 4.1 (Merge) + Definition 4.3 (Remove)",
+                    outcome="ok",
+                    rows=sum(len(t) for t in self._tables.values()),
+                    detail=(
+                        f"members={','.join(members)} "
+                        f"key_relation={simplified.info.key_relation}"
+                    ),
+                    elapsed_us=round((perf_counter() - start) * 1e6, 3),
                 )
+            )
         return simplified
 
     def redo_merge(
@@ -1560,31 +1568,21 @@ class Database:
             raise WalError("cannot checkpoint inside a transaction")
         timed = self._timed
         start = perf_counter() if timed else 0.0
-        schema_dict = None
-        if self._schema_evolved:
-            from repro.io.relational_json import relational_schema_to_dict
-
-            schema_dict = relational_schema_to_dict(self.schema)
-        lsn = self.wal.write_snapshot(
-            state_to_dict(self.state()), schema_dict
-        )
+        image = self.snapshot_image()
+        lsn = self.wal.write_snapshot(image["state"], image.get("schema"))
         self.stats.checkpoints += 1
         if timed:
-            elapsed = perf_counter() - start
-            if self.record_latencies:
-                self.stats.observe("checkpoint", elapsed)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    TraceEvent(
-                        event="checkpoint",
-                        op="checkpoint",
-                        kind="wal-checkpoint",
-                        rule=paper_rule("wal-checkpoint"),
-                        outcome="ok",
-                        rows=sum(len(t) for t in self._tables.values()),
-                        elapsed_us=round(elapsed * 1e6, 3),
-                    )
+            self.tracer.emit(
+                TraceEvent(
+                    event="checkpoint",
+                    op="checkpoint",
+                    kind="wal-checkpoint",
+                    rule=paper_rule("wal-checkpoint"),
+                    outcome="ok",
+                    rows=sum(len(t) for t in self._tables.values()),
+                    elapsed_us=round((perf_counter() - start) * 1e6, 3),
                 )
+            )
         return lsn
 
     def sync_wal(self) -> int:
@@ -1624,7 +1622,6 @@ class Database:
         null_semantics: str = "distinct",
         stats: EngineStats | None = None,
         tracer: Tracer | None = None,
-        record_latencies: bool = False,
         verify: bool = True,
     ) -> "Database":
         """Rebuild the committed state from a write-ahead log.
@@ -1646,7 +1643,6 @@ class Database:
             null_semantics=null_semantics,
             stats=stats,
             tracer=tracer,
-            record_latencies=record_latencies,
             verify=verify,
         ).database
 

@@ -11,11 +11,13 @@ validated mutations are ever logged, see :mod:`repro.engine.wal`):
    byte from there on is discarded, so a partial mutation is never
    applied.
 2. **Load** the snapshot (``snapshot``/``load_state`` records) straight
-   into the tables through ``Database.load_image`` -- the bulk insert
-   path's columnar install, without per-record validation, since the
-   image was consistent when written.  Two different rows on one
-   primary key cannot both be stored, so such an image is refused
-   with the key dependency's violation instead of losing one.
+   into the tables through ``Database.load_image`` -- the one installer
+   of snapshot images: it adopts an embedded schema first, then takes
+   the bulk insert path's columnar install, without per-record
+   validation, since the image was consistent when written.  Two
+   different rows on one primary key cannot both be stored, so such an
+   image is refused with the key dependency's violation instead of
+   losing one.
 3. **Replay** the committed records in log order.  Bare mutation
    records (written outside a transaction) re-apply directly, and a
    bare ``batch`` record (one whole ``insert_many``/``apply_batch``)
@@ -217,7 +219,6 @@ def recover_database(
     null_semantics: str = "distinct",
     stats: EngineStats | None = None,
     tracer: Tracer | None = None,
-    record_latencies: bool = False,
     verify: bool = True,
 ) -> RecoveryResult:
     """Replay the log at ``wal_path`` (or over ``storage``) into a fresh
@@ -252,11 +253,7 @@ def recover_database(
     report.records_read = len(parsed.records)
 
     db = Database(
-        schema,
-        stats=stats,
-        null_semantics=null_semantics,
-        tracer=tracer,
-        record_latencies=record_latencies,
+        schema, stats=stats, null_semantics=null_semantics, tracer=tracer
     )
 
     # 2 + 3. Replay in log order, buffering transaction groups until
@@ -329,24 +326,17 @@ def recover_database(
 def _load_image(db, record: dict, report: RecoveryReport) -> None:
     """Seed the state from a ``snapshot``/``load_state`` record.
 
-    A snapshot written after an online schema merge embeds the evolved
-    schema (:meth:`~repro.engine.wal.WriteAheadLog.write_snapshot`); the
-    database is swapped onto it before its state image is interpreted,
-    so a post-merge checkpoint recovers against the merged schema and
-    not the schema file the recovery was booted from.
+    The record is a snapshot image
+    (:meth:`~repro.engine.database.Database.load_image` installs it): an
+    image taken after an online schema merge embeds the evolved schema,
+    which is adopted before the rows are read, so a post-merge
+    checkpoint recovers against the merged schema and not the schema
+    file the recovery was booted from.
     """
     from repro.engine.database import ConstraintViolationError
-    from repro.io.state_json import decode_relations
 
-    schema_dict = record.get("schema")
     try:
-        if schema_dict is not None:
-            from repro.io.relational_json import relational_schema_from_dict
-
-            schema = relational_schema_from_dict(schema_dict)
-            db._adopt_schema(schema, decode_relations(record["state"], schema))
-        else:
-            db.load_image(record["state"])
+        db.load_image(record)
     except ConstraintViolationError as exc:
         # Two different rows on one primary key: the image itself
         # breaks a key dependency, which step 4 would report.

@@ -35,9 +35,8 @@ class EngineStats:
 
     ``latencies`` maps an operation name to a
     :class:`~repro.obs.histogram.LatencyHistogram`; it stays empty
-    unless something calls :meth:`observe` (the engine does when
-    constructed with ``record_latencies=True``, and the benchmark
-    harness does around every measured op).
+    unless something calls :meth:`observe` (the benchmark harness does
+    around every measured op).
 
     ``ind_joins`` and ``scheme_mutations`` are the merge advisor's
     workload profile (see ``docs/ADVISOR.md``): navigations along one

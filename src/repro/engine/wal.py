@@ -30,8 +30,9 @@ Record kinds (the ``op`` field): ``header``, ``insert``, ``update``,
 ``delete``, ``batch`` (one whole ``insert_many``/``apply_batch``, see
 :func:`batch_record`), ``load_state``, ``merge``,
 ``begin``/``commit``/``abort``/``rollback`` (transaction markers) and
-``snapshot`` (the checkpoint image, in the
-:func:`repro.io.state_json.state_to_dict` format).  Every record
+``snapshot`` (the checkpoint image: the state in the
+:mod:`repro.io.state_json` format, plus the ``schema`` once an online
+merge evolved it; see ``Database.snapshot_image``).  Every record
 carries a monotonically increasing ``lsn``.  Version 2 logs add the
 ``batch`` kind; a version 1 log holds none and recovers unchanged.
 

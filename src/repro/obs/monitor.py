@@ -36,7 +36,7 @@ CLEAR = "\x1b[H\x1b[J"
 
 def _metric_samples(stats: Mapping[str, Any], name: str) -> list[dict]:
     """The samples of one registry family out of a ``stats`` result
-    (empty when the server runs with metrics disabled)."""
+    (empty when the result carries no such family)."""
     server = stats.get("server")
     if not isinstance(server, Mapping):
         return []

@@ -47,6 +47,12 @@ from repro.server.protocol import (
 from repro.obs.spans import Span, SpanSink
 from repro.server.service import DatabaseService, Session, ShardInfo
 
+#: Replica side: long-poll hold (seconds) of each ``repl_poll`` when the
+#: replica is caught up -- the idle heartbeat cadence.
+REPL_POLL_WAIT = 10.0
+#: Spans the sink's ring buffer holds for the ``spans`` verb.
+SPAN_CAPACITY = 2048
+
 
 @dataclass
 class ServerConfig:
@@ -65,9 +71,6 @@ class ServerConfig:
     #: group after its first mutation arrives.  0 = commit whatever is
     #: already queued, never wait.
     max_delay: float = 0.002
-    #: Bound on queued-but-uncommitted mutations (the backpressure
-    #: threshold).
-    queue_depth: int = 1024
     #: Compact the WAL into a snapshot as part of graceful drain.
     checkpoint_on_drain: bool = True
     #: Port for the sidecar HTTP endpoint serving ``/metrics``,
@@ -93,12 +96,6 @@ class ServerConfig:
     #: until the ``promote`` verb turns it into a primary.  See
     #: ``docs/REPLICATION.md``.
     replicate_from: str | None = None
-    #: Long-poll hold (seconds) of each ``repl_poll`` when the replica
-    #: is caught up -- the idle heartbeat cadence.
-    repl_poll_wait: float = 10.0
-    #: Primary side: how long a mutation ack may wait on synchronous
-    #: replica receipt before stalled replicas are detached.
-    repl_ack_timeout: float = 5.0
     #: JSONL file finished spans are exported to (``repro trace`` reads
     #: these); ``None`` disables span tracing entirely.  See
     #: :mod:`repro.obs.spans` and docs/OBSERVABILITY.md.
@@ -107,15 +104,10 @@ class ServerConfig:
     #: process; requests arriving with a span context follow the
     #: context's sampled flag instead.
     span_sample: float = 1.0
-    #: Spans the sink's ring buffer holds for the ``spans`` verb.
-    span_capacity: int = 2048
     #: Dump an ASCII waterfall to stderr for any request whose server
     #: span runs at least this many milliseconds (requires
     #: ``span_sink``; ``None`` disables the slow-request log).
     slow_ms: float | None = None
-    #: Process label stamped on exported spans (defaults to ``w<id>``
-    #: for fleet workers, ``replica`` for replicas, else ``server``).
-    span_process: str | None = None
 
 
 class ReproServer:
@@ -128,19 +120,18 @@ class ReproServer:
         #: here -- closed at the end of drain, after the final spans.
         self.span_sink: SpanSink | None = None
         if self.config.span_sink is not None:
-            process = self.config.span_process
-            if process is None:
-                if self.config.shard is not None:
-                    process = f"w{self.config.shard.worker_id}"
-                    if self.config.replicate_from:
-                        process += "-replica"
-                elif self.config.replicate_from:
-                    process = "replica"
-                else:
-                    process = "server"
+            # The process label stamped on exported spans.
+            if self.config.shard is not None:
+                process = f"w{self.config.shard.worker_id}"
+                if self.config.replicate_from:
+                    process += "-replica"
+            elif self.config.replicate_from:
+                process = "replica"
+            else:
+                process = "server"
             self.span_sink = SpanSink(
                 path=self.config.span_sink,
-                capacity=self.config.span_capacity,
+                capacity=SPAN_CAPACITY,
                 sample=self.config.span_sample,
                 process=process,
             )
@@ -148,12 +139,10 @@ class ReproServer:
             db,
             max_batch=self.config.max_batch,
             max_delay=self.config.max_delay,
-            queue_depth=self.config.queue_depth,
             shard=self.config.shard,
             prepare_timeout=self.config.prepare_timeout,
             role="replica" if self.config.replicate_from else "primary",
             primary=self.config.replicate_from,
-            repl_ack_timeout=self.config.repl_ack_timeout,
             span_sink=self.span_sink,
             slow_ms=self.config.slow_ms,
         )
@@ -428,7 +417,7 @@ class ReproServer:
                     flush=True,
                 )
                 backoff = 0.2
-                wait = self.config.repl_poll_wait
+                wait = REPL_POLL_WAIT
                 send("repl_poll", after=after, wait=wait, sync=True)
                 await writer.drain()
                 while not self._draining.is_set():

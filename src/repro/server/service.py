@@ -77,6 +77,15 @@ from repro.server.protocol import (
 )
 from repro.server.router import shard_of
 
+#: Bound on queued-but-uncommitted mutations (the backpressure
+#: threshold).
+QUEUE_DEPTH = 1024
+#: Primary side: how long (seconds) a mutation ack may wait on
+#: synchronous-replica receipt before the stalled replicas are
+#: detached.  Bounds the damage a frozen replica can do to primary
+#: availability.
+REPL_ACK_TIMEOUT = 5.0
+
 
 class WrongShardError(Exception):
     """A single-shard request landed on a worker that does not own its
@@ -370,12 +379,10 @@ class DatabaseService:
         db: Database,
         max_batch: int = 64,
         max_delay: float = 0.002,
-        queue_depth: int = 1024,
         shard: ShardInfo | None = None,
         prepare_timeout: float = 30.0,
         role: str = "primary",
         primary: str | None = None,
-        repl_ack_timeout: float = 5.0,
         span_sink: SpanSink | None = None,
         slow_ms: float | None = None,
     ):
@@ -422,7 +429,7 @@ class DatabaseService:
         #: arrivals into one barrier instead of many.  Read-heavy
         #: deployments should run with ``max_delay=0``.
         self.connections = 0
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
+        self._queue: asyncio.Queue = asyncio.Queue(maxsize=QUEUE_DEPTH)
         self._writer: asyncio.Task | None = None
         self._stopping = False
         #: Commit/abort decisions for a held prepare, routed around the
@@ -449,10 +456,6 @@ class DatabaseService:
         #: ``host:port`` of the primary this replica follows (display
         #: and error frames only -- the replica loop owns the socket).
         self.primary = primary
-        #: How long a mutation ack may wait on synchronous-replica
-        #: receipt before the stalled replicas are detached.  Bounds
-        #: the damage a frozen replica can do to primary availability.
-        self.repl_ack_timeout = repl_ack_timeout
         #: Primary side: session id -> highest lsn that synchronous
         #: replica has confirmed received.  Mutation acks gate on
         #: ``min(values) >= the batch's lsn``.
@@ -801,12 +804,12 @@ class DatabaseService:
         A replica confirms by issuing its *next* poll with an advanced
         ``after`` -- which it does before applying, so this wait costs
         one round trip, not a replica replay.  Replicas that stay
-        silent past :attr:`repl_ack_timeout` are detached (they
+        silent past :data:`REPL_ACK_TIMEOUT` are detached (they
         re-attach on their next poll): a stalled or dead replica slows
         acks by at most the timeout, never forever.
         """
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.repl_ack_timeout
+        deadline = loop.time() + REPL_ACK_TIMEOUT
         while self._replicas and not self._draining:
             if min(self._replicas.values()) >= lsn:
                 return
@@ -903,8 +906,6 @@ class DatabaseService:
         )
 
     def _handle_repl_snapshot(self, request_id: Any) -> dict[str, Any]:
-        from repro.io.state_json import state_to_dict
-
         if self._held_xid is not None:
             # The state holds an undecided prepare's rows; an image
             # taken now would leak uncommitted mutations to the replica.
@@ -916,20 +917,18 @@ class DatabaseService:
             )
         # No awaits between a mutation's apply and its barrier, so at
         # any scheduling point the live state is exactly the durable
-        # prefix: this image covers precisely lsn <= durable_lsn.
-        snapshot: dict[str, Any] = {
-            "state": state_to_dict(self.db.state()),
-            "lsn": self.db.wal.durable_lsn,
-            "role": self.role,
-        }
-        if self.db._schema_evolved:
-            # An online merge evolved the schema past the boot schema a
-            # bootstrapping replica holds: ship the evolved schema so
-            # the image decodes against the right relation-schemes.
-            from repro.io.relational_json import relational_schema_to_dict
-
-            snapshot["schema"] = relational_schema_to_dict(self.db.schema)
-        return ok_frame(request_id, snapshot)
+        # prefix: this image covers precisely lsn <= durable_lsn.  It
+        # holds the stored rows themselves (an evolved schema too), and
+        # mutations applied before the frame is written replace rows
+        # without changing the image's.
+        return ok_frame(
+            request_id,
+            {
+                **self.db.snapshot_image(),
+                "lsn": self.db.wal.durable_lsn,
+                "role": self.role,
+            },
+        )
 
     async def _handle_repl_poll(
         self, frame: Mapping[str, Any], request_id: Any, session: Session
@@ -1004,31 +1003,12 @@ class DatabaseService:
 
     def load_replica_snapshot(self, snapshot: Mapping[str, Any]) -> None:
         """Replica side: seed the local state (and local log) from a
-        primary's ``repl_snapshot`` image."""
-        from repro.io.state_json import decode_relations
-
-        schema_dict = snapshot.get("schema")
-        if schema_dict is not None:
-            # The primary merged online before this bootstrap: adopt its
-            # evolved schema first, then decode the image against it.
-            from repro.io.relational_json import relational_schema_from_dict
-
-            schema = relational_schema_from_dict(schema_dict)
-            self.db._adopt_schema(
-                schema, decode_relations(snapshot["state"], schema)
-            )
-            self._refresh_schema_caches()
-            # checkpoint() re-logs the image (schema included) into the
-            # replica's own WAL -- same independent recoverability as
-            # the load_state record the plain path writes.
-            self.db.checkpoint()
-            self.db.sync_wal()
-            self.applied_lsn = int(snapshot["lsn"])
-            self.primary_durable_lsn = max(
-                self.primary_durable_lsn, self.applied_lsn
-            )
-            return
-        self.db.load_image(snapshot["state"])
+        primary's ``repl_snapshot`` image.  The install adopts the
+        primary's evolved schema first when the image carries one, and
+        logs a ``load_state`` record of the rows (and that schema), so
+        the replica's own log recovers to the primary's state."""
+        self.db.load_image(snapshot)
+        self._refresh_schema_caches()
         self.db.sync_wal()
         self.applied_lsn = int(snapshot["lsn"])
         self.primary_durable_lsn = max(

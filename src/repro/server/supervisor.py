@@ -45,6 +45,20 @@ import threading
 from typing import Any, IO
 
 
+_say_lock = threading.Lock()
+
+
+def _say(line: str) -> None:
+    """Write one whole stdout line.  The main thread and every worker's
+    pump thread print; ``print`` writes a line and its newline in two
+    calls, so two threads' lines could splice into one (a worker line
+    swallowing ``fleet listening on``, which then never starts a line
+    for a reader to find)."""
+    with _say_lock:
+        sys.stdout.write(line + "\n")
+        sys.stdout.flush()
+
+
 def bind_socket(host: str, port: int, reuse_port: bool = True) -> socket.socket:
     """A bound (not yet listening) TCP socket the workers will accept
     from."""
@@ -129,10 +143,9 @@ class Supervisor:
                 raise RuntimeError(f"worker {i} failed to become ready")
         for sig in (signal.SIGTERM, signal.SIGINT):
             signal.signal(sig, self._on_signal)
-        print(
+        _say(
             f"fleet listening on {self.host}:{self.port} "
-            f"workers={self.n_workers}",
-            flush=True,
+            f"workers={self.n_workers}"
         )
 
     def run_forever(self) -> int:
@@ -143,7 +156,7 @@ class Supervisor:
         # (interpreter teardown would restore the default action).
         for sig in (signal.SIGTERM, signal.SIGINT):
             signal.signal(sig, signal.SIG_IGN)
-        print("fleet drained", flush=True)
+        _say("fleet drained")
         return 1 if any(self._exit_codes) else 0
 
     def _on_signal(self, *_: Any) -> None:
@@ -179,10 +192,9 @@ class Supervisor:
                 index = next(
                     (i for i, p in enumerate(self.procs) if p is proc), "?"
                 )
-                print(
+                _say(
                     f"worker {index} pid {proc.pid} drained "
-                    f"with code {code}",
-                    flush=True,
+                    f"with code {code}"
                 )
         for s in self.direct_sockets:
             s.close()
@@ -246,22 +258,20 @@ class Supervisor:
         stdout: IO[str] = proc.stdout  # type: ignore[assignment]
         for line in stdout:
             line = line.rstrip("\n")
-            print(f"[w{index}] {line}", flush=True)
+            _say(f"[w{index}] {line}")
             if line.startswith("listening on "):
                 suffix = " (respawned)" if respawned else ""
-                print(
+                _say(
                     f"worker {index} pid {proc.pid} "
-                    f"port {self.ports[index]}{suffix}",
-                    flush=True,
+                    f"port {self.ports[index]}{suffix}"
                 )
                 self._ready[index].set()
         proc.wait()
         if self._draining.is_set():
             return
-        print(
+        _say(
             f"worker {index} pid {proc.pid} exited "
-            f"with code {proc.returncode}; respawning",
-            flush=True,
+            f"with code {proc.returncode}; respawning"
         )
         with self._lock:
             self.respawns += 1

@@ -149,14 +149,14 @@ def images(draw):
 def test_image_install_matches_reference(drawn, null_semantics):
     schema, prior, image, clash = drawn
     loaded = Database(schema, null_semantics=null_semantics)
-    loaded.load_image(prior)  # every row and index entry is replaced
+    loaded.load_image({"state": prior})  # every row and index entry is replaced
     reference = Database(schema, null_semantics=null_semantics)
     state = state_from_dict(image, schema)
     want = ConsistencyChecker(schema).violations(state)
     if clash is not None:
         before = _contents(loaded)
         with pytest.raises(ConstraintViolationError) as refused:
-            loaded.load_image(image)
+            loaded.load_image({"state": image})
         assert refused.value.kind == clash
         if clash == "key-dependency":
             # The refusal names a violation the reference re-check
@@ -164,7 +164,7 @@ def test_image_install_matches_reference(drawn, null_semantics):
             assert refused.value.detail in {str(v) for v in want}
         assert _contents(loaded) == before
         return
-    loaded.load_image(image)
+    loaded.load_image({"state": image})
     reference_install(reference, state)
     assert _contents(loaded) == _contents(reference)
     # load_state takes the same install from a decoded state.
@@ -207,7 +207,7 @@ def test_malformed_image_fails_like_state_from_dict(case):
     with pytest.raises(StateDecodeError) as old:
         state_from_dict(image, UNIVERSITY)
     with pytest.raises(StateDecodeError) as new:
-        Database(UNIVERSITY).load_image(image)
+        Database(UNIVERSITY).load_image({"state": image})
     assert str(new.value) == str(old.value)
     log = WriteAheadLog(MemoryStorage())
     log.write_snapshot(image)
@@ -232,7 +232,7 @@ def test_pk_collision_names_the_reference_violation():
         if v.kind == "key-dependency"
     ]
     with pytest.raises(ConstraintViolationError) as refused:
-        Database(UNIVERSITY).load_image(image)
+        Database(UNIVERSITY).load_image({"state": image})
     assert [refused.value.detail] == want
     assert want[0].startswith("[key-dependency] OFFER: O.C.NR -> ")
     log = WriteAheadLog(MemoryStorage())

@@ -69,15 +69,6 @@ def test_observe_builds_per_op_histograms():
     assert summary["insert"]["p50_us"] <= 16.0
 
 
-def test_record_latencies_times_mutations(university_schema):
-    db = Database(university_schema, record_latencies=True)
-    db.insert("COURSE", {"C.NR": "c1"})
-    db.update("COURSE", "c1", {"C.NR": "c1"})
-    db.delete("COURSE", "c1")
-    assert {"insert", "update", "delete"} <= set(db.stats.latencies)
-    assert db.stats.latencies["insert"].count == 1
-
-
 def test_prometheus_export_shape():
     stats = EngineStats(inserts=3)
     stats.observe("insert", 2e-6)

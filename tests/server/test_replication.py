@@ -33,7 +33,7 @@ from repro.engine.wal import (
 )
 from repro.io import relational_schema_to_dict, state_to_dict
 from repro.server import ServerConfig, ServerProcess, ServerThread
-from repro.workloads.university import university_relational
+from repro.workloads.university import university_relational, university_state
 
 from tests.engine._wal_oracle import oracle_replay
 
@@ -153,6 +153,39 @@ def test_replica_bootstraps_from_snapshot_and_streams():
             # The primary reports its attached synchronous replica.
             with Client(port=primary.port, timeout=30) as c:
                 assert c.repl_status()["replicas"] >= 1
+
+
+def test_replica_bootstraps_from_a_merged_primary():
+    """A primary that merged online ships the merged schema inside its
+    snapshot image: the replica adopts it before installing the rows,
+    serves the merged scheme, and logs the install so that its own log
+    recovers to the primary's state."""
+    primary_db = _database()
+    primary_db.load_state(university_state(n_courses=40, seed=6))
+    replica_db = _database()
+    with ServerThread(primary_db, ServerConfig()) as primary:
+        with Client(port=primary.port, timeout=30) as c:
+            merged = c.apply_merge(
+                ["COURSE", "OFFER", "TEACH", "ASSIST"]
+            )["merged_name"]
+            base_lsn = c.repl_status()["durable_lsn"]
+        with ServerThread(
+            replica_db,
+            ServerConfig(replicate_from=f"127.0.0.1:{primary.port}"),
+        ) as replica:
+            _await_applied(replica.port, base_lsn)
+            key = next(iter(primary_db.table(merged).rows))
+            with Client(port=replica.port, timeout=30) as rc:
+                assert rc.get(merged, key) == primary_db.get(
+                    merged, key
+                ).mapping
+                assert rc.check()["violations"] == []
+            recovered = recover_database(
+                university_relational(),
+                storage=MemoryStorage(replica_db.wal.storage.read()),
+            ).database
+    assert recovered.schema == primary_db.schema
+    assert recovered.state() == primary_db.state()
 
 
 def test_replica_attaches_mid_stream():

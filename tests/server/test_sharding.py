@@ -358,3 +358,36 @@ def test_second_sigterm_during_drain_exits_cleanly(tmp_path):
         if fleet.proc.poll() is None:
             fleet.proc.kill()
             fleet.proc.wait(timeout=60)
+
+
+def test_supervisor_stdout_lines_stay_whole_across_threads():
+    """The supervisor's main thread and its worker pump threads share
+    stdout, which readers parse line by line: two threads' lines must
+    never splice into one."""
+    import re
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import threading\n"
+        "from repro.server.supervisor import _say\n"
+        "def run(i):\n"
+        "    for n in range(2000):\n"
+        "        _say(f't{i} {n} ' + 'x' * 40)\n"
+        "threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join()\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONUNBUFFERED": "1", "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    ).stdout
+    lines = out.splitlines()
+    assert len(lines) == 8000
+    assert all(re.fullmatch(r"t\d \d+ x{40}", line) for line in lines)
