@@ -1365,8 +1365,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-delay",
         type=float,
         default=0.002,
-        help="seconds the writer waits for stragglers to join a group "
-        "(default: 0.002; 0 never waits)",
+        help="longest a forming group waits for sessions that are "
+        "writing to join it; idle and read-only connections never make "
+        "it wait (default: 0.002; 0 never waits)",
     )
     p.add_argument(
         "--no-checkpoint",

@@ -190,7 +190,9 @@ class FileStorage:
 
     :meth:`replace` writes a sibling temporary file and ``os.replace``\\ s
     it over the log, so a checkpoint is atomic: a crash leaves either
-    the old log or the new snapshot, never a mix.
+    the old log or the new snapshot, never a mix.  With ``fsync=True``
+    it also fsyncs the directory after the rename, so the swap itself
+    survives a power loss.
 
     :meth:`close` is idempotent; appending (or syncing) after close
     raises :class:`WalError` instead of the raw ``ValueError`` a closed
@@ -261,6 +263,15 @@ class FileStorage:
             if self.fsync:
                 os.fsync(f.fileno())
         os.replace(tmp, self.path)
+        if self.fsync:
+            # The rename lives in the directory: sync it too, or a
+            # power loss can bring back the old log under the name.
+            directory = os.path.dirname(os.path.abspath(self.path))
+            fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         self._fh.close()
         self._fh = open(self.path, "ab")
 

@@ -68,8 +68,10 @@ class ServerConfig:
     #: Most mutations one group commit may cover.
     max_batch: int = 64
     #: Longest the writer waits (seconds) for stragglers to join a
-    #: group after its first mutation arrives.  0 = commit whatever is
-    #: already queued, never wait.
+    #: group after its first mutation arrives.  It waits only for
+    #: sessions that are writing (one the previous group committed for,
+    #: or a mutation mid-submission), never for idle or read-only
+    #: connections.  0 = commit whatever is already queued, never wait.
     max_delay: float = 0.002
     #: Compact the WAL into a snapshot as part of graceful drain.
     checkpoint_on_drain: bool = True
@@ -293,8 +295,9 @@ class ReproServer:
         finally:
             self._connections.discard(task)
             self.service.connections -= 1
-            # A vanished replica must stop gating mutation acks.
-            self.service.forget_replica(session)
+            # A vanished session is no straggler, and a vanished
+            # replica must stop gating mutation acks.
+            self.service.forget_session(session)
             with contextlib.suppress(ConnectionError, OSError):
                 writer.close()
                 await writer.wait_closed()

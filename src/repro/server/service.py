@@ -20,8 +20,7 @@ One :class:`DatabaseService` multiplexes every connection over one
   buffering unboundedly.
 
 * **Group commit**: the writer drains up to ``max_batch`` queued
-  mutations (waiting at most ``max_delay`` seconds for stragglers after
-  the first), applies them one by one -- each validated, WAL-appended
+  mutations, applies them one by one -- each validated, WAL-appended
   *unflushed*, and stored -- then issues one
   :meth:`~repro.engine.database.Database.sync_wal` barrier and only then
   acknowledges the whole batch.  Concurrent writers' records thus share
@@ -29,6 +28,13 @@ One :class:`DatabaseService` multiplexes every connection over one
   ``wal_group_commits`` / ``wal_batched_records`` counters report the
   achieved batching factor.  A client is never acked before its record
   is durable, so a crash loses only unacknowledged mutations.
+
+* **Who a group waits for**: after the first mutation, a forming group
+  waits at most ``max_delay`` seconds, and only for sessions that are
+  writing -- one the previous group committed a mutation for that is
+  still connected and not yet in this group, or a mutation already
+  submitted but not yet queued.  Idle, read-only and replication-poll
+  connections never delay a commit.
 
 If the sync barrier itself fails, the log is poisoned (the WAL module's
 standing discipline): every mutation in the batch -- and every later
@@ -312,6 +318,15 @@ class ServerMetrics:
             "repro_server_wal_sync_seconds",
             "Latency of the group-commit WAL sync barrier.",
         )
+        #: Always-on per-phase timers, traced or not.
+        phase_seconds = r.histogram(
+            "repro_server_phase_seconds",
+            "Time spent in one phase of the request path, by phase "
+            "(group-wait: a forming group's wait for straggling "
+            "writers).",
+            labelnames=("phase",),
+        )
+        self.group_wait = phase_seconds.labels(phase="group-wait")
         self.prepares = r.counter(
             "repro_server_prepares_total",
             "Cross-shard batch prepares, by final outcome "
@@ -416,18 +431,20 @@ class DatabaseService:
         #: ``wal-error`` frame until the process crash-recovers.
         self.poisoned: str | None = None
         self.requests_served = 0
-        #: Mutations submitted whose future is not yet resolved.  The
-        #: writer uses this to distinguish "everyone who wants into this
-        #: group is already in it -- commit now" from "a straggler is
-        #: mid-submission -- wait up to ``max_delay`` for it", so the
-        #: delay is only ever paid when it can actually grow a batch.
+        #: Mutations submitted whose future is not yet resolved.  One
+        #: of the writer's two straggler signals: more of them than the
+        #: forming group holds means a mutation is mid-submission, worth
+        #: waiting up to ``max_delay`` for.
         self.inflight = 0
-        #: Open connections (maintained by the server's accept loop).
-        #: The writer treats every connection as a potential straggler:
-        #: under a write-heavy load it waits up to ``max_delay`` for
-        #:  them to join the group, which is what turns near-simultaneous
-        #: arrivals into one barrier instead of many.  Read-heavy
-        #: deployments should run with ``max_delay=0``.
+        #: Session ids the previous group committed a mutation for,
+        #: minus those that disconnected since: the writer's other
+        #: straggler signal.  A session that wrote last time is likely
+        #: about to write again, so waiting for it turns near-
+        #: simultaneous writers into one barrier instead of many; a
+        #: session that only reads, polls or idles is never waited for.
+        self._last_writers: set[int] = set()
+        #: Open connections (maintained by the server's accept loop),
+        #: reported by ``stats`` and the connections gauge.
         self.connections = 0
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=QUEUE_DEPTH)
         self._writer: asyncio.Task | None = None
@@ -460,10 +477,6 @@ class DatabaseService:
         #: replica has confirmed received.  Mutation acks gate on
         #: ``min(values) >= the batch's lsn``.
         self._replicas: dict[int, int] = {}
-        #: Session ids of every replication poller (sync or not) --
-        #: excluded from the group-commit straggler wait, since a
-        #: parked poll will never contribute a mutation.
-        self._repl_sessions: set[int] = set()
         #: Resolved (and replaced) after every successful durability
         #: barrier; parked ``repl_poll`` long-polls wait on it.
         self._commit_waiter: asyncio.Future | None = None
@@ -595,7 +608,15 @@ class DatabaseService:
             self.inflight += 1
             try:
                 await self._queue.put(
-                    (verb, frame, request_id, trace_id, span, future)
+                    (
+                        verb,
+                        frame,
+                        request_id,
+                        trace_id,
+                        span,
+                        future,
+                        session.id,
+                    )
                 )
             except BaseException:
                 self.inflight -= 1
@@ -782,11 +803,12 @@ class DatabaseService:
         ):
             self._confirm_waiter.set_result(None)
 
-    def forget_replica(self, session: Session) -> None:
-        """Connection-close cleanup: a vanished replica must stop
+    def forget_session(self, session: Session) -> None:
+        """Connection-close cleanup: a vanished session is no longer a
+        straggler worth waiting for, and a vanished replica must stop
         gating acks (the confirm waiters re-evaluate without it)."""
         session.repl_cursor = None
-        self._repl_sessions.discard(session.id)
+        self._last_writers.discard(session.id)
         if self._replicas.pop(session.id, None) is not None:
             self._signal_confirm()
 
@@ -837,7 +859,7 @@ class DatabaseService:
         try:
             await self._await_replication(lsn)
         finally:
-            for (_, _, _, _, _, future), outcome in zip(batch, outcomes):
+            for (_, _, _, _, _, future, _), outcome in zip(batch, outcomes):
                 if not future.done():
                     future.set_result(outcome)
 
@@ -948,7 +970,6 @@ class DatabaseService:
             raise ProtocolError(
                 "parameter 'max_records' must be a positive integer"
             )
-        self._repl_sessions.add(session.id)
         if frame.get("sync"):
             # This poll *is* the receipt confirmation for everything
             # up to ``after``: the replica holds those records (it
@@ -1450,24 +1471,24 @@ class DatabaseService:
                 await self._run_prepare(item)
                 continue
             batch = [item]
+            writers = {item[6]}
             stop_after = False
-            deadline = loop.time() + self.max_delay
+            started = loop.time()
+            deadline = started + self.max_delay
             while len(batch) < self.max_batch:
                 try:
                     nxt = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
-                    # Wait only for plausible stragglers: mutations
-                    # already submitted, or other connections that may
-                    # be mid-request.  When the batch already covers
-                    # them all, waiting cannot grow it -- commit
-                    # immediately.
+                    # Wait only for sessions that are writing: a
+                    # mutation submitted but not yet queued, or a
+                    # previous-group writer that has not joined this
+                    # group.  When the batch covers them all, waiting
+                    # cannot grow it -- commit immediately.
                     remaining = deadline - loop.time()
-                    # Parked replication polls hold connections open
-                    # but never submit mutations -- they are not
-                    # stragglers worth waiting for.
-                    peers = self.connections - len(self._repl_sessions)
-                    expected = max(self.inflight, peers)
-                    if expected <= len(batch) or remaining <= 0:
+                    if remaining <= 0 or (
+                        self.inflight <= len(batch)
+                        and self._last_writers <= writers
+                    ):
                         break
                     try:
                         nxt = await asyncio.wait_for(
@@ -1482,6 +1503,9 @@ class DatabaseService:
                     self._deferred = nxt  # solo, after this group commits
                     break
                 batch.append(nxt)
+                writers.add(nxt[6])
+            self.metrics.group_wait.observe(loop.time() - started)
+            self._last_writers = writers
             self._commit_group(batch)
             if stop_after:
                 return
@@ -1499,7 +1523,7 @@ class DatabaseService:
         its WAL bracket has no commit marker until the decision, so a
         crash while holding aborts it on recovery.
         """
-        _verb, frame, request_id, _trace_id, span, future = item
+        _verb, frame, request_id, _trace_id, span, future, _ = item
         if self.poisoned is not None:
             self._ack_mutation(future, self._poisoned_frame(request_id))
             return
@@ -1711,7 +1735,7 @@ class DatabaseService:
         inside one.
         """
         outcomes: list[dict | None] = []
-        for verb, frame, request_id, _trace_id, span, _future in batch:
+        for verb, frame, request_id, _trace_id, span, _future, _ in batch:
             if self.poisoned is not None:
                 outcomes.append(self._poisoned_frame(request_id))
                 continue
@@ -1785,7 +1809,7 @@ class DatabaseService:
             # so its trace events) under the first sampled request's
             # server span.
             span_parent = next(
-                (s for _, _, _, _, s, _ in batch if s is not None), None
+                (s for _, _, _, _, s, _, _ in batch if s is not None), None
             )
             group_span = (
                 span_parent.child("group-commit", kind="wal", batch=len(batch))
@@ -1794,7 +1818,7 @@ class DatabaseService:
             )
             if group_span is not None and len(batch) > 1:
                 group_span.attributes["trace_ids"] = [
-                    t for _, _, _, t, _, _ in batch
+                    t for _, _, _, t, _, _, _ in batch
                 ]
             self._activate_span(group_span)
             sync_started = perf_counter()
@@ -1808,7 +1832,7 @@ class DatabaseService:
                     self._poisoned_frame(request_id)
                     if outcome is not None and outcome.get("ok")
                     else outcome
-                    for outcome, (_, _, request_id, _, _, _) in zip(
+                    for outcome, (_, _, request_id, _, _, _, _) in zip(
                         outcomes, batch
                     )
                 ]
@@ -1842,7 +1866,7 @@ class DatabaseService:
                 self._resolve_after_confirm(batch, outcomes, acked_lsn)
             )
             return
-        for (_, _, _, _, _, future), outcome in zip(batch, outcomes):
+        for (_, _, _, _, _, future, _), outcome in zip(batch, outcomes):
             if not future.done():
                 future.set_result(outcome)
 

@@ -8,6 +8,7 @@ an explicit test diff, exactly like the golden traces in
 """
 
 import os
+import stat
 import zlib
 
 import pytest
@@ -290,6 +291,30 @@ def test_file_storage_replace_is_atomic_via_rename(tmp_path):
     assert path.read_bytes() == b"new"
     assert not (tmp_path / "log.tmp").exists()
     storage.close()
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+def test_file_storage_replace_fsyncs_the_directory_only_with_fsync(
+    tmp_path, monkeypatch, fsync
+):
+    # The rename is a directory entry: without a directory fsync a
+    # power loss can bring the old log back under the name.
+    storage = FileStorage(str(tmp_path / "log"), fsync=fsync)
+    storage.append(b"old contents")
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    storage.replace(b"new")
+    storage.close()
+    if fsync:
+        assert synced == [False, True]  # the temp file, then its directory
+    else:
+        assert synced == []
 
 
 # -- the log class -------------------------------------------------------------
