@@ -12,7 +12,12 @@ load, replay) and ``verify_s`` (the ``F ∪ I ∪ N`` re-check) -- not
 timed again here.  After each recovery the child times one
 ``Database.checkpoint()`` of the recovered state (``checkpoint_s``: the
 snapshot image built from the tables, encoded and written over the
-copy -- what ``serve`` does on every graceful drain).  Peak RSS is the
+copy -- what ``serve`` does on every graceful drain).  Before that it
+reads what the cyclic collector holds after the recovery: the number of
+GC-tracked objects in the process (``tracked``, after one full
+collection has untracked what it can) and the time of one more full
+``gc.collect()`` (``gc_full_ms``) -- each full collection a serving
+process runs walks that many objects.  Peak RSS is the
 child's high-water mark (``VmHWM``; ``ru_maxrss`` where there is no
 ``/proc``, which on Linux also counts the forking parent): interpreter,
 imports and every recovery and checkpoint, which is what a starting
@@ -24,6 +29,7 @@ and draining server holds too::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import resource
@@ -53,17 +59,23 @@ def write_preload(workload: str, seed: int, path: str) -> int:
 
 def recover_repeatedly(wal: str, repeats: int) -> dict:
     """Recover copies of ``wal`` in this process and checkpoint each
-    recovered database once; the timers of each recovery, each
-    checkpoint's time, and the process's peak RSS."""
+    recovered database once; the timers of each recovery, the tracked
+    objects and one full collection's time after it, each checkpoint's
+    time, and the process's peak RSS."""
     from repro.engine.recovery import recover_database
     from repro.workloads.university import university_relational
 
     schema = university_relational()
-    replay, verify, checkpoint = [], [], []
+    replay, verify, checkpoint, tracked, gc_full = [], [], [], [], []
     for i in range(repeats):
         copy = f"{wal}.{i}"
         shutil.copyfile(wal, copy)
         result = recover_database(schema, copy)
+        gc.collect()
+        tracked.append(len(gc.get_objects()))
+        start = perf_counter()
+        gc.collect()
+        gc_full.append((perf_counter() - start) * 1e3)
         start = perf_counter()
         result.database.checkpoint()
         checkpoint.append(perf_counter() - start)
@@ -76,6 +88,8 @@ def recover_repeatedly(wal: str, repeats: int) -> dict:
         "replay_s": replay,
         "verify_s": verify,
         "checkpoint_s": checkpoint,
+        "tracked": tracked,
+        "gc_full_ms": gc_full,
         "peak_rss_mb": _peak_mb(),
     }
 
@@ -120,9 +134,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         "| workload | rows | replay_s | verify_s | checkpoint_s "
-        "| peak RSS MiB |"
+        "| tracked | gc_full_ms | peak RSS MiB |"
     )
-    print("|---|---:|---:|---:|---:|---:|")
+    print("|---|---:|---:|---:|---:|---:|---:|---:|")
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
             wal = os.path.join(tmp, f"{workload}.wal")
@@ -136,7 +150,9 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"| {workload} | {rows} | {_median_iqr(r['replay_s'])} | "
                 f"{_median_iqr(r['verify_s'])} | "
-                f"{_median_iqr(r['checkpoint_s'])} | {r['peak_rss_mb']:.1f} |"
+                f"{_median_iqr(r['checkpoint_s'])} | "
+                f"{statistics.median(r['tracked']):.0f} | "
+                f"{_median_iqr(r['gc_full_ms'])} | {r['peak_rss_mb']:.1f} |"
             )
     return 0
 

@@ -27,8 +27,9 @@ from repro.relational.schema import RelationalSchema
 from repro.relational.state import Columns, DatabaseState
 
 #: What the checker reads: a state, or any mapping of scheme names to
-#: relation-like collections (``attribute_names``, ``tuples``, ``len``,
-#: iteration over :class:`~repro.relational.tuples.Tuple`).
+#: relation-like collections (``attribute_names``, ``len``, ``mappings``
+#: -- the rows' attribute mappings, for column reads -- and ``tuples``,
+#: the :class:`~repro.relational.tuples.Tuple` set a failure names).
 StateLike = DatabaseState | Mapping
 
 
@@ -183,9 +184,9 @@ class ConsistencyChecker:
         """Yield every violation of the schema's constraints by ``state``.
 
         ``state`` is a :class:`DatabaseState` or any mapping of scheme
-        names to relation-like collections of tuples with
-        ``attribute_names`` and ``tuples`` -- the engine passes its
-        stored tables, so its re-check builds no :class:`Relation`.
+        names to relation-like collections (:data:`StateLike`) -- the
+        engine passes its stored tables, so its re-check builds no
+        :class:`Relation` and no tuple per row.
         Every column is read once per pass (:class:`Columns`).  With
         ``scheme``, only the constraints that name it are evaluated (in
         the same order): its structure, key dependencies and null

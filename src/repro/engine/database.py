@@ -67,7 +67,7 @@ from repro.obs.trace import TraceEvent, Tracer
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationScheme, RelationalSchema
 from repro.relational.state import DatabaseState
-from repro.relational.tuples import NULL, Tuple, backing
+from repro.relational.tuples import NULL, Tuple
 
 
 class ConstraintViolationError(ValueError):
@@ -99,7 +99,11 @@ class _Table:
     """One stored relation: primary-key index, candidate-key indexes, and
     reverse-reference indexes (``value -> {pk: None}``, insertion-ordered)
     for the column groups inclusion dependencies touch, so reference and
-    restrict checks are O(1) and ``find_referencing`` is O(k)."""
+    restrict checks are O(1) and ``find_referencing`` is O(k).
+
+    The primary-key index maps each key to the row's plain dict; a
+    :class:`Tuple` view of a row is built only when the engine hands it
+    out (:func:`~repro.engine.rows.adopt_row`)."""
 
     __slots__ = (
         "scheme",
@@ -114,7 +118,7 @@ class _Table:
     def __init__(self, scheme: RelationScheme, plan: SchemeAccessPlan):
         self.scheme = scheme
         self.plan = plan
-        self.rows: dict[tuple[Any, ...], Tuple] = {}
+        self.rows: dict[tuple[Any, ...], dict[str, Any]] = {}
         self.key_indexes: dict[tuple[str, ...], dict[tuple[Any, ...], tuple[Any, ...]]] = {
             key_names: {} for key_names, _ in plan.candidate_keys
         }
@@ -136,8 +140,8 @@ class _Table:
             return
         extract = attr_extractor(attrs)
         index: dict[tuple[Any, ...], dict[tuple[Any, ...], None]] = {}
-        for pk, t in self.rows.items():
-            value = extract(t.mapping)
+        for pk, row in self.rows.items():
+            value = extract(row)
             if not any(v is NULL for v in value):
                 index.setdefault(value, {})[pk] = None
         self.group_indexes[attrs] = index
@@ -166,10 +170,6 @@ class _Table:
         index = self.group_indexes.get(attrs)
         return None if index is None else index.keys()
 
-    def pk_of(self, t: Tuple) -> tuple[Any, ...]:
-        """The primary-key value tuple of a stored row."""
-        return self.plan.pk(t.mapping)
-
     # A table reads like a relation, so the consistency checker can run
     # over the stored rows without a Relation built from them.
 
@@ -179,22 +179,25 @@ class _Table:
         return self.scheme.attribute_names
 
     @property
+    def mappings(self) -> Iterable[dict[str, Any]]:
+        """The stored row dicts, in table order: the checker's column
+        reads take them as they are."""
+        return self.rows.values()
+
+    @property
     def tuples(self) -> frozenset[Tuple]:
-        """The stored rows as a set, iterating in the order a
+        """The stored rows as a set of views, iterating in the order a
         ``Relation`` of them would (hashes every row: only the checker's
         failure path reads it)."""
-        return frozenset(self.rows.values())
-
-    def __iter__(self) -> Iterator[Tuple]:
-        return iter(self.rows.values())
+        return frozenset(map(adopt_row, self.rows.values()))
 
     def __len__(self) -> int:
         return len(self.rows)
 
 
 def _snapshot_scan(table: _Table) -> Iterator[Tuple]:
-    """Lazily yield the table's rows, guarding against concurrent
-    mutation (no full-list copy is materialized).
+    """Lazily yield views of the table's rows, guarding against
+    concurrent mutation (no full-list copy is materialized).
 
     The version check runs *before* resuming the dict iterator: a
     mutation can only happen while the generator is suspended, and
@@ -211,10 +214,10 @@ def _snapshot_scan(table: _Table) -> Iterator[Tuple]:
                 "scan (list(db.scan(...))) before mutating"
             )
         try:
-            t = next(it)
+            row = next(it)
         except StopIteration:
             return
-        yield t
+        yield adopt_row(row)
 
 
 def _indexed_groups(schema: RelationalSchema) -> dict[str, list[tuple[str, ...]]]:
@@ -242,17 +245,24 @@ def _empty_tables(schema: RelationalSchema) -> dict[str, _Table]:
 
 
 class _Pending(list):
-    """Rows of one scheme not yet stored, read by the consistency
-    checker like a relation (``attribute_names``, ``tuples``)."""
+    """Row dicts of one scheme not yet stored, read by the consistency
+    checker like a relation (``attribute_names``, ``mappings``,
+    ``tuples``)."""
 
     def __init__(self, attribute_names: tuple[str, ...], rows):
-        super().__init__(map(adopt_row, rows))
+        super().__init__(rows)
         self.attribute_names = attribute_names
 
     @property
+    def mappings(self) -> list[dict[str, Any]]:
+        """The row dicts themselves."""
+        return self
+
+    @property
     def tuples(self) -> frozenset[Tuple]:
-        """The rows as a set (only a failed null check reads it)."""
-        return frozenset(self)
+        """The rows as a set of views (only a failed null check reads
+        it)."""
+        return frozenset(map(adopt_row, self))
 
 
 def _merged_rows(
@@ -283,7 +293,7 @@ def _merged_rows(
         key_table = tables[info.key_relation]
         keys = key_table.rows
         head = attr_extractor(info.family_attrs[info.key_relation])
-        heads = ((pk, head(backing(t))) for pk, t in keys.items())
+        heads = ((pk, head(row)) for pk, row in keys.items())
         joined = [m for m in family if m != info.key_relation]
     parts = []
     for member in joined:
@@ -296,8 +306,8 @@ def _merged_rows(
     for pk, values in heads:
         total = NULL not in pk
         for member_rows, extract, pad in parts:
-            t = member_rows.get(pk) if total else None
-            values += pad if t is None else extract(backing(t))
+            row = member_rows.get(pk) if total else None
+            values += pad if row is None else extract(row)
         append(dict(zip(names, values)))
     orphans = []
     end = len(names) - sum(len(pad) for _rows, _extract, pad in parts)
@@ -308,10 +318,10 @@ def _merged_rows(
         ):
             continue  # every member row joined a key-relation row
         before, after = (NULL,) * start, (NULL,) * (len(names) - end)
-        for pk, t in member_rows.items():
+        for pk, row in member_rows.items():
             if NULL in pk or pk not in keys:
                 orphans.append(
-                    dict(zip(names, before + extract(backing(t)) + after))
+                    dict(zip(names, before + extract(row) + after))
                 )
     if not orphans:
         return rows
@@ -324,7 +334,7 @@ def _merged_rows(
 def _rows_of(state: DatabaseState) -> dict[str, list[dict[str, Any]]]:
     """Each relation's tuple values, for :func:`install_rows` (the
     stored rows then share them with ``state``'s tuples)."""
-    return {name: list(map(backing, rel)) for name, rel in state.items()}
+    return {name: list(rel.mappings) for name, rel in state.items()}
 
 
 class Database:
@@ -377,7 +387,9 @@ class Database:
         self._tables: dict[str, _Table] = _empty_tables(schema)
         self._plans = {name: t.plan for name, t in self._tables.items()}
         #: Undo log of the innermost open transaction (None outside one).
-        self._undo_log: list[tuple[str, _Table, tuple[Any, ...], Tuple | None]] | None = None
+        self._undo_log: list[
+            tuple[str, _Table, tuple[Any, ...], dict[str, Any] | None]
+        ] | None = None
         if wal is not None and wal_path is not None:
             raise ValueError("pass either wal or wal_path, not both")
         if wal_path is not None:
@@ -492,7 +504,8 @@ class Database:
         if not isinstance(pk, tuple):
             pk = (pk,)
         self.stats.lookups += 1
-        return self.table(scheme_name).rows.get(pk)
+        row = self.table(scheme_name).rows.get(pk)
+        return None if row is None else adopt_row(row)
 
     def scan(self, scheme_name: str) -> Iterable[Tuple]:
         """Full scan; counts every tuple touched.
@@ -513,7 +526,9 @@ class Database:
         """An immutable snapshot of the current contents."""
         return DatabaseState(
             {
-                name: Relation(table.scheme.attributes, table.rows.values())
+                name: Relation(
+                    table.scheme.attributes, map(adopt_row, table.rows.values())
+                )
                 for name, table in self._tables.items()
             }
         )
@@ -728,11 +743,11 @@ class Database:
     def _referencing_rows_exist(
         self,
         scheme_name: str,
-        old: Tuple,
+        values: dict[str, Any],
         ignore_self_pk: tuple[Any, ...] | None = None,
     ) -> str | None:
-        """Description of a restricting reference into ``old``, if any."""
-        values = old.mapping
+        """Description of a restricting reference into the stored row
+        ``values``, if any."""
         for ref in self._plans[scheme_name].incoming:
             value = ref.extract(values)
             if any(v is NULL for v in value):
@@ -768,7 +783,7 @@ class Database:
             self._wal_append(
                 insert_record(scheme_name, t.mapping), "insert", scheme_name
             )
-        self._store(table, t, pk)
+        self._store(table, t.mapping, pk)
         self.stats.inserts += 1
         self.stats.count_scheme_mutation(scheme_name)
         if timed:
@@ -800,7 +815,7 @@ class Database:
                 "insert",
                 scheme_name,
             )
-        self._store(table, t, pk)
+        self._store(table, t.mapping, pk)
         self.stats.inserts += 1
         self.stats.count_scheme_mutation(scheme_name)
         return t
@@ -844,16 +859,15 @@ class Database:
         if old is None:
             raise KeyError(f"{scheme_name}: no row with key {pk!r}")
         try:
-            t = old.with_values(dict(updates))
+            t = adopt_row(old).with_values(dict(updates))
             self._check_null_constraints(scheme_name, t)
             new_pk = self._check_keys(table, t, replacing=pk)
             self._check_references_out(scheme_name, t)
             # Referenced attribute values must not change under incoming
             # references (restrict semantics on update).
-            old_values = old.mapping
             new_values = t.mapping
             changed = {
-                name for name in updates if old_values[name] != new_values[name]
+                name for name in updates if old[name] != new_values[name]
             }
             if changed:
                 for ref in self._plans[scheme_name].incoming:
@@ -879,7 +893,7 @@ class Database:
                 scheme_name,
             )
         self._unstore(table, pk, old)
-        self._store(table, t, new_pk)
+        self._store(table, t.mapping, new_pk)
         self.stats.updates += 1
         self.stats.count_scheme_mutation(scheme_name)
         if timed:
@@ -932,7 +946,7 @@ class Database:
                     t = self._check_shape(table, row)
                     self._check_null_constraints(scheme_name, t)
                     pk = self._check_keys(table, t, replacing=None)
-                    self._store(table, t, pk)
+                    self._store(table, t.mapping, pk)
                     stored.append(t)
                 for t in stored:
                     self._check_references_out(scheme_name, t)
@@ -1062,7 +1076,7 @@ class Database:
                 t = self._check_shape(table, row)
                 self._check_null_constraints(scheme_name, t)
                 pk = self._check_keys(table, t, replacing=None)
-                self._store(table, t, pk)
+                self._store(table, t.mapping, pk)
                 pending_out.append((scheme_name, t))
                 self.stats.inserts += 1
                 self.stats.count_scheme_mutation(scheme_name)
@@ -1078,9 +1092,8 @@ class Database:
                     raise KeyError(
                         f"{scheme_name}: no row with key {pk!r}"
                     )
-                old_values = old.mapping
                 for ref in self._plans[scheme_name].incoming:
-                    value = ref.extract(old_values)
+                    value = ref.extract(old)
                     if not any(v is NULL for v in value):
                         pending_in.append((ref, value))
                 self._unstore(table, pk, old)
@@ -1099,23 +1112,20 @@ class Database:
                         f"{scheme_name}: no row with key {pk!r}"
                     )
                 updates = dict(updates)
-                t = old.with_values(updates)
+                t = adopt_row(old).with_values(updates)
                 self._check_null_constraints(scheme_name, t)
                 new_pk = self._check_keys(table, t, replacing=pk)
-                old_values = old.mapping
                 new_values = t.mapping
                 changed = {
-                    name
-                    for name in updates
-                    if old_values[name] != new_values[name]
+                    name for name in updates if old[name] != new_values[name]
                 }
                 for ref in self._plans[scheme_name].incoming:
                     if changed & ref.watch:
-                        value = ref.extract(old_values)
+                        value = ref.extract(old)
                         if not any(v is NULL for v in value):
                             pending_in.append((ref, value))
                 self._unstore(table, pk, old)
-                self._store(table, t, new_pk)
+                self._store(table, new_values, new_pk)
                 pending_out.append((scheme_name, t))
                 self.stats.updates += 1
                 self.stats.count_scheme_mutation(scheme_name)
@@ -1153,12 +1163,12 @@ class Database:
         # Deferred verification against the final batch state.
         for scheme_name, t in pending_out:
             table = self._tables[scheme_name]
-            if table.rows.get(table.plan.pk(t.mapping)) is not t:
+            values = t.mapping
+            if table.rows.get(table.plan.pk(values)) is not values:
                 continue  # superseded by a later operation
             if not collect_remote:
                 self._check_references_out(scheme_name, t)
                 continue
-            values = t.mapping
             for ref in self._plans[scheme_name].outgoing:
                 value = ref.extract(values)
                 if any(v is NULL for v in value):
@@ -1272,7 +1282,7 @@ class Database:
         image: dict[str, Any] = {
             "state": {
                 "relations": {
-                    name: list(map(backing, table.rows.values()))
+                    name: list(table.rows.values())
                     for name, table in self._tables.items()
                 }
             }
@@ -1672,7 +1682,7 @@ class Database:
         op: str,
         table: _Table,
         pk: tuple[Any, ...],
-        old: Tuple | None,
+        old: dict[str, Any] | None,
     ) -> None:
         if self._undo_log is not None:
             self._undo_log.append((op, table, pk, old))
@@ -1687,30 +1697,27 @@ class Database:
                     self._unstore_raw(table, pk, current)
             else:  # "unstore"
                 assert old is not None
-                self._store_raw(table, old)
+                self._store_raw(table, old, pk)
 
     # -- low-level storage ---------------------------------------------------
 
     def _store(
-        self, table: _Table, t: Tuple, pk: tuple[Any, ...] | None = None
+        self, table: _Table, values: dict[str, Any], pk: tuple[Any, ...]
     ) -> None:
-        if pk is None:
-            pk = table.plan.pk(t.mapping)
         self._journal("store", table, pk, None)
-        self._store_raw(table, t, pk)
+        self._store_raw(table, values, pk)
 
-    def _unstore(self, table: _Table, pk: tuple[Any, ...], old: Tuple) -> None:
+    def _unstore(
+        self, table: _Table, pk: tuple[Any, ...], old: dict[str, Any]
+    ) -> None:
         self._journal("unstore", table, pk, old)
         self._unstore_raw(table, pk, old)
 
     def _store_raw(
-        self, table: _Table, t: Tuple, pk: tuple[Any, ...] | None = None
+        self, table: _Table, values: dict[str, Any], pk: tuple[Any, ...]
     ) -> None:
-        values = t.mapping
         plan = table.plan
-        if pk is None:
-            pk = plan.pk(values)
-        table.rows[pk] = t
+        table.rows[pk] = values
         table.version += 1
         if plan.candidate_keys:
             identical = self.null_semantics == "identical"
@@ -1727,10 +1734,11 @@ class Database:
                 else:
                     bucket[pk] = None
 
-    def _unstore_raw(self, table: _Table, pk: tuple[Any, ...], old: Tuple) -> None:
+    def _unstore_raw(
+        self, table: _Table, pk: tuple[Any, ...], values: dict[str, Any]
+    ) -> None:
         del table.rows[pk]
         table.version += 1
-        values = old.mapping
         for key_names, extract in table.plan.candidate_keys:
             value = extract(values)
             index = table.key_indexes[key_names]

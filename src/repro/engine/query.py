@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.engine.database import Database
+from repro.engine.rows import adopt_row
 from repro.relational.tuples import NULL, Tuple, is_null
 
 if TYPE_CHECKING:  # the merge machinery loads on the first merge
@@ -101,19 +102,20 @@ class QueryEngine:
             self.stats.count_ind_join(ind)
         if targets == table.scheme.key_names:
             self.stats.lookups += 1
-            return table.rows.get(value)
+            row = table.rows.get(value)
+            return None if row is None else adopt_row(row)
         index = table.group_indexes.get(targets)
         if index is not None:
             self.stats.index_hits += 1
             referencers = index.get(value)
             if referencers:
-                return table.rows[next(iter(referencers))]
+                return adopt_row(table.rows[next(iter(referencers))])
             return None
         self.stats.index_misses += 1
         self.stats.tuples_scanned += len(table.rows)
         for row in table.rows.values():
             if tuple(row[a] for a in targets) == value:
-                return row
+                return adopt_row(row)
         return None
 
     def find_referencing(
@@ -147,7 +149,7 @@ class QueryEngine:
             if via_t == table.scheme.key_names:
                 self.stats.lookups += 1
                 row = table.rows.get(value)
-                return [row] if row is not None else []
+                return [adopt_row(row)] if row is not None else []
             index = table.group_indexes.get(via_t)
             if index is not None:
                 self.stats.index_hits += 1
@@ -156,11 +158,11 @@ class QueryEngine:
                 if not referencers:
                     return []
                 rows = table.rows
-                return [rows[pk] for pk in referencers]
+                return [adopt_row(rows[pk]) for pk in referencers]
             self.stats.index_misses += 1
         self.stats.tuples_scanned += len(table.rows)
         return [
-            row
+            adopt_row(row)
             for row in table.rows.values()
             if tuple(row[a] for a in via_t) == value
         ]

@@ -10,12 +10,14 @@ probe per **distinct** foreign-key value, and shape validation is a
 iterating.  This module implements that columnar path on top of the
 compiled access plans (:mod:`repro.engine.plans`).
 
-Row representation.  Rows stay :class:`~repro.relational.tuples.Tuple`
-objects -- every index, scan and query in the engine expects them --
-but the bulk path materializes them *slotted*: ``object.__new__`` plus
-direct stores through the class's slot descriptors, adopting the
-caller's plain dict instead of copying it (non-dict mappings are still
-copied).  Batches are validated wholesale against the pre-state -- no
+Row representation.  A table stores each row as a plain ``dict`` --
+on this path the very dict the caller handed over (non-dict mappings
+never reach it), adopted without a copy.  A dict whose values are all
+untracked (no ``NULL``, which is an object the cyclic collector
+tracks) is itself untracked, so the stored rows add nothing to a full
+collection's walk.  :class:`~repro.relational.tuples.Tuple` views are
+built only for the rows the engine hands out (:func:`adopt_row`).
+Batches are validated wholesale against the pre-state -- no
 journaling, no undo log -- and applied with bulk ``dict.update`` /
 ``dict.__delitem__`` runs only after every check has passed, so a batch
 the fast path cannot accept touches nothing.
@@ -62,41 +64,37 @@ from repro.constraints.functional import KeyDependency
 from repro.engine.plans import contains_null
 from repro.io.state_json import StateDecodeError
 from repro.relational.relation import Relation
-from repro.relational.tuples import NULL, Tuple, backing
+from repro.relational.tuples import NULL, Tuple
 
-_new_tuple = object.__new__
-_set_values = Tuple.__dict__["_values"].__set__
-_set_hash = Tuple.__dict__["_hash"].__set__
 #: Drains a map object without building a list -- the cheapest way to
-#: run a C-level setter over every element.
+#: run a C-level function over every element.
 _consume = deque(maxlen=0).extend
 
 
-def adopt_row(values: Mapping[str, Any]) -> Tuple:
-    """A :class:`Tuple` adopting ``values`` without copying.
+def adopt_row(values: dict[str, Any]) -> Tuple:
+    """A :class:`Tuple` view of the row dict ``values``, sharing it
+    without a copy.
 
-    The caller transfers ownership of a plain dict: the engine stores it
-    as the tuple's backing mapping, so the caller must not mutate it
-    afterwards.  Anything that is not exactly a dict is copied, same as
-    the ordinary constructor.
+    The engine hands its stored rows out through such views.  A stored
+    dict is replaced on update, never changed in place, so a view stays
+    the row it was when it was handed out.
     """
-    t = _new_tuple(Tuple)
-    _set_values(t, values if type(values) is dict else dict(values))
-    _set_hash(t, None)
+    t = object.__new__(Tuple)
+    t._values = values
+    t._hash = None
     return t
 
 
 def _materialize(table, rows: Sequence[Mapping[str, Any]]):
-    """Shape-check rows, extract the key column, and build the batch's
-    tuples with all-C-loop passes.
+    """Shape-check rows and key them with all-C-loop passes.
 
-    Returns ``(new, ts)`` -- the insertion-ordered ``pk -> Tuple``
-    dict and the adopted :class:`Tuple` per row -- or ``None`` when the
-    shape proof fails.  Every pass is a C loop; no per-row Python frame
-    runs.  Shape is proved batch-wide: all rows are exactly ``dict``,
-    every row has ``len(attrs)`` keys, and the union of all keys is a
-    subset of ``attrs`` -- together that forces each row's key set to
-    equal ``attrs`` (equal-size subset).  Intra-batch key duplicates
+    Returns the insertion-ordered ``pk -> row`` dict, whose values are
+    the caller's row dicts themselves, or ``None`` when the shape proof
+    fails.  Every pass is a C loop; no per-row Python frame runs.
+    Shape is proved batch-wide: all rows are exactly ``dict``, every
+    row has ``len(attrs)`` keys, and the union of all keys is a subset
+    of ``attrs`` -- together that forces each row's key set to equal
+    ``attrs`` (equal-size subset).  Intra-batch key duplicates
     show up as ``len(new) != len(rows)``.  The ``new`` dict carries
     each key's hash, so committing it via ``dict.update`` never
     rehashes.
@@ -110,29 +108,24 @@ def _materialize(table, rows: Sequence[Mapping[str, Any]]):
         frozenset().union(*rows)
     ):
         return None  # some row's attribute set differs from the scheme
-    ts = list(map(_new_tuple, repeat(Tuple, len(rows))))
-    _consume(map(_set_values, ts, rows))
-    _consume(map(_set_hash, ts, repeat(None)))
-    return dict(zip(_project(key_names, rows), ts)), ts
+    return dict(zip(_project(key_names, rows), rows))
 
 
 def _validate_inserts(db, groups):
     """Columnar validation of insert groups against the pre-state.
 
     ``groups`` is a list of ``(table, rows)`` pairs, one per scheme.
-    Returns ``(prepared, new_by_scheme)`` where ``prepared`` holds
-    ``(table, rows, new)`` triples ready to commit, or ``None`` when the
-    batch must take the slow path.  Performs no mutation.
+    Returns ``(table, rows, new)`` triples ready to commit, or ``None``
+    when the batch must take the slow path.  Performs no mutation.
     """
     identical = db.null_semantics == "identical"
     prepared = []
     new_by_scheme: dict[str, tuple] = {}
     for table, rows in groups:
         plan = table.plan
-        made = _materialize(table, rows)
-        if made is None:
+        new = _materialize(table, rows)
+        if new is None:
             return None  # shape
-        new, ts = made
         if len(new) != len(rows):
             return None  # intra-batch duplicate primary key
         # One dict lookup / one C identity scan replaces a per-row null
@@ -160,11 +153,11 @@ def _validate_inserts(db, groups):
                 vals
             ):
                 return None
-        prepared.append((table, rows, new, ts))
-        new_by_scheme[table.scheme.name] = (new, ts)
+        prepared.append((table, rows, new))
+        new_by_scheme[table.scheme.name] = (new, rows)
     # Deferred outgoing-reference existence: one probe per distinct
     # foreign-key value, against stored rows plus the batch itself.
-    for table, rows, _new, _ts in prepared:
+    for table, rows, _new in prepared:
         for ref in table.plan.outgoing:
             vals = _total_values(ref.ind.lhs_attrs, rows)
             if not vals:
@@ -187,11 +180,7 @@ def _validate_inserts(db, groups):
                         continue
                     if batch_new is not None:
                         if inbatch is None:
-                            inbatch = set(
-                                _project(
-                                    ref.attrs, map(backing, batch_new[1])
-                                )
-                            )
+                            inbatch = set(_project(ref.attrs, batch_new[1]))
                         if v in inbatch:
                             continue
                     return None
@@ -219,7 +208,7 @@ def _commit_inserts(db, prepared) -> None:
     """Apply validated insert groups: bulk row adoption plus the exact
     index maintenance ``Database._store_raw`` performs per row."""
     identical = db.null_semantics == "identical"
-    for table, rows, new, _ts in prepared:
+    for table, rows, new in prepared:
         table.rows.update(new)
         table.version += 1
         for key_names, _extract in table.plan.candidate_keys:
@@ -241,8 +230,8 @@ def install_rows(
     recovery, replica bootstrap and the online merge's schema swap.
 
     ``relations`` maps scheme names to lists of plain row dicts, which
-    the tables adopt as their tuples' values: the caller hands them
-    over.  Each relation takes the insert path's columnar steps --
+    the tables adopt as their stored rows: the caller hands them over.
+    Each relation takes the insert path's columnar steps --
     :func:`_materialize` proves the shape and keys the rows,
     :func:`_commit_inserts` fills the candidate-key and group indexes.
     Equal rows collapse into one, as in a ``Relation``; two different
@@ -260,23 +249,23 @@ def install_rows(
             if table is None:
                 raise KeyError(f"no relation named {name!r}")
             if not rows:
-                prepared.append((table, rows, {}, []))
+                prepared.append((table, rows, {}))
                 continue
-            made = _materialize(table, rows)
-            if made is None:
+            new = _materialize(table, rows)
+            if new is None:
                 _refuse_shape(table, rows)
-            if len(made[0]) != len(rows):
+            if len(new) != len(rows):
                 rows = _distinct_rows(table, rows)
-                made = _materialize(table, rows)
-            prepared.append((table, rows, *made))
+                new = _materialize(table, rows)
+            prepared.append((table, rows, new))
         if log is not None:
             log()
-        for table, _rows, _new, _ts in prepared:
+        for table, _rows, _new in prepared:
             table.rows = {}
             table.key_indexes = {k: {} for k in table.key_indexes}
             table.group_indexes = {a: {} for a in table.group_indexes}
         _commit_inserts(db, prepared)
-    return sum(len(ts) for _t, _r, _n, ts in prepared)
+    return sum(len(rows) for _t, rows, _n in prepared)
 
 
 def _refuse_shape(table, rows) -> None:
@@ -325,8 +314,8 @@ def bulk_insert_many(
 ) -> list[Tuple] | None:
     """Fast path for :meth:`Database.insert_many`.
 
-    Returns the stored tuples in row order, or ``None`` to send the
-    batch down the row-at-a-time path (which also reports any error).
+    Returns views of the stored rows in row order, or ``None`` to send
+    the batch down the row-at-a-time path (which also reports any error).
     ``log`` runs once the batch has validated, before it is committed.
     """
     table = db._tables.get(scheme_name)
@@ -342,8 +331,9 @@ def bulk_insert_many(
         if log is not None:
             log()
         _commit_inserts(db, prepared)
+        stored = list(map(adopt_row, rows))
     _count_inserts(db, prepared)
-    return prepared[0][3]
+    return stored
 
 
 def bulk_apply(
@@ -376,9 +366,9 @@ def bulk_apply(
 @contextmanager
 def _gc_paused():
     """Hold off the cyclic collector for one batch: a big batch
-    allocates tens of thousands of tracked containers, and without a
-    pause generational collections walk the whole database heap
-    mid-batch and roughly double the per-row cost."""
+    allocates thousands of tracked containers (key tuples, index
+    buckets, the views it returns), and without a pause they trigger
+    generational collections mid-batch."""
     paused = gc.isenabled()
     if paused:
         gc.disable()
@@ -391,13 +381,13 @@ def _gc_paused():
 
 def _count_inserts(db, prepared) -> None:
     stats = db.stats
-    for table, _rows, _new, ts in prepared:
-        stats.inserts += len(ts)
-        stats.bulk_rows += len(ts)
-        if ts:
+    for table, rows, _new in prepared:
+        stats.inserts += len(rows)
+        stats.bulk_rows += len(rows)
+        if rows:
             name = table.scheme.name
             stats.scheme_mutations[name] = (
-                stats.scheme_mutations.get(name, 0) + len(ts)
+                stats.scheme_mutations.get(name, 0) + len(rows)
             )
 
 
@@ -426,10 +416,8 @@ def _validate_batch_inserts(db, ops):
     def commit() -> list[Tuple | None]:
         _commit_inserts(db, prepared)
         _count_inserts(db, prepared)
-        stored = {
-            table.scheme.name: ts for table, _rows, _new, ts in prepared
-        }
-        return [stored[s][i] for s, i in order]
+        stored = {table.scheme.name: rows for table, rows, _new in prepared}
+        return [adopt_row(stored[s][i]) for s, i in order]
 
     return commit
 
@@ -509,7 +497,7 @@ class _Edit:
         self.table = table
         #: The updated keys (a dict, for set tests) in batch order.
         self.keys: dict[tuple, None] = keys
-        self.olds: list[Tuple] = olds
+        self.olds: list[dict[str, Any]] = olds
         #: Each old row's values with its update applied.
         self.merged: list[dict[str, Any]] = merged
         #: Every attribute some update of this scheme assigns.
@@ -538,7 +526,7 @@ def _prepare_updates(db, scheme_name, pks, changes, positions):
     if not attrs <= plan.attr_set or not attrs.isdisjoint(plan.key_attrs):
         return None  # an unknown attribute, or a key would change
     olds = list(map(rows.__getitem__, pks))
-    merged = list(map(dict, map(backing, olds)))
+    merged = list(map(dict, olds))
     _consume(map(dict.update, merged, changes))
     # Key attributes keep their (total) stored values, so the
     # key-only nulls-not-allowed checks hold as for inserts.
@@ -618,14 +606,12 @@ def _restrict_holds(db, deleted, updated) -> bool:
             if rhs_is_pk:
                 vals = olds.keys()
             else:
-                vals = _total_values(
-                    rhs_attrs, map(backing, olds.values())
-                )
+                vals = _total_values(rhs_attrs, olds.values())
                 if edit is not None and edit.moved(rhs_attrs):
                     extract = refs[0].extract
                     gone = dict(olds)
                     for pk, old, new in zip(edit.keys, edit.olds, edit.merged):
-                        v = extract(old._values)
+                        v = extract(old)
                         if v != extract(new):
                             gone[pk] = old
                             if not contains_null(v):
@@ -678,22 +664,18 @@ def _commit_changes(db, deleted, updated, n_ops: int) -> list[Tuple | None]:
     results: list[Tuple | None] = [None] * n_ops
     for edit in updated.values():
         table = edit.table
-        ts = list(map(_new_tuple, repeat(Tuple, len(edit.merged))))
-        _consume(map(_set_values, ts, edit.merged))
-        _consume(map(_set_hash, ts, repeat(None)))
         # Replaced in place: unlike the row path's unstore/store, an
         # updated row keeps its position in the table's scan order.
-        table.rows.update(zip(edit.keys, ts))
+        table.rows.update(zip(edit.keys, edit.merged))
         table.version += 1
         # Key indexes need no work: updates never change key values.
         for attrs, gindex in table.group_indexes.items():
             if not edit.attrs.isdisjoint(attrs):
                 keys = list(edit.keys)
-                olds = map(backing, edit.olds)
-                _unfile(gindex, keys, _project(attrs, olds))
+                _unfile(gindex, keys, _project(attrs, edit.olds))
                 _file(gindex, keys, _project(attrs, edit.merged))
-        for i, t in zip(edit.positions, ts):
-            results[i] = t
+        for i, row in zip(edit.positions, edit.merged):
+            results[i] = adopt_row(row)
     stats = db.stats
     stats.bulk_rows += n_ops
     for scheme_name, (_table, olds) in deleted.items():
@@ -760,9 +742,8 @@ def _commit_deletes(deleted) -> None:
         for key_names, extract in plan.candidate_keys:
             index = table.key_indexes[key_names]
             for pk, old in olds.items():
-                value = extract(old._values)
+                value = extract(old)
                 if index.get(value) == pk:
                     del index[value]
         for attrs, gindex in table.group_indexes.items():
-            olds_values = map(backing, olds.values())
-            _unfile(gindex, list(olds), _project(attrs, olds_values))
+            _unfile(gindex, list(olds), _project(attrs, olds.values()))

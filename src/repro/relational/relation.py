@@ -76,6 +76,12 @@ class Relation:
         """The underlying tuple set."""
         return self._tuples
 
+    @property
+    def mappings(self) -> Iterable[Mapping[str, Any]]:
+        """Each tuple's backing mapping, in the tuple set's order: what
+        column reads take (:func:`~repro.relational.tuples.values_on`)."""
+        return map(backing, self._tuples)
+
     # -- set interface -----------------------------------------------------
 
     def __iter__(self) -> Iterator[Tuple]:

@@ -7,7 +7,7 @@ from typing import AbstractSet, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationalSchema
-from repro.relational.tuples import Tuple, has_null, is_null, values_on
+from repro.relational.tuples import has_null, is_null, values_on
 
 
 class DatabaseState:
@@ -130,9 +130,9 @@ class DatabaseState:
 class Columns:
     """Column reads over a state, cached for one checking pass.
 
-    ``relations`` maps scheme names to collections of
-    :class:`~repro.relational.tuples.Tuple` -- a :class:`DatabaseState`,
-    or the engine's stored tables.  :meth:`values` is
+    ``relations`` maps scheme names to relation-like collections -- a
+    :class:`DatabaseState`, or the engine's stored tables -- whose
+    ``mappings`` are their rows' attribute mappings.  :meth:`values` is
     :func:`~repro.relational.tuples.values_on` of one relation, read
     once per ``(scheme, attrs)`` and shared by every constraint that
     asks again: a key column is read by its key dependency, by every
@@ -143,7 +143,7 @@ class Columns:
 
     __slots__ = ("relations", "_values", "_totals")
 
-    def __init__(self, relations: Mapping[str, Iterable[Tuple]]):
+    def __init__(self, relations: Mapping[str, Any]):
         self.relations = relations
         self._values: dict[tuple[str, tuple[str, ...]], list[tuple]] = {}
         self._totals: dict[tuple[str, tuple[str, ...]], set[tuple]] = {}
@@ -154,7 +154,7 @@ class Columns:
         column = self._values.get(key)
         if column is None:
             column = self._values[key] = values_on(
-                self.relations[scheme_name], key[1]
+                self.relations[scheme_name].mappings, key[1]
             )
         return column
 

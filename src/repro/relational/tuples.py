@@ -204,7 +204,8 @@ def null_tuple(attrs: Sequence[Attribute]) -> Tuple:
 
 
 #: Each tuple's backing mapping, read without the ``mapping`` property's
-#: Python-level call.
+#: Python-level call: how a relation's tuples reach the column reads of
+#: :func:`values_on`.
 backing = attrgetter("_values")
 
 #: ``has_null(value)``: does a value tuple contain ``NULL``?  A C-level
@@ -213,20 +214,20 @@ backing = attrgetter("_values")
 has_null = methodcaller("__contains__", NULL)
 
 
-def values_on(tuples: Iterable[Tuple], names: Sequence[str]) -> list[tuple]:
-    """Each tuple's values on ``names``, as plain value tuples in
+def values_on(rows: Iterable[Mapping[str, Any]], names: Sequence[str]) -> list[tuple]:
+    """Each row mapping's values on ``names``, as plain value tuples in
     iteration order -- the value-level counterpart of ``project``.
 
-    The values are read straight from every tuple's backing dict with
-    :func:`operator.itemgetter`, so the pass is a C loop that builds no
-    :class:`Tuple`.  A missing attribute raises ``KeyError``.
+    ``rows`` are attribute mappings: a relation's ``mappings`` (its
+    tuples' backing dicts) or the engine's stored row dicts.  The values
+    are read with :func:`operator.itemgetter`, so the pass is a C loop
+    that builds no :class:`Tuple`.  A missing attribute raises
+    ``KeyError``.
     """
     names = tuple(names)
-    rows = map(backing, tuples)
     if len(names) == 1:
         # ``zip`` with a single iterable wraps each value in a 1-tuple.
         return list(zip(map(itemgetter(names[0]), rows)))
     if not names:
         return [() for _ in rows]
     return list(map(itemgetter(*names), rows))
-

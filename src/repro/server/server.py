@@ -484,17 +484,33 @@ class ReproServer:
     ) -> None:
         """One scrape: a minimal HTTP/1.0-style exchange (GET/HEAD,
         ``Connection: close``) -- enough for Prometheus, curl, and
-        orchestrator probes without an HTTP dependency."""
+        orchestrator probes without an HTTP dependency.  A request line
+        or header longer than the stream's limit gets ``431``."""
         try:
-            request_line = await reader.readline()
+            too_long = False
+            try:
+                request_line = await reader.readline()
+            except ValueError:  # longer than the stream's limit
+                request_line, too_long = b"", True
             while True:  # drain request headers up to the blank line
-                header = await reader.readline()
+                try:
+                    header = await reader.readline()
+                except ValueError:  # dropped; the rest is still read
+                    too_long = True
+                    continue
                 if header in (b"\r\n", b"\n", b""):
                     break
             parts = request_line.decode("latin-1", "replace").split()
             method = parts[0] if parts else ""
             path = parts[1].split("?", 1)[0] if len(parts) > 1 else ""
-            status, body, ctype = self._http_response(method, path)
+            if too_long:
+                status, body, ctype = (
+                    "431 Request Header Fields Too Large",
+                    "request header fields too large\n",
+                    "text/plain; charset=utf-8",
+                )
+            else:
+                status, body, ctype = self._http_response(method, path)
             head = method == "HEAD" and status != 405
             payload = body.encode("utf-8")
             writer.write(

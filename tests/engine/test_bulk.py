@@ -302,7 +302,7 @@ class TestColumnarUpdates:
             None,
             {"T.C.NR": "c1", "T.F.SSN": "p2"},
         ]
-        assert db.get("OFFER", "c1") is results[0]
+        assert db.get("OFFER", "c1").mapping is results[0].mapping
         assert db.count("ASSIST") == 0
         after = parse_wal(db.wal.storage.read()).records
         assert [r["op"] for r in after[len(before):]] == ["batch"]

@@ -60,20 +60,20 @@ def reference_install(db: Database, state: DatabaseState) -> None:
         plan = table.plan
         rows = {}
         for t in relation:
-            rows[plan.pk(t.mapping)] = t
+            rows[plan.pk(t.mapping)] = t.mapping
         table.rows = rows
         for key_names, extract in plan.candidate_keys:
             index = {}
-            for pk, t in rows.items():
-                value = extract(t.mapping)
+            for pk, row in rows.items():
+                value = extract(row)
                 if identical or not any(v is NULL for v in value):
                     index[value] = pk
             table.key_indexes[key_names] = index
         for attrs in table.group_indexes:
             extract = table.group_extractors[attrs]
             refs = {}
-            for pk, t in rows.items():
-                value = extract(t.mapping)
+            for pk, row in rows.items():
+                value = extract(row)
                 if not any(v is NULL for v in value):
                     refs.setdefault(value, {})[pk] = None
             table.group_indexes[attrs] = refs
@@ -93,7 +93,7 @@ def _contents(db: Database) -> dict:
         keys = {}
         for key_names, index in t.key_indexes.items():
             for value, pk in index.items():
-                row = t.rows[pk].mapping
+                row = t.rows[pk]
                 assert tuple(row[a] for a in key_names) == value
             keys[key_names] = set(index)
         contents[name] = (t.rows, keys, t.group_indexes)

@@ -39,9 +39,9 @@ def _nonkey_nulls(db: Database) -> int:
     count = 0
     for table in db._tables.values():
         keys = set(table.scheme.key_names)
-        for t in table.rows.values():
+        for row in table.rows.values():
             count += sum(
-                1 for a, v in t.mapping.items() if v is NULL and a not in keys
+                1 for a, v in row.items() if v is NULL and a not in keys
             )
     return count
 

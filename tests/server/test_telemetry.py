@@ -227,6 +227,33 @@ def test_readyz_ready_while_serving(tmp_path):
         st.stop()
 
 
+def test_oversized_metrics_header_gets_431_and_endpoint_stays_up():
+    """A header line over the stream limit is answered ``431``, not
+    dropped with an empty reply; the endpoint keeps serving."""
+    db = Database(university_relational())
+    st = ServerThread(db, ServerConfig(metrics_port=0))
+    st.start()
+    try:
+        request = (
+            b"GET /metrics HTTP/1.1\r\nHost: x\r\n"
+            + b"X-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+        )
+        with socket.create_connection(
+            (st.host, st.metrics_port), timeout=30
+        ) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.split(b"\r\n", 1)[0] == (
+            b"HTTP/1.1 431 Request Header Fields Too Large"
+        )
+        url = f"http://{st.host}:{st.metrics_port}/healthz"
+        assert _http_get(url) == (200, "ok\n")
+    finally:
+        st.stop()
+
+
 def test_stats_verb_carries_server_section(span_server):
     st, _ = span_server
     with Client(port=st.port, timeout=30) as c:
