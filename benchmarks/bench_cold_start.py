@@ -21,7 +21,19 @@ process runs walks that many objects.  Peak RSS is the
 child's high-water mark (``VmHWM``; ``ru_maxrss`` where there is no
 ``/proc``, which on Linux also counts the forking parent): interpreter,
 imports and every recovery and checkpoint, which is what a starting
-and draining server holds too::
+and draining server holds too.
+
+A second table measures the replay of a log *tail*.  One more child
+recovers the ``bulk_ingest`` preload, then applies the first
+``TAIL_BATCHES`` accepted batches of that workload's stream
+(connection 0: ``insert_many`` and ``apply_batch``, decoded from
+their wire JSON outside the timer) to the recovered database, its log
+attached.  It then replays the log it wrote: the checkpoint first,
+untimed, then the tail's records, parsed and fed through the
+recovery's ``WalApplier`` under the timer.  Per mutation (an inserted
+row or a batch op) it reports the replay time (``replay_us``), the
+live apply of the same batches (``live_us``, the engine calls only)
+and the tail's log bytes (``wal_B``)::
 
     python benchmarks/bench_cold_start.py --seed 1 --repeats 5
 """
@@ -44,6 +56,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 WORKLOADS = ("bulk_ingest", "online_merge")
+#: Accepted ``bulk_ingest`` batches in the replayed log tail.
+TAIL_BATCHES = 200
 
 
 def write_preload(workload: str, seed: int, path: str) -> int:
@@ -94,6 +108,69 @@ def recover_repeatedly(wal: str, repeats: int) -> dict:
     }
 
 
+def replay_tail(wal: str, seed: int, repeats: int) -> dict:
+    """Apply the first ``TAIL_BATCHES`` accepted ``bulk_ingest`` batches to
+    recovered copies of ``wal``, then replay the tail they logged;
+    per-mutation live and replay times and the tail's bytes per
+    mutation, one entry per repeat."""
+    from perfbench.streams import BulkIngest
+    from repro.engine.database import Database
+    from repro.engine.recovery import WalApplier, recover_database
+    from repro.engine.wal import parse_wal
+    from repro.server.service import _decode_batch_ops
+    from repro.workloads.university import university_relational
+
+    schema = university_relational()
+    frames = []
+    for op in BulkIngest(seed).stream(0):
+        if len(frames) == TAIL_BATCHES:
+            break
+        if op.write and op.reject is None:
+            frames.append((op.verb, json.dumps(op.params), op.rows))
+    mutations = sum(rows for _verb, _params, rows in frames)
+    live, replay, wal_bytes = [], [], []
+    for i in range(repeats):
+        copy = f"{wal}.tail{i}"
+        shutil.copyfile(wal, copy)
+        db = recover_database(schema, copy).database
+        head = db.wal.storage.size()
+        spent = 0.0
+        for verb, params, _rows in frames:
+            params = json.loads(params)
+            if verb == "insert_many":
+                start = perf_counter()
+                db.insert_many(params["scheme"], params["rows"])
+            else:
+                ops = _decode_batch_ops(params["ops"])
+                start = perf_counter()
+                db.apply_batch(ops)
+            spent += perf_counter() - start
+        db.wal.close()
+        del db
+        with open(copy, "rb") as fh:
+            data = fh.read()
+        os.remove(copy)
+        gc.collect()
+        applier = WalApplier(Database(schema))
+        for record in parse_wal(data[:head]).records:
+            applier.feed(record)
+        start = perf_counter()
+        for record in parse_wal(data[head:]).records:
+            applier.feed(record)
+        replay.append((perf_counter() - start) / mutations * 1e6)
+        live.append(spent / mutations * 1e6)
+        wal_bytes.append((len(data) - head) / mutations)
+        del applier
+        gc.collect()
+    return {
+        "batches": len(frames),
+        "mutations": mutations,
+        "live_us": live,
+        "replay_us": replay,
+        "wal_B": wal_bytes,
+    }
+
+
 def _peak_mb() -> float:
     """This process's peak resident set size, MiB."""
     try:
@@ -118,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--recover", metavar="WAL", help=argparse.SUPPRESS)
+    parser.add_argument("--tail", metavar="WAL", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -125,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         # Child mode: one process per workload, so its peak RSS holds
         # only recovery and not the preload generator.
         print(json.dumps(recover_repeatedly(args.recover, args.repeats)))
+        return 0
+    if args.tail is not None:
+        print(json.dumps(replay_tail(args.tail, args.seed, args.repeats)))
         return 0
 
     print(
@@ -154,6 +235,27 @@ def main(argv: list[str] | None = None) -> int:
                 f"{statistics.median(r['tracked']):.0f} | "
                 f"{_median_iqr(r['gc_full_ms'])} | {r['peak_rss_mb']:.1f} |"
             )
+        wal = os.path.join(tmp, "bulk_ingest.wal")
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__),
+             "--tail", wal, "--seed", str(args.seed),
+             "--repeats", str(args.repeats)],
+            check=True, capture_output=True, text=True,
+        ).stdout
+        r = json.loads(out.strip().splitlines()[-1])
+        ratio = [a / b for a, b in zip(r["replay_us"], r["live_us"])]
+        print()
+        print(
+            "| log tail | batches | mutations | live_us | replay_us "
+            "| replay/live | wal_B |"
+        )
+        print("|---|---:|---:|---:|---:|---:|---:|")
+        print(
+            f"| bulk_ingest | {r['batches']} | {r['mutations']} | "
+            f"{_median_iqr(r['live_us'])} | "
+            f"{_median_iqr(r['replay_us'])} | {_median_iqr(ratio)} | "
+            f"{_median_iqr(r['wal_B'])} |"
+        )
     return 0
 
 

@@ -59,6 +59,7 @@ from repro.engine.wal import (
     insert_record,
     merge_record,
     op_runs,
+    run_ops,
     update_record,
 )
 from repro.io.state_json import decode_relations, decode_value
@@ -1000,22 +1001,43 @@ class Database:
         accepted batch is one ``batch`` record, as for
         :meth:`insert_many`.
         """
+        return self._apply(ops if isinstance(ops, list) else list(ops), None)
+
+    def apply_runs(self, runs: list[tuple]) -> list[Tuple | None]:
+        """:meth:`apply_batch` for a batch already grouped into runs
+        (:func:`~repro.engine.wal.op_runs`) -- the entry point of log
+        replay, which reads a ``batch`` record back as its runs
+        (:func:`~repro.engine.wal.record_runs`) and hands them to the
+        columnar validators without regrouping."""
+        return self._apply(None, runs)
+
+    def _apply(
+        self, ops: list[tuple] | None, runs: list[tuple] | None
+    ) -> list[Tuple | None]:
+        """One batch, given as op tuples or as runs: the columnar path
+        groups the ops once (the runs it validates are the runs its log
+        record is written from); the row path takes the op tuples,
+        expanded from the runs when only those are given."""
         timed = self._timed
         start = perf_counter() if timed else 0.0
         if self._slotted and self._undo_log is None:
-            ops = ops if isinstance(ops, list) else list(ops)
             log = None
             if self.wal is not None:
-                log = lambda: self._wal_append(  # noqa: E731
-                    batch_record(op_runs(ops)), "apply_batch", None, len(ops)
+                log = lambda runs: self._wal_append(  # noqa: E731
+                    batch_record(runs),
+                    "apply_batch",
+                    None,
+                    sum(len(items) for _k, _s, items in runs),
                 )
-            fast = bulk_apply(self, ops, log)
+            fast = bulk_apply(self, ops, runs, log)
             if fast is not None:
                 if timed:
                     self._observe_ok(
                         "apply_batch", None, start, rows=len(fast)
                     )
                 return fast
+        if ops is None:
+            ops = run_ops(runs)
         try:
             results = self._apply_batch(ops)
         except ConstraintViolationError as exc:

@@ -21,15 +21,16 @@ validated mutations are ever logged, see :mod:`repro.engine.wal`):
 3. **Replay** the committed records in log order.  Bare mutation
    records (written outside a transaction) re-apply directly, and a
    bare ``batch`` record (one whole ``insert_many``/``apply_batch``)
-   through ``apply_batch``; a ``begin``..``commit`` group -- its
-   ``batch`` records expanded in place -- replays through
-   ``apply_batch`` as well, whose
-   deferred reference checking accepts exactly the groups the original
-   transaction accepted.  A group with no ``commit`` (trailing or
-   ``abort``-ed) is rolled back: its records are dropped, and a
-   trailing group is sealed with an ``abort`` marker in the repaired
-   log so later appends cannot fall inside it.  ``rollback`` markers
-   cancel the inner-block records they name.
+   through ``Database.apply_runs``, read back run by run with
+   :func:`~repro.engine.wal.record_runs`; a ``begin``..``commit``
+   group -- its records' runs joined in log order -- replays through
+   ``apply_runs`` as well, whose deferred reference checking accepts
+   exactly the groups the original transaction accepted.  A group
+   with no ``commit`` (trailing or ``abort``-ed) is rolled back: its
+   records are dropped, and a trailing group is sealed with an
+   ``abort`` marker in the repaired log so later appends cannot fall
+   inside it.  ``rollback`` markers cancel the inner-block records
+   they name.
 4. **Verify**: the recovered state is re-checked against the schema's
    full ``F ∪ I ∪ N`` constraint set by
    :class:`~repro.constraints.checker.ConsistencyChecker`, reading the
@@ -53,11 +54,12 @@ from repro.engine.stats import EngineStats
 from repro.engine.wal import (
     FileStorage,
     Storage,
+    WAL_VERSION,
     WalError,
     WriteAheadLog,
     decode_batch_op,
-    decode_ops,
     parse_wal,
+    record_runs,
 )
 from repro.obs.rules import paper_rule
 from repro.obs.trace import TraceEvent, Tracer
@@ -125,7 +127,7 @@ class WalApplier:
     its ``commit`` marker lands.  Semantics are identical either way --
     snapshot/``load_state`` images seed the state, bare mutations apply
     directly, ``batch`` records and ``begin``..``commit`` groups
-    replay atomically through ``apply_batch``, ``abort``/``rollback``
+    replay atomically through ``apply_runs``, ``abort``/``rollback``
     drop what they cancel.
 
     :meth:`seal` ends the stream: a trailing group with no ``commit``
@@ -160,6 +162,14 @@ class WalApplier:
         self.max_lsn = max(self.max_lsn, record.get("lsn", 0))
         op = record["op"]
         if op == "header":
+            version = record.get("version", 1)
+            if version > WAL_VERSION:
+                # A newer writer's records may reuse a kind with a new
+                # shape (v3 batch runs); refuse instead of misreading.
+                raise RecoveryError(
+                    f"log is format version {version}; this reader "
+                    f"understands versions up to {WAL_VERSION}"
+                )
             return
         if op in ("snapshot", "load_state"):
             _load_image(db, record, report)
@@ -386,14 +396,14 @@ def _replay_bare(db, report: RecoveryReport, record: dict) -> None:
     Only validated mutations are logged, and replay walks the same
     state trajectory the original run did, so a rejection here means
     the log is corrupt in a way the checksums could not see.  A batch
-    replays through ``apply_batch``: the deferred reference checks
-    that accepted it originally accept it again.
+    replays through ``apply_runs``, decoded run by run: the deferred
+    reference checks that accepted it originally accept it again.
     """
     from repro.engine.database import ConstraintViolationError
 
     try:
         if record["op"] == "batch":
-            db.apply_batch(decode_ops(record))
+            db.apply_runs(record_runs(record))
         else:
             op = decode_batch_op(record)
             if op[0] == "insert":
@@ -420,7 +430,7 @@ def _replay_group(
 ) -> None:
     """Re-apply one committed transaction group atomically.
 
-    ``apply_batch`` defers reference checks to the group's final state,
+    ``apply_runs`` defers reference checks to the group's final state,
     matching the acceptance semantics of ``insert_many``/``apply_batch``
     /``transaction()`` that produced the group.
     """
@@ -440,7 +450,7 @@ def _replay_group(
         return
     if buffered:
         try:
-            db.apply_batch([op for r in buffered for op in decode_ops(r)])
+            db.apply_runs(_group_runs(buffered))
         except (ConstraintViolationError, KeyError) as exc:
             raise RecoveryError(
                 f"committed transaction {txn} was rejected on replay: "
@@ -449,6 +459,21 @@ def _replay_group(
     report.records_replayed += len(buffered)
     report.transactions_replayed += 1
     db.stats.wal_replayed_records += len(buffered)
+
+
+def _group_runs(records: list[dict]) -> list[tuple]:
+    """The runs of a group's records, in log order, with adjacent runs
+    of one kind and scheme joined -- the maximal runs ``op_runs`` makes
+    of the same ops, so a replica re-logs the group as the row path
+    would."""
+    runs: list[tuple] = []
+    for record in records:
+        for kind, scheme, items in record_runs(record):
+            if runs and runs[-1][0] == kind and runs[-1][1] == scheme:
+                runs[-1][2].extend(items)
+            else:
+                runs.append((kind, scheme, list(items)))
+    return runs
 
 
 def _drop_group(

@@ -53,15 +53,16 @@ write-ahead rule, at batch granularity.
 from __future__ import annotations
 
 import gc
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import contextmanager
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.constraints.checker import key_violation
 from repro.constraints.functional import KeyDependency
 from repro.engine.plans import contains_null
+from repro.engine.wal import op_runs
 from repro.io.state_json import StateDecodeError
 from repro.relational.relation import Relation
 from repro.relational.tuples import NULL, Tuple
@@ -337,29 +338,34 @@ def bulk_insert_many(
 
 
 def bulk_apply(
-    db, ops, log: Callable[[], None] | None = None
+    db, ops, runs=None, log: Callable[[list], None] | None = None
 ) -> list[Tuple | None] | None:
     """Fast path for :meth:`Database.apply_batch`.
 
-    Handles all-insert batches and batches of updates and deletes;
-    anything else, malformed or unprovable returns ``None`` for the
-    slow path.  ``log`` runs once the batch has validated, before it is
-    committed.
+    The batch comes as ``runs`` (see :func:`~repro.engine.wal.op_runs`)
+    or, when those are not given, as the op tuples ``ops``, grouped
+    here once.  The validators take the runs, and ``log(runs)`` -- the
+    append of the batch's record, written from the same runs -- runs
+    once the batch has validated, before it is committed.  Handles
+    all-insert batches and batches of updates and deletes; anything
+    else, malformed or unprovable returns ``None`` for the slow path.
     """
-    if not ops:
-        return None  # let the slow path produce its []
     with _gc_paused():
         try:
-            if ops[0][0] == "insert":
-                validated = _validate_batch_inserts(db, ops)
+            if runs is None:
+                runs = op_runs(ops)
+            if not runs:
+                return None  # let the slow path produce its []
+            if runs[0][0] == "insert":
+                validated = _validate_batch_inserts(db, runs)
             else:
-                validated = _validate_changes(db, ops)
+                validated = _validate_changes(db, runs)
         except (AttributeError, IndexError, KeyError, TypeError, ValueError):
             return None
         if validated is None:
             return None
         if log is not None:
-            log()
+            log(runs)
         return validated()
 
 
@@ -391,24 +397,24 @@ def _count_inserts(db, prepared) -> None:
             )
 
 
-def _validate_batch_inserts(db, ops):
+def _joined(parts: list[list]) -> list:
+    """The items of one scheme's runs, in batch order."""
+    return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+
+
+def _validate_batch_inserts(db, runs):
     """Validate an all-insert batch; its commit thunk, or ``None``."""
-    groups: dict[str, list] = {}
-    order: list[tuple[str, int]] = []
-    for kind, scheme_name, row in ops:
+    scheme_runs: defaultdict[str, list] = defaultdict(list)
+    for kind, scheme_name, rows in runs:
         if kind != "insert":
             return None  # mixed batch: slow path
-        rows = groups.get(scheme_name)
-        if rows is None:
-            rows = groups[scheme_name] = []
-        order.append((scheme_name, len(rows)))
-        rows.append(row)
+        scheme_runs[scheme_name].append(rows)
     glist = []
-    for scheme_name, rows in groups.items():
+    for scheme_name, parts in scheme_runs.items():
         table = db._tables.get(scheme_name)
         if table is None:
             return None
-        glist.append((table, rows))
+        glist.append((table, _joined(parts)))
     prepared = _validate_inserts(db, glist)
     if prepared is None:
         return None
@@ -416,13 +422,14 @@ def _validate_batch_inserts(db, ops):
     def commit() -> list[Tuple | None]:
         _commit_inserts(db, prepared)
         _count_inserts(db, prepared)
-        stored = {table.scheme.name: rows for table, rows, _new in prepared}
-        return [adopt_row(stored[s][i]) for s, i in order]
+        # The runs list the rows in batch order.
+        rows = chain.from_iterable(map(itemgetter(2), runs))
+        return list(map(adopt_row, rows))
 
     return commit
 
 
-def _validate_changes(db, ops):
+def _validate_changes(db, runs):
     """Validate a batch of updates and deletes; its commit thunk, or
     ``None``.
 
@@ -435,31 +442,20 @@ def _validate_changes(db, ops):
     final state, and restrict for the values deletes and updates take
     away.
     """
-    # Group keys by scheme, normalizing scalar keys the way the slow
-    # path does; a missing row or a repeated key is a slow-path matter
+    # Collect each scheme's keys from its runs (keys are tuples
+    # already); a missing row or a repeated key is a slow-path matter
     # (KeyError with the canonical message, or sequential semantics).
-    deletes: dict[str, list[tuple]] = {}
-    updates: dict[str, tuple[list, list, list]] = {}
-    for i, op in enumerate(ops):
-        kind = op[0]
+    delete_runs: defaultdict[str, list] = defaultdict(list)
+    update_runs: defaultdict[str, list] = defaultdict(list)
+    for kind, scheme_name, items in runs:
         if kind == "delete":
-            _, scheme_name, pk = op
-            pks = deletes.get(scheme_name)
-            if pks is None:
-                pks = deletes[scheme_name] = []
-            pks.append(pk if isinstance(pk, tuple) else (pk,))
+            delete_runs[scheme_name].append(items)
         elif kind == "update":
-            _, scheme_name, pk, changes = op
-            if type(changes) is not dict:
-                return None  # the log writes update maps as given
-            entry = updates.get(scheme_name)
-            if entry is None:
-                entry = updates[scheme_name] = ([], [], [])
-            entry[0].append(pk if isinstance(pk, tuple) else (pk,))
-            entry[1].append(changes)
-            entry[2].append(i)
+            update_runs[scheme_name].append(items)
         else:
             return None  # inserts mixed in: slow path
+    deletes = {s: _joined(parts) for s, parts in delete_runs.items()}
+    updates = {s: _joined(parts) for s, parts in update_runs.items()}
     deleted: dict[str, tuple] = {}
     for scheme_name, pks in deletes.items():
         table = db._tables.get(scheme_name)
@@ -473,8 +469,8 @@ def _validate_changes(db, ops):
             return None
         deleted[scheme_name] = (table, olds)
     updated: dict[str, _Edit] = {}
-    for scheme_name, (pks, changes, positions) in updates.items():
-        edit = _prepare_updates(db, scheme_name, pks, changes, positions)
+    for scheme_name, items in updates.items():
+        edit = _prepare_updates(db, scheme_name, items)
         if edit is None:
             return None
         entry = deleted.get(scheme_name)
@@ -485,15 +481,15 @@ def _validate_changes(db, ops):
         return None
     if not _restrict_holds(db, deleted, updated):
         return None
-    return lambda: _commit_changes(db, deleted, updated, len(ops))
+    return lambda: _commit_changes(db, deleted, updated, runs)
 
 
 class _Edit:
     """One scheme's share of a validated update batch."""
 
-    __slots__ = ("table", "keys", "olds", "merged", "attrs", "positions")
+    __slots__ = ("table", "keys", "olds", "merged", "attrs")
 
-    def __init__(self, table, keys, olds, merged, attrs, positions):
+    def __init__(self, table, keys, olds, merged, attrs):
         self.table = table
         #: The updated keys (a dict, for set tests) in batch order.
         self.keys: dict[tuple, None] = keys
@@ -502,8 +498,6 @@ class _Edit:
         self.merged: list[dict[str, Any]] = merged
         #: Every attribute some update of this scheme assigns.
         self.attrs: frozenset[str] = attrs
-        #: Each update's position in the batch (for the results).
-        self.positions: list[int] = positions
 
     def moved(self, attrs: Sequence[str]):
         """Keys whose value under ``attrs`` the batch may change (every
@@ -511,12 +505,17 @@ class _Edit:
         return self.keys if not self.attrs.isdisjoint(attrs) else ()
 
 
-def _prepare_updates(db, scheme_name, pks, changes, positions):
-    """Merge one scheme's updates into its pre-state rows and run the
-    null checks on them; the :class:`_Edit`, or ``None``."""
+def _prepare_updates(db, scheme_name, items):
+    """Merge one scheme's ``(pk, updates)`` items into its pre-state
+    rows and run the null checks on them; the :class:`_Edit`, or
+    ``None``."""
     table = db._tables.get(scheme_name)
     if table is None:
         return None
+    pks = list(map(itemgetter(0), items))
+    changes = list(map(itemgetter(1), items))
+    if set(map(type, changes)) != {dict}:
+        return None  # the log writes update maps as given
     plan = table.plan
     rows = table.rows
     keys = dict.fromkeys(pks)
@@ -533,7 +532,7 @@ def _prepare_updates(db, scheme_name, pks, changes, positions):
     for _constraint, check in plan.bulk_null_checks:
         if not all(map(check, merged)):
             return None
-    return _Edit(table, keys, olds, merged, attrs, positions)
+    return _Edit(table, keys, olds, merged, attrs)
 
 
 def _outgoing_hold(db, deleted, updated) -> bool:
@@ -656,12 +655,11 @@ def _restrict_holds(db, deleted, updated) -> bool:
     return True
 
 
-def _commit_changes(db, deleted, updated, n_ops: int) -> list[Tuple | None]:
+def _commit_changes(db, deleted, updated, runs) -> list[Tuple | None]:
     """Apply a validated update/delete batch: bulk row removal and
     replacement plus the index maintenance ``Database._unstore_raw`` /
     ``_store_raw`` perform per row."""
     _commit_deletes(deleted)
-    results: list[Tuple | None] = [None] * n_ops
     for edit in updated.values():
         table = edit.table
         # Replaced in place: unlike the row path's unstore/store, an
@@ -674,10 +672,19 @@ def _commit_changes(db, deleted, updated, n_ops: int) -> list[Tuple | None]:
                 keys = list(edit.keys)
                 _unfile(gindex, keys, _project(attrs, edit.olds))
                 _file(gindex, keys, _project(attrs, edit.merged))
-        for i, row in zip(edit.positions, edit.merged):
-            results[i] = adopt_row(row)
+    # One result per op, in batch order: a scheme's merged rows are in
+    # the order of its update runs.
+    merged = {name: iter(edit.merged) for name, edit in updated.items()}
+    results: list[Tuple | None] = []
+    for kind, scheme_name, items in runs:
+        if kind == "delete":
+            results.extend(repeat(None, len(items)))
+        else:
+            results.extend(
+                map(adopt_row, islice(merged[scheme_name], len(items)))
+            )
     stats = db.stats
-    stats.bulk_rows += n_ops
+    stats.bulk_rows += len(results)
     for scheme_name, (_table, olds) in deleted.items():
         stats.deletes += len(olds)
         stats.scheme_mutations[scheme_name] = (

@@ -34,7 +34,9 @@ Record kinds (the ``op`` field): ``header``, ``insert``, ``update``,
 :mod:`repro.io.state_json` format, plus the ``schema`` once an online
 merge evolved it; see ``Database.snapshot_image``).  Every record
 carries a monotonically increasing ``lsn``.  Version 2 logs add the
-``batch`` kind; a version 1 log holds none and recovers unchanged.
+``batch`` kind; version 3 writes a ``batch`` record's insert runs as
+value columns and its single-attribute delete keys bare.  Version 1
+and 2 logs recover unchanged: :func:`record_runs` reads every shape.
 
 Write-ahead discipline
 ----------------------
@@ -75,13 +77,22 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any, Mapping, Protocol, Sequence
 
-from repro.io.state_json import decode_value, encode_value, null_default
+from repro.io.state_json import (
+    decode_rows,
+    decode_value,
+    encode_value,
+    null_default,
+)
 
 #: Format version stamped into every ``header`` record (2 added the
-#: ``batch`` record; version 1 logs still recover).
-WAL_VERSION = 2
+#: ``batch`` record, 3 stores its insert runs as value columns and its
+#: single-attribute delete keys bare; version 1 and 2 logs still
+#: recover).
+WAL_VERSION = 3
 
 #: Bytes of the ``llllllll cccccccc `` record prefix.
 _PREFIX_LEN = 18
@@ -441,70 +452,136 @@ def merge_record(
 
 
 def op_runs(ops: Sequence[tuple]) -> list[tuple[str, str, list]]:
-    """Group ``apply_batch`` op tuples into :func:`batch_record` runs:
-    maximal stretches of consecutive ops with the same kind and scheme,
-    in batch order.  Scalar primary keys become 1-tuples."""
+    """Group ``apply_batch`` op tuples into runs: maximal stretches of
+    consecutive ops with the same kind and scheme, in batch order.
+
+    A run is ``(kind, scheme, items)``; an item is the row mapping of an
+    insert, the primary key of a delete, or a ``(pk, updates)`` pair of
+    an update, with scalar primary keys made 1-tuples.  The grouping is
+    strict about arity -- a malformed op raises ``IndexError``,
+    ``TypeError`` or ``ValueError`` -- and leaves an unknown kind as a
+    run of its own for the validators to refuse."""
     runs: list[tuple[str, str, list]] = []
     kind = scheme = None
     items: list = []
     for op in ops:
-        if op[0] != kind or op[1] != scheme:
-            kind, scheme, items = op[0], op[1], []
+        if op[0] == "update":
+            _, name, pk, updates = op
+            item = (pk if isinstance(pk, tuple) else (pk,), updates)
+        else:
+            _, name, item = op
+            if op[0] == "delete" and not isinstance(item, tuple):
+                item = (item,)
+        if op[0] != kind or name != scheme:
+            kind, scheme, items = op[0], name, []
             runs.append((kind, scheme, items))
-        if kind == "insert":
-            items.append(op[2])
-            continue
-        pk = op[2] if isinstance(op[2], tuple) else (op[2],)
-        items.append(pk if kind == "delete" else (pk, op[3]))
+        items.append(item)
     return runs
+
+
+def run_ops(runs: Sequence[tuple[str, str, Sequence]]) -> list[tuple]:
+    """The ``apply_batch`` op tuples ``runs`` group (inverse of
+    :func:`op_runs`), for the row-at-a-time path."""
+    ops: list[tuple] = []
+    for kind, scheme, items in runs:
+        if kind == "update":
+            ops.extend((kind, scheme, pk, updates) for pk, updates in items)
+        else:
+            ops.extend(zip(repeat(kind), repeat(scheme), items))
+    return ops
 
 
 def batch_record(runs: Sequence[tuple[str, str, Sequence]]) -> dict:
     """The log payload of one accepted ``insert_many``/``apply_batch``.
 
     ``runs`` lists ``(kind, scheme, items)`` stretches in batch order
-    (see :func:`op_runs`); an item is the row mapping of an insert, the
-    primary key of a delete, or a ``(pk, updates)`` pair of an update.
-    The payload holds the caller's objects as they are -- the encoder
-    writes a ``NULL`` anywhere as the null marker -- so logging a batch
-    costs one JSON pass, not a per-value Python loop.  Replay applies
-    the decoded ops with ``apply_batch`` (:func:`decode_ops`), whose
-    deferred reference checks accept exactly what the original batch
-    accepted.
+    (see :func:`op_runs`).  The record stores them by columns: an insert
+    run is one value list per attribute, and a delete run of
+    single-attribute keys lists the bare key values.  An update run
+    keeps its ``[pk, updates]`` items.  The payload otherwise holds the
+    caller's objects as they are -- the encoder writes a ``NULL``
+    anywhere as the null marker -- so logging a batch costs C-level
+    column passes and one JSON pass, not a per-value Python loop.
+    Replay reads the runs back with :func:`record_runs` and applies
+    them with ``Database.apply_runs``, whose deferred reference checks
+    accept exactly what the original batch accepted.
     """
-    return {"op": "batch", "runs": [list(run) for run in runs]}
+    encoded = [run if run[0] == "update" else _encode_run(*run) for run in runs]
+    return {"op": "batch", "runs": encoded}
 
 
-def decode_ops(record: Mapping[str, Any]) -> list[tuple]:
-    """A mutation or ``batch`` record as the ``apply_batch`` op tuples
-    it replays as."""
-    if record["op"] != "batch":
-        return [decode_batch_op(record)]
-    ops: list[tuple] = []
-    for kind, scheme, items in record["runs"]:
-        if kind == "insert":
-            ops.extend(
-                ("insert", scheme, {k: decode_value(v) for k, v in row.items()})
-                for row in items
-            )
-        elif kind == "delete":
-            ops.extend(
-                ("delete", scheme, tuple(map(decode_value, pk)))
-                for pk in items
-            )
-        elif kind == "update":
-            ops.extend(
-                (
-                    "update",
-                    scheme,
-                    tuple(map(decode_value, pk)),
-                    {k: decode_value(v) for k, v in updates.items()},
-                )
-                for pk, updates in items
-            )
+def _encode_run(kind: str, scheme: str, items: Sequence) -> tuple:
+    if kind == "insert":
+        # Every row of an accepted run has its scheme's attributes.
+        names = tuple(items[0])
+        if len(names) == 1:
+            columns = {names[0]: list(map(itemgetter(names[0]), items))}
         else:
-            raise WalError(f"batch run kind {kind!r} is not a mutation")
-    return ops
+            columns = dict(zip(names, zip(*map(itemgetter(*names), items))))
+        return (kind, scheme, columns)
+    if len(items[0]) == 1:  # a delete run of single-attribute keys
+        return (kind, scheme, list(chain.from_iterable(items)))
+    return (kind, scheme, items)
+
+
+def record_runs(record: Mapping[str, Any]) -> list[tuple[str, str, list]]:
+    """A mutation or ``batch`` record as the runs it replays as, with
+    every null marker decoded.
+
+    A ``batch`` record of any version decodes run by run: one C-level
+    type probe per run finds whether a marker (the only JSON object a
+    value can be) is present, and a run without one is rebuilt from the
+    parsed values with no per-value decode.  A single-op record becomes
+    a run of one item."""
+    if record["op"] != "batch":
+        op = decode_batch_op(record)
+        if op[0] == "update":
+            return [("update", op[1], [(op[2], op[3])])]
+        return [(op[0], op[1], [op[2]])]
+    return [_decode_run(*run) for run in record["runs"]]
+
+
+def _decode_run(kind: str, scheme: str, items) -> tuple[str, str, list]:
+    if kind == "insert":
+        if type(items) is dict:
+            return (kind, scheme, _column_rows(items))
+        return (kind, scheme, decode_rows(items))  # a version 2 run
+    if kind == "delete":
+        return (kind, scheme, _decode_keys(items))
+    if kind == "update":
+        pks = _decode_keys(list(map(itemgetter(0), items)))
+        updates = decode_rows(list(map(itemgetter(1), items)))
+        return (kind, scheme, list(zip(pks, updates)))
+    raise WalError(f"batch run kind {kind!r} is not a mutation")
+
+
+def _column_rows(columns: Mapping[str, list]) -> list[dict]:
+    """The row dicts of a version 3 insert run's value columns."""
+    cols = list(columns.values())
+    if len(set(map(len, cols))) != 1:
+        raise WalError("batch insert run has columns of unequal length")
+    if dict in set(map(type, chain.from_iterable(cols))):
+        cols = [
+            list(map(decode_value, col)) if dict in set(map(type, col)) else col
+            for col in cols
+        ]
+    return list(map(dict, map(zip, repeat(tuple(columns)), zip(*cols))))
+
+
+def _decode_keys(items: list) -> list[tuple]:
+    """Primary keys of a run as tuples: bare single-attribute values
+    (version 3 deletes) or value lists."""
+    types = set(map(type, items))
+    if list not in types:
+        if dict in types:
+            items = list(map(decode_value, items))
+        return list(zip(items))
+    if len(types) != 1:
+        raise WalError("batch run mixes bare and listed keys")
+    keys = list(map(tuple, items))
+    if dict in set(map(type, chain.from_iterable(keys))):
+        keys = [tuple(map(decode_value, k)) for k in keys]
+    return keys
 
 
 def decode_batch_op(record: Mapping[str, Any]) -> tuple:

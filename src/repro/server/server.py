@@ -168,6 +168,8 @@ class ReproServer:
         self.drain_error: Exception | None = None
         self._servers: list[asyncio.base_events.Server] = []
         self._connections: set[asyncio.Task] = set()
+        #: Session tasks waiting for their next request line.
+        self._idle: set[asyncio.Task] = set()
         self._draining = asyncio.Event()
         self._drained = asyncio.Event()
 
@@ -220,6 +222,15 @@ class ReproServer:
             await self._drained.wait()
             return
         self._draining.set()
+        # A session whose request line has already arrived has its
+        # wakeup queued but may not have run it yet; yield once so
+        # every such session (queued before this drain's resumption,
+        # call_soon is FIFO) leaves ``_idle`` and gets answered.
+        await asyncio.sleep(0)
+        # An idle session holds no request: end its wait now.  A
+        # session handling one sends its reply, then sees the flag.
+        for task in list(self._idle):
+            task.cancel()
         # Release parked replica polls and deferred semi-sync acks so
         # the connection gather below cannot wait out their timeouts.
         self.service.begin_drain()
@@ -309,7 +320,7 @@ class ReproServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         while True:
-            line = await self._read_or_drain(reader)
+            line = await self._read_request(reader)
             if line is None:  # drain fired while the connection was idle
                 return
             if isinstance(line, dict):  # oversized/broken framing
@@ -511,7 +522,7 @@ class ReproServer:
                 )
             else:
                 status, body, ctype = self._http_response(method, path)
-            head = method == "HEAD" and status != 405
+            head = method == "HEAD"
             payload = body.encode("utf-8")
             writer.write(
                 (
@@ -554,24 +565,22 @@ class ReproServer:
             return "200 OK", "ready\n", text
         return "404 Not Found", "not found\n", text
 
-    async def _read_or_drain(self, reader: asyncio.StreamReader):
-        """The next request line, ``None`` if drain interrupts the idle
-        wait, or an error frame (dict) when framing breaks."""
-        read = asyncio.ensure_future(reader.readline())
-        drain = asyncio.ensure_future(self._draining.wait())
+    async def _read_request(self, reader: asyncio.StreamReader):
+        """The next request line, ``None`` once a drain ends the idle
+        wait, or an error frame (dict) when framing breaks.
+
+        A plain ``readline``: while a session waits here it sits in
+        ``_idle``, where :meth:`drain` cancels it.  A session leaves the
+        set before its request is handled, so a drain never cancels a
+        request in flight."""
+        task = asyncio.current_task()
+        self._idle.add(task)
         try:
-            done, _ = await asyncio.wait(
-                {read, drain}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            drain.cancel()
-        if read not in done:
-            read.cancel()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await read
+            return await reader.readline()
+        except asyncio.CancelledError:
+            if not self._draining.is_set():
+                raise
             return None
-        try:
-            return read.result()
         except ValueError:
             # StreamReader's limit tripped: the line exceeds the frame cap.
             return error_frame(
@@ -581,6 +590,8 @@ class ReproServer:
             )
         except (ConnectionError, OSError):
             return b""
+        finally:
+            self._idle.discard(task)
 
 
 def drain_summary(server: ReproServer) -> dict:

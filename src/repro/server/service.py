@@ -642,12 +642,13 @@ class DatabaseService:
         dictates the trace: we join it as a child span and follow its
         head-sampling flag.  Without one (or with a malformed one) this
         request roots ``trace_id``, subject to the sink's sampling
-        rate.  Replication polls and the ``spans`` verb itself
-        are never traced: both are observability plumbing, and tracing
-        them would fill the ring with noise.
+        rate.  Replication polls, the ``spans`` verb itself and the
+        ``topology`` probe are never traced: they are observability
+        and discovery plumbing (``repro trace HOST:PORT`` sends the
+        last two), and tracing them would fill the ring with noise.
         """
         sink = self.span_sink
-        if sink is None or verb == "spans":
+        if sink is None or verb in ("spans", "topology"):
             return None
         if ctx is not None:
             _, parent_id, sampled = ctx
@@ -1048,11 +1049,13 @@ class DatabaseService:
 
         Bare inserts redo through :meth:`Database.redo_insert`, which
         trusts the primary's validation instead of re-running every
-        constraint probe; everything else -- ``batch`` records
-        included, which ``apply_batch`` replays on its columnar path --
-        takes the applier's validating replay, where divergence (a record the primary committed but this
-        state rejects) raises :class:`RecoveryError` and the replica
-        loop treats it as fatal.
+        constraint probe; everything else takes the applier's
+        validating replay.  A ``batch`` record (of any log version) is
+        read back as its runs and handed to ``Database.apply_runs``,
+        the columnar validators a live ``apply_batch`` uses, and the
+        replica re-logs it in its own (version 3) format.  Divergence
+        (a record the primary committed but this state rejects) raises
+        :class:`RecoveryError` and the replica loop treats it as fatal.
         """
         applier = self._applier
         if applier is None:

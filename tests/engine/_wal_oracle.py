@@ -8,7 +8,10 @@ committed records, in log order, to the scan-based
 groups until their ``commit`` marker, dropping aborted/unterminated
 groups and records cancelled by ``rollback`` markers.  A ``batch``
 record (one whole ``insert_many``/``apply_batch``) is self-committing:
-its runs of inserts, deletes and updates apply in order.  Nothing in
+its runs of inserts, deletes and updates apply in order.  Both batch
+shapes are read: version 2 runs list row objects and key lists;
+version 3 insert runs are one value list per attribute, and version 3
+delete runs list a single-attribute key as its bare value.  Nothing in
 this interpreter shares code with :mod:`repro.engine.recovery` -- it
 decodes every record kind itself -- so agreement between the two is
 evidence, not tautology.
@@ -104,6 +107,11 @@ def _apply(oracle: OracleDatabase, record: dict) -> OracleDatabase:
     else:
         runs = [("update", record["scheme"], [(record["pk"], record["updates"])])]
     for kind, scheme, items in runs:
+        if kind == "insert" and isinstance(items, dict):
+            # Version 3: columns -> rows, column i of each attribute.
+            names = list(items)
+            length = len(items[names[0]])
+            items = [{a: items[a][i] for a in names} for i in range(length)]
         for item in items:
             if kind == "insert":
                 oracle.insert(scheme, _values(item))
@@ -119,5 +127,7 @@ def _values(encoded: dict) -> dict:
     return {k: decode_value(v) for k, v in encoded.items()}
 
 
-def _key(encoded: list) -> tuple:
+def _key(encoded) -> tuple:
+    if not isinstance(encoded, list):
+        encoded = [encoded]  # a version 3 bare single-attribute key
     return tuple(decode_value(v) for v in encoded)

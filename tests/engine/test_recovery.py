@@ -27,9 +27,11 @@ from repro.engine.faults import FaultyStorage, InjectedFault
 from repro.engine.recovery import RecoveryError, recover_database
 from repro.engine.wal import (
     FileStorage,
+    WAL_VERSION,
     MemoryStorage,
     WalError,
     WriteAheadLog,
+    encode_record,
     insert_record,
     parse_wal,
 )
@@ -342,6 +344,20 @@ def test_recovery_error_on_nested_begin():
     log.append({"op": "begin", "txn": 2})
     with pytest.raises(RecoveryError, match="begins inside"):
         recover_database(SCHEMA, storage=log.storage)
+
+
+def test_recovery_refuses_a_newer_log_version():
+    # A log from a newer writer may reuse a record kind with a new
+    # shape; replay must name the version instead of misreading it.
+    newer = WAL_VERSION + 1
+    storage = MemoryStorage(
+        encode_record({"op": "header", "version": newer, "lsn": 1})
+        + encode_record(insert_record("COURSE", {"C.NR": "c1"}) | {"lsn": 2})
+    )
+    with pytest.raises(
+        RecoveryError, match=f"version {newer}.*up to {WAL_VERSION}"
+    ):
+        recover_database(SCHEMA, storage=storage)
 
 
 def test_verify_false_skips_the_recheck():

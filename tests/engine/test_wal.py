@@ -22,17 +22,20 @@ from repro.engine.wal import (
     WriteAheadLog,
     batch_record,
     decode_batch_op,
-    decode_ops,
     delete_record,
     encode_record,
     insert_record,
     op_runs,
     parse_wal,
+    record_runs,
+    run_ops,
     update_record,
 )
 from repro.engine.recovery import recover_database
 from repro.relational.tuples import NULL
 from repro.workloads.university import university_relational
+
+from tests.engine._wal_oracle import oracle_replay
 
 
 # -- golden wire format --------------------------------------------------------
@@ -58,7 +61,7 @@ GOLDEN_RECORDS = [
     ),
     (
         {"op": "header", "version": WAL_VERSION, "lsn": 1},
-        b'00000023 d1369f85 {"lsn":1,"op":"header","version":2}\n',
+        b'00000023 c82daec4 {"lsn":1,"op":"header","version":3}\n',
     ),
     (
         {"op": "begin", "txn": 1, "lsn": 5},
@@ -117,15 +120,33 @@ def test_decode_batch_op_rejects_non_mutations():
 
 
 #: One whole ``apply_batch`` as a single record: consecutive ops of one
-#: kind and scheme share a run, keys are lists, and a NULL inside a row
-#: is the same marker the single-row records use.
+#: kind and scheme share a run, an insert run is one value list per
+#: attribute, a single-attribute delete key is its bare value, and a
+#: NULL inside a row is the same marker the single-row records use.
 GOLDEN_BATCH_OPS = [
     ("insert", "OFFER", {"O.C.NR": "c1", "O.D.NAME": NULL}),
     ("insert", "OFFER", {"O.C.NR": "c2", "O.D.NAME": "cs"}),
     ("delete", "COURSE", "c9"),
     ("update", "OFFER", ("c2",), {"O.D.NAME": "math"}),
 ]
+GOLDEN_BATCH_RUNS = [
+    (
+        "insert",
+        "OFFER",
+        [{"O.C.NR": "c1", "O.D.NAME": NULL}, {"O.C.NR": "c2", "O.D.NAME": "cs"}],
+    ),
+    ("delete", "COURSE", [("c9",)]),
+    ("update", "OFFER", [(("c2",), {"O.D.NAME": "math"})]),
+]
 GOLDEN_BATCH_BYTES = (
+    b'000000b8 e60583a7 {"lsn":11,"op":"batch","runs":[["insert","OFFER",'
+    b'{"O.C.NR":["c1","c2"],"O.D.NAME":[{"$null":true},"cs"]}],'
+    b'["delete","COURSE",["c9"]],["update","OFFER",'
+    b'[[["c2"],{"O.D.NAME":"math"}]]]]}\n'
+)
+#: The same batch as a version 2 log wrote it (rows as objects, every
+#: key a list): still read, and read back to the same runs.
+GOLDEN_BATCH_V2_BYTES = (
     b'000000ce 0c12dfdd {"lsn":11,"op":"batch","runs":[["insert","OFFER",'
     b'[{"O.C.NR":"c1","O.D.NAME":{"$null":true}},{"O.C.NR":"c2",'
     b'"O.D.NAME":"cs"}]],["delete","COURSE",[["c9"]]],["update","OFFER",'
@@ -134,24 +155,103 @@ GOLDEN_BATCH_BYTES = (
 
 
 def test_golden_batch_record_bytes():
+    assert op_runs(GOLDEN_BATCH_OPS) == GOLDEN_BATCH_RUNS
     payload = dict(batch_record(op_runs(GOLDEN_BATCH_OPS)), lsn=11)
     assert encode_record(payload) == GOLDEN_BATCH_BYTES
     (record,) = parse_wal(GOLDEN_BATCH_BYTES).records
-    ops = decode_ops(record)
-    assert ops == [
+    runs = record_runs(record)
+    assert runs == GOLDEN_BATCH_RUNS
+    assert runs[0][2][0]["O.D.NAME"] is NULL
+    assert run_ops(runs) == [
         ("insert", "OFFER", {"O.C.NR": "c1", "O.D.NAME": NULL}),
         ("insert", "OFFER", {"O.C.NR": "c2", "O.D.NAME": "cs"}),
         ("delete", "COURSE", ("c9",)),
         ("update", "OFFER", ("c2",), {"O.D.NAME": "math"}),
     ]
-    assert ops[0][2]["O.D.NAME"] is NULL
 
 
-def test_decode_ops_wraps_single_records_and_rejects_bad_runs():
-    record = parse_wal(GOLDEN_RECORDS[2][1]).records[0]
-    assert decode_ops(record) == [("delete", "OFFER", ("c1",))]
+def test_golden_v2_batch_record_is_still_read():
+    (record,) = parse_wal(GOLDEN_BATCH_V2_BYTES).records
+    runs = record_runs(record)
+    assert runs == GOLDEN_BATCH_RUNS
+    assert runs[0][2][0]["O.D.NAME"] is NULL
+
+
+def test_batch_record_columns_and_keys_round_trip():
+    """Composite keys stay lists, NULL markers decode in any column or
+    key, and a marker-free run is rebuilt from the parsed values."""
+    runs = [
+        ("insert", "PAIR", [{"a": 1, "b": NULL}, {"b": "x", "a": 2}]),
+        ("delete", "PAIR", [(1, NULL), (2, "x")]),
+        ("delete", "ONE", [(NULL,), ("k",)]),
+        ("update", "PAIR", [((3, "y"), {"c": NULL}), ((4, "z"), {})]),
+        ("insert", "ONE", [{"k": "k1"}, {"k": "k2"}]),
+    ]
+    payload = batch_record(runs)
+    assert payload["runs"][0][2] == {"a": (1, 2), "b": (NULL, "x")}
+    assert payload["runs"][1][2] == [(1, NULL), (2, "x")]
+    assert payload["runs"][2][2] == [NULL, "k"]
+    (record,) = parse_wal(encode_record(payload)).records
+    assert record_runs(record) == runs
     with pytest.raises(WalError):
-        decode_ops({"op": "batch", "runs": [["merge", "OFFER", []]]})
+        record_runs(
+            {"op": "batch", "runs": [["insert", "PAIR", {"a": [1], "b": []}]]}
+        )
+    with pytest.raises(WalError):
+        record_runs({"op": "batch", "runs": [["delete", "PAIR", ["a", ["b"]]]]})
+
+
+def test_replay_decodes_values_only_in_runs_holding_a_null(monkeypatch):
+    """Replay reads a ``batch`` run with one type probe: a run without
+    a NULL marker is rebuilt from the parsed values with no per-value
+    decode, and a marker decodes only the column that holds it."""
+    import repro.engine.wal as wal
+
+    db = Database(university_relational(), wal=WriteAheadLog(MemoryStorage()))
+    db.insert_many("COURSE", [{"C.NR": f"c{i}"} for i in range(50)])
+    db.insert_many("DEPARTMENT", [{"D.NAME": "cs"}])
+    db.insert_many(
+        "OFFER", [{"O.C.NR": f"c{i}", "O.D.NAME": "cs"} for i in range(50)]
+    )
+    db.apply_batch(
+        [("delete", "OFFER", f"c{i}") for i in range(10)]
+        + [("update", "OFFER", f"c{i}", {"O.D.NAME": "cs"}) for i in range(10, 20)]
+    )
+    data = db.wal.storage.read()
+    calls = []
+    decode = wal.decode_value
+    monkeypatch.setattr(
+        wal, "decode_value", lambda v: calls.append(v) or decode(v)
+    )
+    recovered = recover_database(
+        university_relational(), storage=MemoryStorage(data)
+    )
+    assert recovered.database.state() == db.state()
+    assert calls == []
+    columns = {"a": ["x", "y", "z"], "b": [1, {"$null": True}, 3]}
+    rows = record_runs({"op": "batch", "runs": [["insert", "P", columns]]})[0][2]
+    assert rows[1] == {"a": "y", "b": NULL}
+    assert len(calls) == 3  # the marker's column only
+
+
+def test_op_runs_normalizes_keys_and_refuses_malformed_ops():
+    assert op_runs([("delete", "A", 1), ("delete", "A", (2,))]) == [
+        ("delete", "A", [(1,), (2,)])
+    ]
+    for bad in [("insert", "A"), ("update", "A", 1), ("delete", "A", 1, 2), ()]:
+        with pytest.raises((IndexError, TypeError, ValueError)):
+            op_runs([bad])
+
+
+def test_record_runs_wraps_single_records_and_rejects_bad_runs():
+    record = parse_wal(GOLDEN_RECORDS[2][1]).records[0]
+    assert record_runs(record) == [("delete", "OFFER", [("c1",)])]
+    record = parse_wal(GOLDEN_RECORDS[1][1]).records[0]
+    assert record_runs(record) == [
+        ("update", "OFFER", [(("c1",), {"O.D.NAME": "math"})])
+    ]
+    with pytest.raises(WalError):
+        record_runs({"op": "batch", "runs": [["merge", "OFFER", []]]})
 
 
 def test_version_1_log_still_recovers():
@@ -185,6 +285,48 @@ def test_version_1_log_still_recovers():
     assert db.recovery_report.transactions_rolled_back == 1
     # The resumed v1 log takes version-2 batch records and recovers again.
     db.insert_many("COURSE", [{"C.NR": "c7"}, {"C.NR": "c8"}])
+    again = recover_database(schema, storage=MemoryStorage(db.wal.storage.read()))
+    assert again.database.state() == db.state()
+
+
+def test_version_2_log_still_recovers():
+    """A log written by version 2 (``batch`` records with row objects
+    and key lists) recovers row for row to the state the independent
+    oracle reads from it: insert runs with NULLs, delete and update
+    runs, a committed ``begin``..``commit`` group holding ``batch``
+    records, an aborted group, an online merge and a checkpoint."""
+    path = os.path.join(os.path.dirname(__file__), "data", "wal_v2.log")
+    with open(path, "rb") as f:
+        data = f.read()
+    records = parse_wal(data).records
+    assert records[0] == {"op": "header", "version": 2, "lsn": 3}
+    assert {"snapshot", "batch", "begin", "commit", "abort", "merge"} <= {
+        r["op"] for r in records
+    }
+    batches = [r for r in records if r["op"] == "batch"]
+    assert {run[0] for r in batches for run in r["runs"]} == {
+        "insert",
+        "update",
+        "delete",
+    }
+    assert all(type(run[2]) is list for r in batches for run in r["runs"])
+    assert b'{"$null":true}' in data
+    schema = university_relational()
+    db = recover_database(schema, storage=MemoryStorage(data)).database
+    oracle = oracle_replay(data, schema)
+    assert db.schema.scheme_names == oracle.schema.scheme_names
+    for name in db.schema.scheme_names:
+        assert sorted(map(repr, db.scan(name))) == sorted(
+            map(repr, oracle.state()[name])
+        ), name
+    assert db.state() == oracle.state()
+    assert db.recovery_report.transactions_replayed == 2
+    assert db.recovery_report.transactions_rolled_back == 1
+    # The resumed v2 log takes version 3 records and recovers again.
+    (merged,) = set(db.schema.scheme_names) - set(schema.scheme_names)
+    row = {"C.NR": "c20", "O.D.NAME": NULL, "T.F.SSN": NULL, "A.S.SSN": NULL}
+    db.insert_many(merged, [row])
+    db.apply_batch([("delete", merged, "c20")])
     again = recover_database(schema, storage=MemoryStorage(db.wal.storage.read()))
     assert again.database.state() == db.state()
 

@@ -7,15 +7,20 @@ including the provenance carried by rejection frames (the Section 5
 declarative-enforcement story over the wire).
 """
 
+import asyncio
 import socket
+import threading
+import time
 
 import pytest
 
 from repro.client import Client
 from repro.constraints.checker import ConsistencyChecker
 from repro.engine.database import Database
+from repro.engine.wal import MemoryStorage, WriteAheadLog
 from repro.relational.tuples import NULL, Tuple
-from repro.server import ServerThread
+from repro.server import ServerConfig, ServerThread
+from repro.server.server import ReproServer
 from repro.server.protocol import (
     RemoteConstraintViolation,
     RemoteError,
@@ -208,6 +213,75 @@ def test_drain_checkpoints_the_wal(served_db, client):
 
     ops = [r["op"] for r in parse_wal(db.wal.storage.read()).records]
     assert ops == ["header", "snapshot"]
+
+
+class _SlowSyncStorage(MemoryStorage):
+    """Memory storage whose first armed sync blocks for ``delay``
+    seconds, holding one mutation in flight."""
+
+    def __init__(self, delay: float):
+        super().__init__()
+        self.delay = delay
+        self.armed = False
+        self.syncing = threading.Event()
+
+    def sync(self) -> None:
+        if self.armed and not self.syncing.is_set():
+            self.syncing.set()
+            time.sleep(self.delay)
+
+
+def test_drain_ends_idle_sessions_and_answers_the_inflight_mutation():
+    """A drain with idle connections open and one mutation waiting on
+    its group commit: the idle sessions end at once, the mutation gets
+    its reply, and the drain finishes promptly."""
+    storage = _SlowSyncStorage(delay=0.5)
+    db = Database(university_relational(), wal=WriteAheadLog(storage))
+    thread = ServerThread(db, ServerConfig(max_connections=8)).start()
+    idle = [Client(port=thread.port, timeout=30) for _ in range(3)]
+    try:
+        for c in idle:
+            assert c.get("COURSE", "c0") is None  # the session is open
+        replies: list = []
+        with Client(port=thread.port, timeout=30) as writer:
+            storage.armed = True
+            sender = threading.Thread(
+                target=lambda: replies.append(
+                    writer.insert("COURSE", {"C.NR": "c1"})
+                )
+            )
+            sender.start()
+            assert storage.syncing.wait(timeout=10)
+            started = time.monotonic()
+            thread.stop()
+            drain_s = time.monotonic() - started
+            sender.join(timeout=10)
+        assert replies == [{"C.NR": "c1"}]
+        assert drain_s < 5.0
+        for c in idle:
+            with pytest.raises((RemoteError, ConnectionError, OSError)):
+                c.get("COURSE", "c1")
+    finally:
+        for c in idle:
+            c.close()
+        thread.stop()
+    assert db.get("COURSE", ("c1",)) is not None
+
+
+def test_drain_answers_a_request_line_that_arrived_as_it_began():
+    """A request line buffered just before the drain, whose session has
+    not yet resumed, is read (and so answered), not cancelled away."""
+
+    async def scenario():
+        server = ReproServer(Database(university_relational()))
+        reader = asyncio.StreamReader()
+        read = asyncio.ensure_future(server._read_request(reader))
+        await asyncio.sleep(0)  # the session now waits for a line
+        reader.feed_data(b'{"id": 1}\n')  # its wakeup is queued
+        await server.drain()
+        return await read
+
+    assert asyncio.run(scenario()) == b'{"id": 1}\n'
 
 
 def test_sigterm_drain_prints_json_summary_to_stderr(tmp_path):

@@ -224,6 +224,22 @@ def test_trace_cli_against_live_server(span_server, capsys):
     assert "critical path:" in out
 
 
+def test_trace_cli_lists_only_the_served_workload(span_server, capsys):
+    """The trace CLI's own requests (the ``topology`` probe and the
+    ``spans`` fetch) leave no spans: otherwise an earlier run's probe
+    shows up as a trace of its own, and under CPU load it can be the
+    slowest one ``--slowest 1`` picks instead of the workload's."""
+    from repro.cli import main
+
+    with Client(port=span_server.port, timeout=30) as c:
+        c.insert("COURSE", {"C.NR": "live1"})
+    for _ in range(2):
+        assert main(["trace", f"127.0.0.1:{span_server.port}", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert " in 1 trace(s) from 1 source(s)" in out
+        assert "server:topology" not in out
+
+
 def test_trace_cli_names_the_rule_of_a_rejected_request(span_server, capsys):
     from repro.cli import main
 

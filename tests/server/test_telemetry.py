@@ -254,6 +254,39 @@ def test_oversized_metrics_header_gets_431_and_endpoint_stays_up():
         st.stop()
 
 
+def _raw_http(host: str, port: int, method: str, path: str) -> bytes:
+    """The full reply to one ``method path`` request."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(f"{method} {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def test_head_replies_match_get_without_a_body(monkeypatch):
+    """``HEAD`` gets the status line and ``Content-Length`` its ``GET``
+    gets, and no body -- for a served path and for a missing one."""
+    # A still clock keeps the uptime gauge, so the body length, fixed.
+    monkeypatch.setattr("repro.server.service.time", lambda: 1000.0)
+    db = Database(university_relational())
+    st = ServerThread(db, ServerConfig(metrics_port=0))
+    st.start()
+    try:
+        for path in ("/metrics", "/nope"):
+            get = _raw_http(st.host, st.metrics_port, "GET", path)
+            head = _raw_http(st.host, st.metrics_port, "HEAD", path)
+            get_head, get_body = get.split(b"\r\n\r\n", 1)
+            head_head, head_body = head.split(b"\r\n\r\n", 1)
+            assert head_head == get_head, path
+            assert head_body == b"", path
+            length = re.search(rb"Content-Length: (\d+)", get_head)
+            assert int(length.group(1)) == len(get_body) > 0, path
+        assert head_head.split(b"\r\n", 1)[0] == b"HTTP/1.1 404 Not Found"
+    finally:
+        st.stop()
+
+
 def test_stats_verb_carries_server_section(span_server):
     st, _ = span_server
     with Client(port=st.port, timeout=30) as c:
