@@ -39,7 +39,7 @@ from repro.engine.database import (  # noqa: E402
 )
 from repro.engine.wal import MemoryStorage, WriteAheadLog  # noqa: E402
 from repro.relational.state import DatabaseState  # noqa: E402
-from repro.server import protocol, service  # noqa: E402
+from repro.server import protocol  # noqa: E402
 from repro.workloads.university import university_relational  # noqa: E402
 
 STAGES = ("json.loads", "row decode", "engine", "response encode", "json.dumps")
@@ -66,7 +66,7 @@ def replay(state, lines, verbs) -> dict[str, dict[str, float]]:
         if verb == "insert_many":
             batch = protocol.decode_rows(frame["rows"])
         else:
-            batch = service._decode_batch_ops(frame["ops"])
+            batch = protocol.decode_batch_ops(frame["ops"])
         t2 = clock()
         shape = _shape(verb, batch)
         try:
@@ -77,7 +77,7 @@ def replay(state, lines, verbs) -> dict[str, dict[str, float]]:
         except ConstraintViolationError:
             stored, shape = None, shape + " (rejected)"
         t3 = clock()
-        result = service._result_rows(stored) if stored is not None else None
+        result = protocol.result_rows(stored) if stored is not None else None
         t4 = clock()
         protocol.encode_frame(protocol.ok_frame(i, result))
         t5 = clock()

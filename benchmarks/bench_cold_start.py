@@ -117,7 +117,7 @@ def replay_tail(wal: str, seed: int, repeats: int) -> dict:
     from repro.engine.database import Database
     from repro.engine.recovery import WalApplier, recover_database
     from repro.engine.wal import parse_wal
-    from repro.server.service import _decode_batch_ops
+    from repro.server.protocol import decode_batch_ops
     from repro.workloads.university import university_relational
 
     schema = university_relational()
@@ -141,7 +141,7 @@ def replay_tail(wal: str, seed: int, repeats: int) -> dict:
                 start = perf_counter()
                 db.insert_many(params["scheme"], params["rows"])
             else:
-                ops = _decode_batch_ops(params["ops"])
+                ops = decode_batch_ops(params["ops"])
                 start = perf_counter()
                 db.apply_batch(ops)
             spent += perf_counter() - start

@@ -699,7 +699,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # sockets as one shard of the fleet.
         import socket as socket_module
 
-        from repro.server.service import ShardInfo
+        from repro.server.participant import ShardInfo
 
         if (
             args.listen_fd is None

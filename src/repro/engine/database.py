@@ -33,8 +33,10 @@ Two layers keep the enforcement fast (see ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
-from time import perf_counter
+from collections import Counter
 from itertools import chain
+from operator import itemgetter
+from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.engine.plans import (
@@ -46,8 +48,8 @@ from repro.engine.plans import (
 from repro.engine.rows import (
     _gc_paused,
     adopt_row,
+    adopt_rows,
     bulk_apply,
-    bulk_insert_many,
     install_rows,
 )
 from repro.engine.stats import EngineStats
@@ -62,7 +64,7 @@ from repro.engine.wal import (
     run_ops,
     update_record,
 )
-from repro.io.state_json import decode_relations, decode_value
+from repro.io.state_json import decode_relations
 from repro.obs.rules import classify_null_constraint, paper_rule
 from repro.obs.trace import TraceEvent, Tracer
 from repro.relational.relation import Relation
@@ -791,36 +793,6 @@ class Database:
             self._observe_ok("insert", scheme_name, start)
         return t
 
-    def redo_insert(self, record: Mapping[str, Any]) -> Tuple:
-        """Trusted redo of one logged ``insert`` record -- the
-        replication hot path (:meth:`DatabaseService.apply_replicated`).
-
-        The database that logged the record already ran every
-        constraint probe, and the checksummed log carried it intact,
-        so redo goes straight to shape-check, log and store.  The
-        received payload is re-logged as-is (under a fresh local lsn),
-        skipping the row re-encode :func:`insert_record` would do.
-        Replay that wants divergence *detection* -- recovery, and any
-        non-insert record -- takes the validating path instead.
-        """
-        scheme_name = record["scheme"]
-        table = self.table(scheme_name)
-        encoded = record["row"]
-        t = self._check_shape(
-            table, {k: decode_value(v) for k, v in encoded.items()}
-        )
-        pk = table.plan.pk(t.mapping)
-        if self.wal is not None:
-            self._wal_append(
-                {"op": "insert", "scheme": scheme_name, "row": encoded},
-                "insert",
-                scheme_name,
-            )
-        self._store(table, t.mapping, pk)
-        self.stats.inserts += 1
-        self.stats.count_scheme_mutation(scheme_name)
-        return t
-
     def delete(self, scheme_name: str, pk: tuple[Any, ...] | Any) -> None:
         """Delete by primary key, restricting when referenced."""
         if not isinstance(pk, tuple):
@@ -906,7 +878,8 @@ class Database:
     def insert_many(
         self, scheme_name: str, rows: Iterable[Mapping[str, Any]]
     ) -> list[Tuple]:
-        """Insert many rows of one scheme atomically.
+        """Insert many rows of one scheme atomically: the batch is one
+        insert run of :meth:`apply_batch`.
 
         Shape, null-constraint and key checks run immediately per row
         (so intra-batch duplicates are caught in order), while outgoing
@@ -920,59 +893,16 @@ class Database:
         (:func:`~repro.engine.wal.batch_record`), whichever path
         accepted it; a rejected one logs nothing.
         """
-        timed = self._timed
-        start = perf_counter() if timed else 0.0
-        table = self.table(scheme_name)
+        self.table(scheme_name)  # an unknown scheme fails, rows or not
         rows = rows if isinstance(rows, list) else list(rows)
-        if self._slotted and self._undo_log is None:
-            log = None
-            if self.wal is not None:
-                log = lambda: self._wal_append(  # noqa: E731
-                    batch_record([("insert", scheme_name, rows)]),
-                    "insert_many",
-                    scheme_name,
-                    len(rows),
-                )
-            fast = bulk_insert_many(self, scheme_name, rows, log)
-            if fast is not None:
-                if timed:
-                    self._observe_ok(
-                        "insert_many", scheme_name, start, rows=len(fast)
-                    )
-                return fast
-        stored: list[Tuple] = []
-        try:
-            with _TransactionContext(self, bracket=False):
-                for row in rows:
-                    t = self._check_shape(table, row)
-                    self._check_null_constraints(scheme_name, t)
-                    pk = self._check_keys(table, t, replacing=None)
-                    self._store(table, t.mapping, pk)
-                    stored.append(t)
-                for t in stored:
-                    self._check_references_out(scheme_name, t)
-                if self.wal is not None and stored:
-                    self._wal_append(
-                        batch_record(
-                            [("insert", scheme_name, [t.mapping for t in stored])]
-                        ),
-                        "insert_many",
-                        scheme_name,
-                        len(stored),
-                    )
-        except ConstraintViolationError as exc:
-            if timed:
-                self._observe_reject("insert_many", scheme_name, exc, start)
-            raise
-        self.stats.inserts += len(stored)
-        if stored:
-            self.stats.scheme_mutations[scheme_name] = (
-                self.stats.scheme_mutations.get(scheme_name, 0) + len(stored)
+        return adopt_rows(
+            self._apply(
+                None,
+                [("insert", scheme_name, rows)],
+                "insert_many",
+                scheme_name,
             )
-        self.stats.bulk_rows += len(stored)
-        if timed:
-            self._observe_ok("insert_many", scheme_name, start, rows=len(stored))
-        return stored
+        )
 
     def apply_batch(
         self, ops: Iterable[tuple]
@@ -1001,23 +931,31 @@ class Database:
         accepted batch is one ``batch`` record, as for
         :meth:`insert_many`.
         """
-        return self._apply(ops if isinstance(ops, list) else list(ops), None)
+        ops = ops if isinstance(ops, list) else list(ops)
+        return adopt_rows(self._apply(ops, None))
 
-    def apply_runs(self, runs: list[tuple]) -> list[Tuple | None]:
+    def apply_runs(self, runs: list[tuple]) -> None:
         """:meth:`apply_batch` for a batch already grouped into runs
         (:func:`~repro.engine.wal.op_runs`) -- the entry point of log
         replay, which reads a ``batch`` record back as its runs
         (:func:`~repro.engine.wal.record_runs`) and hands them to the
-        columnar validators without regrouping."""
-        return self._apply(None, runs)
+        columnar validators without regrouping.  Replay hands no rows
+        out, so no row views are built."""
+        self._apply(None, runs)
 
     def _apply(
-        self, ops: list[tuple] | None, runs: list[tuple] | None
-    ) -> list[Tuple | None]:
-        """One batch, given as op tuples or as runs: the columnar path
-        groups the ops once (the runs it validates are the runs its log
-        record is written from); the row path takes the op tuples,
-        expanded from the runs when only those are given."""
+        self,
+        ops: list[tuple] | None,
+        runs: list[tuple] | None,
+        op: str = "apply_batch",
+        scheme: str | None = None,
+    ) -> list[dict[str, Any] | None]:
+        """One batch, given as op tuples or as runs; returns the stored
+        row dicts, one per op (``None`` for a delete).  The columnar
+        path groups the ops once (the runs it validates are the runs its
+        log record is written from); the row path takes the op tuples,
+        expanded from the runs when only those are given.  ``op`` and
+        ``scheme`` label the batch's trace events."""
         timed = self._timed
         start = perf_counter() if timed else 0.0
         if self._slotted and self._undo_log is None:
@@ -1025,55 +963,70 @@ class Database:
             if self.wal is not None:
                 log = lambda runs: self._wal_append(  # noqa: E731
                     batch_record(runs),
-                    "apply_batch",
-                    None,
+                    op,
+                    scheme,
                     sum(len(items) for _k, _s, items in runs),
                 )
             fast = bulk_apply(self, ops, runs, log)
             if fast is not None:
                 if timed:
-                    self._observe_ok(
-                        "apply_batch", None, start, rows=len(fast)
-                    )
+                    self._observe_ok(op, scheme, start, rows=len(fast))
                 return fast
         if ops is None:
             ops = run_ops(runs)
         try:
-            results = self._apply_batch(ops)
+            with _TransactionContext(self, bracket=False):
+                results, applied = self._apply_batch(ops)
+                self._log_applied(applied, op, scheme)
         except ConstraintViolationError as exc:
             if timed:
-                self._observe_reject("apply_batch", None, exc, start)
+                self._observe_reject(op, scheme, exc, start)
             raise
+        self._count_applied(applied)
         if timed:
-            self._observe_ok("apply_batch", None, start, rows=len(results))
+            self._observe_ok(op, scheme, start, rows=len(results))
         return results
 
-    def _apply_batch(self, ops: Iterable[tuple]) -> list[Tuple | None]:
-        """The row-at-a-time batch: apply under the undo journal, verify
-        the deferred checks, then log the one ``batch`` record -- a
-        failed append unwinds the batch like any other error."""
-        with _TransactionContext(self, bracket=False):
-            results, pending_out, pending_in, applied = self._apply_ops(ops)
-            self._verify_deferred(pending_out, pending_in)
-            self._log_applied(applied)
-        self.stats.bulk_rows += len(applied)
-        return results
+    def _apply_batch(
+        self, ops: Iterable[tuple]
+    ) -> tuple[list[dict[str, Any] | None], list[tuple]]:
+        """The row-at-a-time batch, run under the caller's undo journal:
+        apply the ops and verify the deferred checks.  Returns the
+        stored rows and the ops normalized for logging."""
+        results, pending_out, pending_in, applied = self._apply_ops(ops)
+        self._verify_deferred(pending_out, pending_in)
+        return results, applied
 
-    def _log_applied(self, applied: list[tuple]) -> None:
+    def _log_applied(
+        self,
+        applied: list[tuple],
+        op: str = "apply_batch",
+        scheme: str | None = None,
+    ) -> None:
         """Append the ``batch`` record of a row-path batch's normalized
         ops (nothing for an empty batch or a log-less engine)."""
         if self.wal is not None and applied:
             self._wal_append(
-                batch_record(op_runs(applied)),
-                "apply_batch",
-                None,
-                len(applied),
+                batch_record(op_runs(applied)), op, scheme, len(applied)
             )
+
+    def _count_applied(self, applied: list[tuple]) -> None:
+        """Count a committed row-path batch's ops.  Only a batch that
+        commits is counted: a rejected or aborted one is not."""
+        stats = self.stats
+        kinds = Counter(map(itemgetter(0), applied))
+        stats.inserts += kinds["insert"]
+        stats.updates += kinds["update"]
+        stats.deletes += kinds["delete"]
+        mutations = stats.scheme_mutations
+        for name, n in Counter(map(itemgetter(1), applied)).items():
+            mutations[name] = mutations.get(name, 0) + n
+        stats.bulk_rows += len(applied)
 
     def _apply_ops(
         self, ops: Iterable[tuple]
     ) -> tuple[
-        list[Tuple | None],
+        list[dict[str, Any] | None],
         list[tuple[str, Tuple]],
         list[tuple[CompiledReference, tuple[Any, ...]]],
         list[tuple],
@@ -1082,11 +1035,13 @@ class Database:
         accumulating the deferred reference checks.
 
         Returns ``(results, pending_out, pending_in, applied)``, where
-        ``applied`` holds the ops normalized for logging (stored rows,
+        ``results`` holds each op's stored row (``None`` for a delete)
+        and ``applied`` the ops normalized for logging (stored rows,
         tuple keys, plain-dict updates).  The caller owns the enclosing
-        transaction, the deferred verification and the log append.
+        transaction, the deferred verification, the log append and the
+        counting (:meth:`_count_applied`).
         """
-        results: list[Tuple | None] = []
+        results: list[dict[str, Any] | None] = []
         pending_out: list[tuple[str, Tuple]] = []
         pending_in: list[tuple[CompiledReference, tuple[Any, ...]]] = []
         applied: list[tuple] = []
@@ -1100,9 +1055,7 @@ class Database:
                 pk = self._check_keys(table, t, replacing=None)
                 self._store(table, t.mapping, pk)
                 pending_out.append((scheme_name, t))
-                self.stats.inserts += 1
-                self.stats.count_scheme_mutation(scheme_name)
-                results.append(t)
+                results.append(t.mapping)
                 applied.append(("insert", scheme_name, t.mapping))
             elif kind == "delete":
                 _, scheme_name, pk = op
@@ -1119,8 +1072,6 @@ class Database:
                     if not any(v is NULL for v in value):
                         pending_in.append((ref, value))
                 self._unstore(table, pk, old)
-                self.stats.deletes += 1
-                self.stats.count_scheme_mutation(scheme_name)
                 results.append(None)
                 applied.append(("delete", scheme_name, pk))
             elif kind == "update":
@@ -1149,9 +1100,7 @@ class Database:
                 self._unstore(table, pk, old)
                 self._store(table, new_values, new_pk)
                 pending_out.append((scheme_name, t))
-                self.stats.updates += 1
-                self.stats.count_scheme_mutation(scheme_name)
-                results.append(t)
+                results.append(new_values)
                 applied.append(("update", scheme_name, pk, updates))
             else:
                 raise ValueError(f"unknown batch operation {kind!r}")
@@ -1270,8 +1219,9 @@ class Database:
         except BaseException as exc:
             ctx.__exit__(type(exc), exc, exc.__traceback__)
             raise
-        self.stats.bulk_rows += len(applied)
-        return PreparedBatch(self, ctx, results, requirements)
+        return PreparedBatch(
+            self, ctx, adopt_rows(results), requirements, applied
+        )
 
     def load_state(self, state: DatabaseState, validate: bool = True) -> None:
         """Bulk-load an existing state (e.g. the image of a state mapping).
@@ -1582,8 +1532,7 @@ class Database:
         from the current schema and swaps in place through the same
         member-scoped path as :meth:`apply_merge_online`, without
         re-logging and without re-verifying (recovery re-checks the
-        final state wholesale; a replica trusts its primary's
-        verification exactly as :meth:`redo_insert` does).
+        final state wholesale).
         """
         return self._merge(members, key_relation, merged_name, verify=False)
 
@@ -1854,7 +1803,7 @@ class PreparedBatch:
     marker.
     """
 
-    __slots__ = ("db", "results", "requirements", "_ctx")
+    __slots__ = ("db", "results", "requirements", "_ctx", "_applied")
 
     def __init__(
         self,
@@ -1862,11 +1811,14 @@ class PreparedBatch:
         ctx: _TransactionContext,
         results: list[Tuple | None],
         requirements: list[dict[str, Any]],
+        applied: list[tuple],
     ):
         self.db = db
         self.results = results
         self.requirements = requirements
         self._ctx: _TransactionContext | None = ctx
+        #: The batch's ops as logged, counted once it commits.
+        self._applied = applied
 
     @property
     def decided(self) -> bool:
@@ -1877,6 +1829,7 @@ class PreparedBatch:
         """Make the batch permanent (the requirements were satisfied)."""
         ctx, self._ctx = self._take(), None
         ctx.__exit__(None, None, None)
+        self.db._count_applied(self._applied)
         return self.results
 
     def abort(self) -> None:

@@ -86,6 +86,14 @@ def adopt_row(values: dict[str, Any]) -> Tuple:
     return t
 
 
+def adopt_rows(rows: list) -> list[Tuple | None]:
+    """Views of a batch's stored rows, one per op (a delete's ``None``
+    stays ``None``), built with the cyclic collector held off as for
+    the batch itself: a view is a tracked object."""
+    with _gc_paused():
+        return [None if row is None else adopt_row(row) for row in rows]
+
+
 def _materialize(table, rows: Sequence[Mapping[str, Any]]):
     """Shape-check rows and key them with all-C-loop passes.
 
@@ -310,45 +318,21 @@ def _distinct_rows(table, rows) -> list:
     return list(kept.values())
 
 
-def bulk_insert_many(
-    db, scheme_name: str, rows, log: Callable[[], None] | None = None
-) -> list[Tuple] | None:
-    """Fast path for :meth:`Database.insert_many`.
-
-    Returns views of the stored rows in row order, or ``None`` to send
-    the batch down the row-at-a-time path (which also reports any error).
-    ``log`` runs once the batch has validated, before it is committed.
-    """
-    table = db._tables.get(scheme_name)
-    if table is None:
-        return None
-    with _gc_paused():
-        try:
-            prepared = _validate_inserts(db, [(table, rows)])
-        except (AttributeError, KeyError, TypeError):
-            return None  # malformed rows: the slow path raises canonically
-        if prepared is None:
-            return None
-        if log is not None:
-            log()
-        _commit_inserts(db, prepared)
-        stored = list(map(adopt_row, rows))
-    _count_inserts(db, prepared)
-    return stored
-
-
 def bulk_apply(
     db, ops, runs=None, log: Callable[[list], None] | None = None
-) -> list[Tuple | None] | None:
-    """Fast path for :meth:`Database.apply_batch`.
+) -> list[dict[str, Any] | None] | None:
+    """Fast path for :meth:`Database.apply_batch` and
+    :meth:`Database.insert_many` (one insert run).
 
     The batch comes as ``runs`` (see :func:`~repro.engine.wal.op_runs`)
     or, when those are not given, as the op tuples ``ops``, grouped
     here once.  The validators take the runs, and ``log(runs)`` -- the
     append of the batch's record, written from the same runs -- runs
-    once the batch has validated, before it is committed.  Handles
-    all-insert batches and batches of updates and deletes; anything
-    else, malformed or unprovable returns ``None`` for the slow path.
+    once the batch has validated, before it is committed.  Returns the
+    stored row dicts, one per op (``None`` for a delete); views are the
+    caller's to build.  Handles all-insert batches and batches of
+    updates and deletes; anything else, malformed or unprovable returns
+    ``None`` for the slow path.
     """
     with _gc_paused():
         try:
@@ -373,7 +357,7 @@ def bulk_apply(
 def _gc_paused():
     """Hold off the cyclic collector for one batch: a big batch
     allocates thousands of tracked containers (key tuples, index
-    buckets, the views it returns), and without a pause they trigger
+    buckets), and without a pause they trigger
     generational collections mid-batch."""
     paused = gc.isenabled()
     if paused:
@@ -419,12 +403,11 @@ def _validate_batch_inserts(db, runs):
     if prepared is None:
         return None
 
-    def commit() -> list[Tuple | None]:
+    def commit() -> list[dict[str, Any]]:
         _commit_inserts(db, prepared)
         _count_inserts(db, prepared)
         # The runs list the rows in batch order.
-        rows = chain.from_iterable(map(itemgetter(2), runs))
-        return list(map(adopt_row, rows))
+        return list(chain.from_iterable(map(itemgetter(2), runs)))
 
     return commit
 
@@ -655,7 +638,7 @@ def _restrict_holds(db, deleted, updated) -> bool:
     return True
 
 
-def _commit_changes(db, deleted, updated, runs) -> list[Tuple | None]:
+def _commit_changes(db, deleted, updated, runs) -> list[dict | None]:
     """Apply a validated update/delete batch: bulk row removal and
     replacement plus the index maintenance ``Database._unstore_raw`` /
     ``_store_raw`` perform per row."""
@@ -675,14 +658,12 @@ def _commit_changes(db, deleted, updated, runs) -> list[Tuple | None]:
     # One result per op, in batch order: a scheme's merged rows are in
     # the order of its update runs.
     merged = {name: iter(edit.merged) for name, edit in updated.items()}
-    results: list[Tuple | None] = []
+    results: list[dict | None] = []
     for kind, scheme_name, items in runs:
         if kind == "delete":
             results.extend(repeat(None, len(items)))
         else:
-            results.extend(
-                map(adopt_row, islice(merged[scheme_name], len(items)))
-            )
+            results.extend(islice(merged[scheme_name], len(items)))
     stats = db.stats
     stats.bulk_rows += len(results)
     for scheme_name, (_table, olds) in deleted.items():

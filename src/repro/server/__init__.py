@@ -15,6 +15,10 @@ Layering:
   row/NULL encoding, typed error frames);
 * :mod:`repro.server.service` -- sessions, verb dispatch, and the
   single-writer transaction manager with the group-commit WAL path;
+* :mod:`repro.server.participant` -- the shard/2PC participant:
+  ownership checks and held cross-shard prepares;
+* :mod:`repro.server.replication` -- WAL shipping, the primary's half
+  (verbs, semi-synchronous ack gate) and the replica's (loop, redo);
 * :mod:`repro.server.server` -- the asyncio accept loop with connection
   limits, backpressure, graceful drain, and the sidecar HTTP endpoint
   serving ``/metrics``, ``/healthz`` and ``/readyz``;
@@ -59,7 +63,8 @@ from repro.server.server import (
     drain_summary,
     serve,
 )
-from repro.server.service import DatabaseService, ServerMetrics, ShardInfo
+from repro.server.participant import ShardInfo
+from repro.server.service import DatabaseService, ServerMetrics
 from repro.server.supervisor import ServerProcess, Supervisor
 
 __all__ = [

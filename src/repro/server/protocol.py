@@ -146,8 +146,12 @@ that writes to the wrong end of the pair learns where to go.
 from __future__ import annotations
 
 import json
+from itertools import chain, compress, repeat
+from operator import is_, itemgetter
 from typing import Any, Iterable, Mapping
 
+from repro.engine.database import ConstraintViolationError
+from repro.engine.wal import WalError
 from repro.io.state_json import (  # noqa: F401 - decode_row(s) re-exported
     decode_row,
     decode_rows,
@@ -222,6 +226,16 @@ class ProtocolError(ValueError):
     """A frame could not be parsed (bad JSON, missing fields, too big)."""
 
 
+class WrongShardError(Exception):
+    """A single-shard request landed on a worker that does not own its
+    primary key; the error frame carries the owning worker index so a
+    router-less client can still find its way."""
+
+    def __init__(self, worker: int):
+        super().__init__(f"row belongs to worker {worker}")
+        self.worker = worker
+
+
 class RemoteError(RuntimeError):
     """An error frame, raised client-side.
 
@@ -260,6 +274,130 @@ def encode_row(row: Mapping[str, Any]) -> dict[str, Any]:
 def decode_pk(pk: Iterable[Any]) -> tuple[Any, ...]:
     """A wire-form primary key as the engine's value tuple."""
     return tuple(decode_value(v) for v in pk)
+
+
+# -- request parameters --------------------------------------------------------
+
+
+def require(frame: Mapping[str, Any], key: str, kind: type) -> Any:
+    """A typed parameter, or :class:`ProtocolError` naming what's wrong."""
+    try:
+        value = frame[key]
+    except KeyError:
+        raise ProtocolError(f"missing parameter {key!r}") from None
+    if not isinstance(value, kind):
+        raise ProtocolError(
+            f"parameter {key!r} must be {kind.__name__}, not "
+            f"{type(value).__name__}"
+        )
+    return value
+
+
+#: The exact wire shape of each batch op: ``(kind, length, type of
+#: element 2, type of the last element)``.
+_OP_SHAPES = frozenset(
+    (
+        ("insert", 3, dict, dict),
+        ("update", 4, list, dict),
+        ("delete", 3, list, list),
+    )
+)
+
+
+def _op_tuple(raw: list) -> tuple:
+    """One well-formed, marker-free wire op as an engine op tuple."""
+    if raw[0] == "insert":
+        return ("insert", raw[1], raw[2])
+    if raw[0] == "update":
+        return ("update", raw[1], tuple(raw[2]), raw[3])
+    return ("delete", raw[1], tuple(raw[2]))
+
+
+def _plain_batch_ops(raw_ops: list) -> list[tuple] | None:
+    """The engine op tuples of a well-formed batch that carries no
+    ``NULL`` marker, built by C-level passes over the ops; ``None``
+    for anything else.
+
+    Shape is proved batch-wide with exact types (every op is a list,
+    and its kind, length and element types form one of
+    :data:`_OP_SHAPES`); one type probe over every row value and key
+    component then finds any marker, since only a marker is a JSON
+    object.  Rows are passed on as parsed.
+    """
+    if set(map(type, raw_ops)) != {list}:
+        return None  # empty batch, or some op is not an array
+    try:
+        kinds = list(map(itemgetter(0), raw_ops))
+        thirds = list(map(itemgetter(2), raw_ops))
+        lasts = list(map(itemgetter(-1), raw_ops))
+        shapes = set(
+            zip(kinds, map(len, raw_ops), map(type, thirds), map(type, lasts))
+        )
+    except (IndexError, TypeError):
+        return None  # a short op, or an unhashable kind
+    if not shapes <= _OP_SHAPES:
+        return None
+    # Row dicts are the dict-typed last elements (insert rows, update
+    # maps); keys are the list-typed third elements (update, delete).
+    rows = compress(lasts, map(is_, map(type, lasts), repeat(dict)))
+    pks = compress(thirds, map(is_, map(type, thirds), repeat(list)))
+    values = chain(
+        chain.from_iterable(map(dict.values, rows)),
+        chain.from_iterable(pks),
+    )
+    if dict in set(map(type, values)):
+        return None  # a marker somewhere: decode value by value
+    schemes = map(itemgetter(1), raw_ops)
+    if len(shapes) > 1:
+        return list(map(_op_tuple, raw_ops))
+    if kinds[0] == "insert":
+        return list(zip(kinds, schemes, thirds))
+    keys = map(tuple, thirds)
+    if kinds[0] == "delete":
+        return list(zip(kinds, schemes, keys))
+    return list(zip(kinds, schemes, keys, lasts))
+
+
+def decode_batch_ops(raw_ops: list) -> list[tuple]:
+    """Wire-form ``apply_batch`` op arrays as engine op tuples.
+
+    A well-formed, marker-free batch converts without a per-value loop
+    (:func:`_plain_batch_ops`); anything else is decoded op by op,
+    which also names the first malformed op.
+    """
+    plain = _plain_batch_ops(raw_ops)
+    if plain is not None:
+        return plain
+    ops: list[tuple] = []
+    for i, raw in enumerate(raw_ops):
+        if not isinstance(raw, list) or not raw:
+            raise ProtocolError(f"ops[{i}] must be a non-empty array")
+        kind = raw[0]
+        if kind == "insert" and len(raw) == 3 and isinstance(raw[2], dict):
+            ops.append(("insert", raw[1], decode_row(raw[2])))
+        elif (
+            kind == "update"
+            and len(raw) == 4
+            and isinstance(raw[2], list)
+            and isinstance(raw[3], dict)
+        ):
+            ops.append(
+                ("update", raw[1], decode_pk(raw[2]), decode_row(raw[3]))
+            )
+        elif kind == "delete" and len(raw) == 3 and isinstance(raw[2], list):
+            ops.append(("delete", raw[1], decode_pk(raw[2])))
+        else:
+            raise ProtocolError(
+                f"ops[{i}] is not a valid insert/update/delete op array"
+            )
+    return ops
+
+
+def result_rows(results: list) -> list:
+    """A bulk result in response form: each stored row's mapping as it
+    is (:func:`encode_frame` writes any
+    ``NULL`` in it), ``None`` for a delete."""
+    return [t.mapping if t is not None else None for t in results]
 
 
 # -- framing -------------------------------------------------------------------
@@ -336,6 +474,28 @@ def violation_frame(id: Any, exc: Any) -> dict[str, Any]:
         rule=exc.rule,
         detail=exc.detail,
     )
+
+
+def exception_frame(id: Any, exc: Exception) -> dict[str, Any]:
+    """The error frame for an exception a request raised -- the server's
+    one mapping from exception type to error ``type``.
+
+    :class:`ConstraintViolationError` and :class:`ProtocolError` are
+    ``ValueError`` subclasses, so the violation is matched first and a
+    protocol error falls to ``bad-request`` with any other
+    ``ValueError``.
+    """
+    if isinstance(exc, ConstraintViolationError):
+        return violation_frame(id, exc)
+    if isinstance(exc, WrongShardError):
+        return error_frame(id, "wrong-shard", str(exc), worker=exc.worker)
+    if isinstance(exc, KeyError):
+        return error_frame(id, "not-found", str(exc))
+    if isinstance(exc, WalError):
+        return error_frame(id, "wal-error", str(exc))
+    if isinstance(exc, ValueError):
+        return error_frame(id, "bad-request", str(exc))
+    return error_frame(id, "server-error", repr(exc))
 
 
 def raise_error(frame: Mapping[str, Any]) -> None:

@@ -27,29 +27,22 @@ import asyncio
 import contextlib
 import signal
 import socket
-import sys
 import threading
 from dataclasses import dataclass, field
 
 from repro.engine.database import Database
-from repro.engine.recovery import RecoveryError
 from repro.engine.wal import WalError
+from repro.server.participant import ShardInfo
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
-    RemoteError,
     decode_frame,
     encode_frame,
     error_frame,
-    raise_error,
-    request_frame,
 )
 from repro.obs.spans import Span, SpanSink
-from repro.server.service import DatabaseService, Session, ShardInfo
+from repro.server.service import DatabaseService, Session
 
-#: Replica side: long-poll hold (seconds) of each ``repl_poll`` when the
-#: replica is caught up -- the idle heartbeat cadence.
-REPL_POLL_WAIT = 10.0
 #: Spans the sink's ring buffer holds for the ``spans`` verb.
 SPAN_CAPACITY = 2048
 
@@ -148,8 +141,6 @@ class ReproServer:
             span_sink=self.span_sink,
             slow_ms=self.config.slow_ms,
         )
-        #: The WAL-tailing task (replicas only).
-        self._replica_task: asyncio.Task | None = None
         self.host = self.config.host
         self.port: int | None = None
         #: Bound port of the sidecar metrics endpoint (``None`` until
@@ -207,9 +198,7 @@ class ReproServer:
             self.metrics_port = (
                 self._metrics_server.sockets[0].getsockname()[1]
             )
-        if self.config.replicate_from:
-            self.service.on_promote = self._on_promote
-            self._replica_task = asyncio.ensure_future(self._replica_loop())
+        self.service.replication.start()
         self._ready = True
 
     async def drain(self) -> None:
@@ -232,9 +221,9 @@ class ReproServer:
         for task in list(self._idle):
             task.cancel()
         # Release parked replica polls and deferred semi-sync acks so
-        # the connection gather below cannot wait out their timeouts.
-        self.service.begin_drain()
-        await self._stop_replica_task()
+        # the connection gather below cannot wait out their timeouts,
+        # and stop tailing a primary.
+        await self.service.replication.drain()
         for server in self._servers:
             server.close()
             await server.wait_closed()
@@ -343,150 +332,6 @@ class ReproServer:
             await writer.drain()
             if self._draining.is_set():
                 return
-
-    # -- the replica loop (WAL tailing; see docs/REPLICATION.md) -----------
-
-    async def _stop_replica_task(self) -> None:
-        task, self._replica_task = self._replica_task, None
-        if task is not None:
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
-
-    async def _on_promote(self) -> None:
-        """Service callback after ``promote`` flips the role: stop
-        tailing the (dead) primary; this server now accepts writes."""
-        await self._stop_replica_task()
-        # Operational chatter goes to stderr: an embedding process
-        # (the bench harness, a pipeline) owns stdout for its own
-        # output, and ``ServerProcess`` merges the two streams anyway.
-        print("promoted to primary", file=sys.stderr, flush=True)
-
-    async def _replica_loop(self) -> None:
-        """Tail the primary's WAL forever (until drain or promotion).
-
-        Each (re)connection bootstraps with a ``repl_snapshot`` -- the
-        local state may predate records a checkpoint on the primary
-        already compacted away, so catch-up always starts from a fresh
-        base image -- then streams ``repl_poll`` batches.  The poll
-        cycle is pipelined for the primary's sake: the *next* poll
-        frame (which doubles as the receipt confirmation for the batch
-        just read) is written to the socket *before* the batch is
-        applied, so the primary's semi-synchronous ack waits one round
-        trip, never a replica replay.  Apply itself is synchronous (no
-        awaits), so a concurrent ``promote`` can never observe half a
-        batch.
-
-        Divergence (a record the primary committed but this state
-        rejects) is fatal -- retrying could only promote a wrong state.
-        Connection failures retry with capped exponential backoff; the
-        replica keeps serving reads from its last-applied state
-        throughout.
-        """
-        assert self.config.replicate_from is not None
-        host, _, port_s = self.config.replicate_from.rpartition(":")
-        service = self.service
-        backoff = 0.2
-        while not self._draining.is_set() and service.role == "replica":
-            writer = None
-            try:
-                reader, writer = await asyncio.open_connection(
-                    host or "127.0.0.1", int(port_s), limit=MAX_FRAME_BYTES
-                )
-                rpc_id = 0
-
-                def send(verb: str, **params) -> None:
-                    nonlocal rpc_id
-                    rpc_id += 1
-                    writer.write(
-                        encode_frame(request_frame(rpc_id, verb, **params))
-                    )
-
-                async def recv() -> dict:
-                    line = await reader.readline()
-                    if not line:
-                        raise ConnectionError(
-                            "primary closed the replication connection"
-                        )
-                    frame = decode_frame(line)
-                    if not frame.get("ok"):
-                        raise_error(frame)
-                    return frame["result"]
-
-                while True:
-                    send("repl_snapshot")
-                    await writer.drain()
-                    try:
-                        snapshot = await recv()
-                        break
-                    except RemoteError as exc:
-                        if exc.type != "busy":
-                            raise
-                        await asyncio.sleep(0.05)
-                service.load_replica_snapshot(snapshot)
-                after = service.applied_lsn
-                print(
-                    f"replica caught up to lsn {after} via snapshot",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                backoff = 0.2
-                wait = REPL_POLL_WAIT
-                send("repl_poll", after=after, wait=wait, sync=True)
-                await writer.drain()
-                while not self._draining.is_set():
-                    result = await recv()
-                    records = result["records"]
-                    if records:
-                        after = max(after, records[-1].get("lsn", 0))
-                        # Confirm receipt *before* applying: once these
-                        # bytes are queued, the replica owns the
-                        # records, and the synchronous apply below
-                        # finishes before any await could let a
-                        # promote (or crash handler) observe a gap.
-                        send("repl_poll", after=after, wait=wait, sync=True)
-                        service.apply_replicated(
-                            records, result["durable_lsn"]
-                        )
-                        await writer.drain()
-                    else:
-                        service.primary_durable_lsn = max(
-                            service.primary_durable_lsn,
-                            result["durable_lsn"],
-                        )
-                        send("repl_poll", after=after, wait=wait, sync=True)
-                        await writer.drain()
-            except asyncio.CancelledError:
-                raise
-            except RecoveryError as exc:
-                print(
-                    f"replica diverged from primary: {exc}",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                raise
-            except (
-                ConnectionError,
-                OSError,
-                RemoteError,
-                ProtocolError,
-                ValueError,
-            ) as exc:
-                if self._draining.is_set() or service.role != "replica":
-                    return
-                print(
-                    f"replica: primary unreachable ({exc}); retrying in "
-                    f"{backoff:.1f}s",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                await asyncio.sleep(backoff)
-                backoff = min(backoff * 2, 2.0)
-            finally:
-                if writer is not None:
-                    with contextlib.suppress(ConnectionError, OSError):
-                        writer.close()
-                        await writer.wait_closed()
 
     # -- the sidecar metrics endpoint --------------------------------------
 

@@ -41,6 +41,15 @@ standing discipline): every mutation in the batch -- and every later
 one -- is answered with a ``wal-error`` frame, and the process must be
 restarted through :meth:`Database.recover`, which drops whatever the
 log cannot prove committed.
+
+Two jobs live in modules of their own, which the service calls
+directly: WAL shipping, both the primary's and the replica's half
+(:mod:`repro.server.replication`, including the semi-synchronous ack
+gate every mutation ack passes), and the shard/2PC participant
+(:mod:`repro.server.participant`: ownership checks, ``topology``, held
+cross-shard prepares).  Every request path turns an exception into its
+error frame through the one mapping,
+:func:`~repro.server.protocol.exception_frame`.
 """
 
 from __future__ import annotations
@@ -48,16 +57,12 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import is_, itemgetter
 from time import perf_counter, time
 from typing import Any, Mapping
 
-from repro.engine.database import ConstraintViolationError, Database
+from repro.engine.database import Database
 from repro.engine.query import QueryEngine
-from repro.engine.recovery import RecoveryError, WalApplier
 from repro.engine.wal import WalCursor, WalError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
@@ -67,53 +72,28 @@ from repro.obs.spans import (
     new_trace_id,
     render_trace,
 )
-from repro.server import protocol
+from repro.server.participant import Participant, ShardInfo
 from repro.server.protocol import (
     DECISION_VERBS,
     MUTATION_VERBS,
     REPLICATION_VERBS,
     VERBS,
     ProtocolError,
+    decode_batch_ops,
     decode_pk,
     decode_row,
     decode_rows,
     error_frame,
+    exception_frame,
     ok_frame,
-    violation_frame,
+    require,
+    result_rows,
 )
-from repro.server.router import shard_of
+from repro.server.replication import Replication
 
 #: Bound on queued-but-uncommitted mutations (the backpressure
 #: threshold).
 QUEUE_DEPTH = 1024
-#: Primary side: how long (seconds) a mutation ack may wait on
-#: synchronous-replica receipt before the stalled replicas are
-#: detached.  Bounds the damage a frozen replica can do to primary
-#: availability.
-REPL_ACK_TIMEOUT = 5.0
-
-
-class WrongShardError(Exception):
-    """A single-shard request landed on a worker that does not own its
-    primary key; the error frame carries the owning worker index so a
-    router-less client can still find its way."""
-
-    def __init__(self, worker: int):
-        super().__init__(f"row belongs to worker {worker}")
-        self.worker = worker
-
-
-@dataclass
-class ShardInfo:
-    """This worker's place in a sharded fleet (``None`` on a plain
-    single-process server): its index, the fleet size, and where every
-    worker listens -- what the ``topology`` verb reports."""
-
-    worker_id: int = 0
-    n_shards: int = 1
-    host: str = "127.0.0.1"
-    ports: list[int] = field(default_factory=list)
-    shared_port: int | None = None
 
 
 @dataclass
@@ -129,127 +109,6 @@ class Session:
     #: This session's WAL-shipping cursor, created on its first
     #: ``repl_poll`` (each replica connection tails independently).
     repl_cursor: WalCursor | None = None
-
-
-def _require(frame: Mapping[str, Any], key: str, kind: type) -> Any:
-    """A typed parameter, or :class:`ProtocolError` naming what's wrong."""
-    try:
-        value = frame[key]
-    except KeyError:
-        raise ProtocolError(f"missing parameter {key!r}") from None
-    if not isinstance(value, kind):
-        raise ProtocolError(
-            f"parameter {key!r} must be {kind.__name__}, not "
-            f"{type(value).__name__}"
-        )
-    return value
-
-
-#: The exact wire shape of each batch op: ``(kind, length, type of
-#: element 2, type of the last element)``.
-_OP_SHAPES = frozenset(
-    (
-        ("insert", 3, dict, dict),
-        ("update", 4, list, dict),
-        ("delete", 3, list, list),
-    )
-)
-
-
-def _op_tuple(raw: list) -> tuple:
-    """One well-formed, marker-free wire op as an engine op tuple."""
-    if raw[0] == "insert":
-        return ("insert", raw[1], raw[2])
-    if raw[0] == "update":
-        return ("update", raw[1], tuple(raw[2]), raw[3])
-    return ("delete", raw[1], tuple(raw[2]))
-
-
-def _plain_batch_ops(raw_ops: list) -> list[tuple] | None:
-    """The engine op tuples of a well-formed batch that carries no
-    ``NULL`` marker, built by C-level passes over the ops; ``None``
-    for anything else.
-
-    Shape is proved batch-wide with exact types (every op is a list,
-    and its kind, length and element types form one of
-    :data:`_OP_SHAPES`); one type probe over every row value and key
-    component then finds any marker, since only a marker is a JSON
-    object.  Rows are passed on as parsed.
-    """
-    if set(map(type, raw_ops)) != {list}:
-        return None  # empty batch, or some op is not an array
-    try:
-        kinds = list(map(itemgetter(0), raw_ops))
-        thirds = list(map(itemgetter(2), raw_ops))
-        lasts = list(map(itemgetter(-1), raw_ops))
-        shapes = set(
-            zip(kinds, map(len, raw_ops), map(type, thirds), map(type, lasts))
-        )
-    except (IndexError, TypeError):
-        return None  # a short op, or an unhashable kind
-    if not shapes <= _OP_SHAPES:
-        return None
-    # Row dicts are the dict-typed last elements (insert rows, update
-    # maps); keys are the list-typed third elements (update, delete).
-    rows = compress(lasts, map(is_, map(type, lasts), repeat(dict)))
-    pks = compress(thirds, map(is_, map(type, thirds), repeat(list)))
-    values = chain(
-        chain.from_iterable(map(dict.values, rows)),
-        chain.from_iterable(pks),
-    )
-    if dict in set(map(type, values)):
-        return None  # a marker somewhere: decode value by value
-    schemes = map(itemgetter(1), raw_ops)
-    if len(shapes) > 1:
-        return list(map(_op_tuple, raw_ops))
-    if kinds[0] == "insert":
-        return list(zip(kinds, schemes, thirds))
-    keys = map(tuple, thirds)
-    if kinds[0] == "delete":
-        return list(zip(kinds, schemes, keys))
-    return list(zip(kinds, schemes, keys, lasts))
-
-
-def _decode_batch_ops(raw_ops: list) -> list[tuple]:
-    """Wire-form ``apply_batch`` op arrays as engine op tuples.
-
-    A well-formed, marker-free batch converts without a per-value loop
-    (:func:`_plain_batch_ops`); anything else is decoded op by op,
-    which also names the first malformed op.
-    """
-    plain = _plain_batch_ops(raw_ops)
-    if plain is not None:
-        return plain
-    ops: list[tuple] = []
-    for i, raw in enumerate(raw_ops):
-        if not isinstance(raw, list) or not raw:
-            raise ProtocolError(f"ops[{i}] must be a non-empty array")
-        kind = raw[0]
-        if kind == "insert" and len(raw) == 3 and isinstance(raw[2], dict):
-            ops.append(("insert", raw[1], decode_row(raw[2])))
-        elif (
-            kind == "update"
-            and len(raw) == 4
-            and isinstance(raw[2], list)
-            and isinstance(raw[3], dict)
-        ):
-            ops.append(
-                ("update", raw[1], decode_pk(raw[2]), decode_row(raw[3]))
-            )
-        elif kind == "delete" and len(raw) == 3 and isinstance(raw[2], list):
-            ops.append(("delete", raw[1], decode_pk(raw[2])))
-        else:
-            raise ProtocolError(
-                f"ops[{i}] is not a valid insert/update/delete op array"
-            )
-    return ops
-
-
-def _result_rows(results: list) -> list:
-    """A bulk result in response form: each stored row's mapping as it
-    is (:func:`~repro.server.protocol.encode_frame` writes any
-    ``NULL`` in it), ``None`` for a delete."""
-    return [t.mapping if t is not None else None for t in results]
 
 
 class ServerMetrics:
@@ -345,13 +204,13 @@ class ServerMetrics:
             "repro_server_repl_replicas",
             "Synchronous replicas currently attached (primary side).",
         )
-        replicas.set_callback(lambda: len(service._replicas))
+        replicas.set_callback(lambda: len(service.replication.replicas))
         lag = r.gauge(
             "repro_server_repl_lag_records",
             "Records between the primary's durable lsn and this "
             "replica's applied lsn (0 on a primary).",
         )
-        lag.set_callback(service.replication_lag)
+        lag.set_callback(service.replication.lag)
         # -- process-level gauges (PR 10) ------------------------------
         uptime = r.gauge(
             "repro_process_uptime_seconds",
@@ -416,16 +275,6 @@ class DatabaseService:
         self.query = QueryEngine(db)
         self.max_batch = max_batch
         self.max_delay = max_delay
-        #: This worker's place in a sharded fleet; ``None`` disables
-        #: shard ownership enforcement and makes ``topology`` report a
-        #: one-worker world.
-        self.shard = shard
-        #: How long the writer holds a prepared batch awaiting its
-        #: commit/abort decision before aborting it unilaterally.
-        self.prepare_timeout = prepare_timeout
-        self._key_names: dict[str, tuple[str, ...]] = {
-            s.name: s.key_names for s in db.schema.schemes
-        }
         #: Why the WAL is unusable (``None`` = healthy).  Set on the
         #: first storage fault; every later mutation gets a
         #: ``wal-error`` frame until the process crash-recovers.
@@ -449,54 +298,9 @@ class DatabaseService:
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=QUEUE_DEPTH)
         self._writer: asyncio.Task | None = None
         self._stopping = False
-        #: Commit/abort decisions for a held prepare, routed around the
-        #: mutation queue (the writer is parked on this queue while it
-        #: holds one).
-        self._decisions: asyncio.Queue = asyncio.Queue()
         #: A ``batch_prepare`` item pulled out of a forming group; the
         #: writer handles it solo on its next iteration.
         self._deferred: tuple | None = None
-        #: The transfer id of the currently held prepare (``None`` when
-        #: no prepare is in flight) and the last few ids whose holds
-        #: timed out, so a late decision gets ``prepare-expired`` rather
-        #: than the generic ``no-prepared-batch``.
-        self._held_xid: str | None = None
-        self._expired_xids: deque[str] = deque(maxlen=8)
-        #: Prepares this worker has held (their outcomes are counted
-        #: by ``repro_server_prepares_total``).
-        self.prepares = 0
-        # -- replication state (see docs/REPLICATION.md) ---------------
-        #: ``"primary"`` (read-write, ships its WAL) or ``"replica"``
-        #: (read-only, applies a primary's records); flipped by the
-        #: ``promote`` verb.
-        self.role = role
-        #: ``host:port`` of the primary this replica follows (display
-        #: and error frames only -- the replica loop owns the socket).
-        self.primary = primary
-        #: Primary side: session id -> highest lsn that synchronous
-        #: replica has confirmed received.  Mutation acks gate on
-        #: ``min(values) >= the batch's lsn``.
-        self._replicas: dict[int, int] = {}
-        #: Resolved (and replaced) after every successful durability
-        #: barrier; parked ``repl_poll`` long-polls wait on it.
-        self._commit_waiter: asyncio.Future | None = None
-        #: Resolved (and replaced) whenever a sync replica confirms
-        #: receipt; deferred mutation acks wait on it.
-        self._confirm_waiter: asyncio.Future | None = None
-        self._draining = False
-        #: Replica side: the primary's lsn of the last applied record,
-        #: and the primary's durable lsn as of the last poll (their
-        #: difference is the replication lag).
-        self.applied_lsn = 0
-        self.primary_durable_lsn = 0
-        #: Incremental redo machine (replica side), fed records in
-        #: primary-log order; ``None`` on a primary.
-        self._applier: WalApplier | None = (
-            WalApplier(db) if role == "replica" else None
-        )
-        #: Async callback the server installs; runs after ``promote``
-        #: flips the role (cancels the replica loop, prints the line).
-        self.on_promote = None
         #: Wall-clock start of this service, behind the
         #: ``repro_process_uptime_seconds`` gauge.
         self.started_at = time()
@@ -507,12 +311,11 @@ class DatabaseService:
         #: server span runs at least this many milliseconds (``None``
         #: disables the slow-request log).
         self.slow_ms = slow_ms
-        #: lsn -> encoded span context for recently committed WAL
-        #: records, so replication shipping can stamp the originating
-        #: context onto shipped records and the replica's apply joins
-        #: the same trace.  Bounded; WAL payloads stay untouched (their
-        #: checksums cover exact bytes).
-        self._span_ctx_by_lsn: dict[int, str] = {}
+        #: The shard/2PC participant: ownership checks, ``topology``,
+        #: and held cross-shard prepares.
+        self.participant = Participant(self, shard, prepare_timeout)
+        #: WAL shipping, both halves (see docs/REPLICATION.md).
+        self.replication = Replication(self, role, primary)
         #: Server-layer metric families; also the one count of
         #: prepare outcomes, shipped/applied records and rejected
         #: connections that ``stats`` and the drain summary read.
@@ -537,7 +340,7 @@ class DatabaseService:
         self._stopping = True
         # A held prepare parks the writer on the decision queue; the
         # drain decision aborts it so the sentinel below can be reached.
-        self._decisions.put_nowait(("__drain__", False, None, None, None))
+        self.participant.drain()
         await self._queue.put(None)
         await self._writer
         self._writer = None
@@ -569,11 +372,11 @@ class DatabaseService:
             )
             return self._finish(session, "invalid", trace_id, started, response)
         if verb in REPLICATION_VERBS:
-            response = await self._handle_replication(
+            response = await self.replication.handle(
                 verb, frame, request_id, session
             )
             return self._finish(session, verb, trace_id, started, response)
-        if self.role == "replica" and (
+        if self.replication.role == "replica" and (
             verb in MUTATION_VERBS or verb in DECISION_VERBS
         ):
             response = error_frame(
@@ -581,13 +384,13 @@ class DatabaseService:
                 "read-only-replica",
                 "this server is a read-only replica; send writes to the "
                 "primary",
-                primary=self.primary,
+                primary=self.replication.primary,
             )
             return self._finish(session, verb, trace_id, started, response)
         span = self._open_server_span(verb, trace_id, ctx)
         if verb in DECISION_VERBS:
             session.mutations += 1
-            response = await self._handle_decision(
+            response = await self.participant.handle_decision(
                 verb, frame, request_id, span
             )
             return self._finish(
@@ -623,11 +426,11 @@ class DatabaseService:
                 raise
             response = await future
         else:
-            self._activate_span(span)
+            self.activate_span(span)
             try:
                 response = self._execute_read(verb, frame, request_id)
             finally:
-                self._activate_span(None)
+                self.activate_span(None)
         return self._finish(session, verb, trace_id, started, response, span)
 
     def _open_server_span(
@@ -730,524 +533,12 @@ class DatabaseService:
         )
         print(render_trace(span.trace_id, members), file=sys.stderr)
 
-    # -- sharding ----------------------------------------------------------
-
-    async def _handle_decision(
-        self,
-        verb: str,
-        frame: Mapping[str, Any],
-        request_id: Any,
-        span: Span | None = None,
-    ) -> dict[str, Any]:
-        """Route a ``batch_commit``/``batch_abort`` to the writer
-        holding the named prepare (decisions skip the mutation queue --
-        the writer is parked on the decision queue, not draining
-        mutations, while it holds one)."""
-        xid = frame.get("xid")
-        if not isinstance(xid, str):
-            return error_frame(
-                request_id, "bad-request", "parameter 'xid' must be a string"
-            )
-        if self._held_xid != xid:
-            if xid in self._expired_xids:
-                return error_frame(
-                    request_id,
-                    "prepare-expired",
-                    f"prepared batch {xid!r} timed out and was aborted",
-                )
-            return error_frame(
-                request_id,
-                "no-prepared-batch",
-                f"no prepared batch {xid!r} is held here",
-            )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._decisions.put_nowait(
-            (xid, verb == "batch_commit", future, request_id, span)
-        )
-        return await future
-
-    # -- replication (WAL shipping; see docs/REPLICATION.md) ---------------
-
-    def replication_lag(self) -> int:
-        """Records between the primary's durable lsn and this replica's
-        applied lsn (0 on a primary, by definition)."""
-        if self.role != "replica":
-            return 0
-        return max(0, self.primary_durable_lsn - self.applied_lsn)
-
-    def _commit_signal(self) -> asyncio.Future:
-        """The future the next durability barrier resolves (parked
-        ``repl_poll`` long-polls wait on it)."""
-        if self._commit_waiter is None or self._commit_waiter.done():
-            self._commit_waiter = (
-                asyncio.get_running_loop().create_future()
-            )
-        return self._commit_waiter
-
-    def _confirm_signal(self) -> asyncio.Future:
-        """The future the next replica receipt-confirmation resolves
-        (deferred mutation acks wait on it)."""
-        if self._confirm_waiter is None or self._confirm_waiter.done():
-            self._confirm_waiter = (
-                asyncio.get_running_loop().create_future()
-            )
-        return self._confirm_waiter
-
-    def _signal_commit(self) -> None:
-        if self._commit_waiter is not None and not self._commit_waiter.done():
-            self._commit_waiter.set_result(None)
-
-    def _signal_confirm(self) -> None:
-        if (
-            self._confirm_waiter is not None
-            and not self._confirm_waiter.done()
-        ):
-            self._confirm_waiter.set_result(None)
-
     def forget_session(self, session: Session) -> None:
         """Connection-close cleanup: a vanished session is no longer a
         straggler worth waiting for, and a vanished replica must stop
-        gating acks (the confirm waiters re-evaluate without it)."""
-        session.repl_cursor = None
+        gating acks."""
         self._last_writers.discard(session.id)
-        if self._replicas.pop(session.id, None) is not None:
-            self._signal_confirm()
-
-    def begin_drain(self) -> None:
-        """Entering drain: release parked replica polls and deferred
-        acks promptly instead of letting them ride out their waits."""
-        self._draining = True
-        self._signal_commit()
-        self._signal_confirm()
-
-    async def _await_replication(self, lsn: int) -> None:
-        """Hold a mutation ack until every synchronous replica has
-        confirmed receipt of everything up to ``lsn``.
-
-        A replica confirms by issuing its *next* poll with an advanced
-        ``after`` -- which it does before applying, so this wait costs
-        one round trip, not a replica replay.  Replicas that stay
-        silent past :data:`REPL_ACK_TIMEOUT` are detached (they
-        re-attach on their next poll): a stalled or dead replica slows
-        acks by at most the timeout, never forever.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + REPL_ACK_TIMEOUT
-        while self._replicas and not self._draining:
-            if min(self._replicas.values()) >= lsn:
-                return
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                stalled = [
-                    sid for sid, c in self._replicas.items() if c < lsn
-                ]
-                for sid in stalled:
-                    self._replicas.pop(sid, None)
-                return
-            try:
-                await asyncio.wait_for(
-                    asyncio.shield(self._confirm_signal()), remaining
-                )
-            except asyncio.TimeoutError:
-                continue
-
-    async def _resolve_after_confirm(
-        self, batch: list[tuple], outcomes: list, lsn: int
-    ) -> None:
-        """Deferred tail of :meth:`_commit_group` under semi-synchronous
-        replication: resolve the batch's futures only once the
-        replicas hold its records (or proved themselves stalled)."""
-        try:
-            await self._await_replication(lsn)
-        finally:
-            for (_, _, _, _, _, future, _), outcome in zip(batch, outcomes):
-                if not future.done():
-                    future.set_result(outcome)
-
-    async def _handle_replication(
-        self,
-        verb: str,
-        frame: Mapping[str, Any],
-        request_id: Any,
-        session: Session,
-    ) -> dict[str, Any]:
-        try:
-            if verb == "promote":
-                return await self._handle_promote(request_id)
-            if verb == "repl_status":
-                return ok_frame(
-                    request_id,
-                    {
-                        "role": self.role,
-                        "primary": self.primary,
-                        "applied_lsn": self.applied_lsn,
-                        "durable_lsn": (
-                            self.db.wal.durable_lsn
-                            if self.db.wal is not None
-                            else 0
-                        ),
-                        "replicas": len(self._replicas),
-                        "lag": self.replication_lag(),
-                    },
-                )
-            if self.db.wal is None:
-                return error_frame(
-                    request_id,
-                    "bad-request",
-                    "server has no write-ahead log to replicate "
-                    "(start it with --wal)",
-                )
-            if self.poisoned is not None:
-                return self._poisoned_frame(request_id)
-            if verb == "repl_snapshot":
-                return self._handle_repl_snapshot(request_id)
-            if verb == "repl_poll":
-                return await self._handle_repl_poll(
-                    frame, request_id, session
-                )
-            raise ProtocolError(f"unhandled replication verb {verb!r}")
-        except ProtocolError as exc:
-            return error_frame(request_id, "bad-request", str(exc))
-        except Exception as exc:
-            return error_frame(request_id, "server-error", repr(exc))
-
-    async def _handle_promote(self, request_id: Any) -> dict[str, Any]:
-        was = self.role
-        if was == "replica":
-            # Seal the redo stream: a group whose commit never arrived
-            # was never acked by the dead primary, so dropping it is
-            # exactly the recovery semantics.
-            if self._applier is not None:
-                self._applier.seal()
-            self.role = "primary"
-            self.primary = None
-            if self.on_promote is not None:
-                await self.on_promote()
-        return ok_frame(
-            request_id,
-            {"was": was, "role": self.role, "applied_lsn": self.applied_lsn},
-        )
-
-    def _handle_repl_snapshot(self, request_id: Any) -> dict[str, Any]:
-        if self._held_xid is not None:
-            # The state holds an undecided prepare's rows; an image
-            # taken now would leak uncommitted mutations to the replica.
-            return error_frame(
-                request_id,
-                "busy",
-                "a cross-shard prepare is held; retry the snapshot "
-                "shortly",
-            )
-        # No awaits between a mutation's apply and its barrier, so at
-        # any scheduling point the live state is exactly the durable
-        # prefix: this image covers precisely lsn <= durable_lsn.  It
-        # holds the stored rows themselves (an evolved schema too), and
-        # mutations applied before the frame is written replace rows
-        # without changing the image's.
-        return ok_frame(
-            request_id,
-            {
-                **self.db.snapshot_image(),
-                "lsn": self.db.wal.durable_lsn,
-                "role": self.role,
-            },
-        )
-
-    async def _handle_repl_poll(
-        self, frame: Mapping[str, Any], request_id: Any, session: Session
-    ) -> dict[str, Any]:
-        after = frame.get("after", 0)
-        if not isinstance(after, int) or after < 0:
-            raise ProtocolError(
-                "parameter 'after' must be a non-negative integer"
-            )
-        wait = frame.get("wait", 0)
-        if not isinstance(wait, (int, float)) or wait < 0:
-            raise ProtocolError(
-                "parameter 'wait' must be a non-negative number"
-            )
-        max_records = frame.get("max_records", 512)
-        if not isinstance(max_records, int) or max_records < 1:
-            raise ProtocolError(
-                "parameter 'max_records' must be a positive integer"
-            )
-        if frame.get("sync"):
-            # This poll *is* the receipt confirmation for everything
-            # up to ``after``: the replica holds those records (it
-            # confirms before applying, never re-requesting them).
-            self._replicas[session.id] = after
-            self._signal_confirm()
-        if session.repl_cursor is None:
-            session.repl_cursor = WalCursor(self.db.wal.storage)
-        records = session.repl_cursor.read_after(
-            after, self.db.wal.durable_lsn, max_records
-        )
-        if not records and wait > 0:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + float(wait)
-            while not records and not self._draining:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    await asyncio.wait_for(
-                        asyncio.shield(self._commit_signal()), remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
-                records = session.repl_cursor.read_after(
-                    after, self.db.wal.durable_lsn, max_records
-                )
-        if records:
-            self.metrics.repl_shipped.inc(len(records))
-            if self._span_ctx_by_lsn:
-                # Stamp the originating span context onto shipped
-                # *copies* (never the WAL payloads themselves -- their
-                # checksums cover exact bytes), so the replica's apply
-                # joins the trace that produced each record.
-                records = [
-                    (
-                        {**record, "span_ctx": ctx}
-                        if (
-                            ctx := self._span_ctx_by_lsn.get(
-                                record.get("lsn")
-                            )
-                        )
-                        is not None
-                        else record
-                    )
-                    for record in records
-                ]
-        return ok_frame(
-            request_id,
-            {"records": records, "durable_lsn": self.db.wal.durable_lsn},
-        )
-
-    def load_replica_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Replica side: seed the local state (and local log) from a
-        primary's ``repl_snapshot`` image.  The install adopts the
-        primary's evolved schema first when the image carries one, and
-        logs a ``load_state`` record of the rows (and that schema), so
-        the replica's own log recovers to the primary's state."""
-        self.db.load_image(snapshot)
-        self._refresh_schema_caches()
-        self.db.sync_wal()
-        self.applied_lsn = int(snapshot["lsn"])
-        self.primary_durable_lsn = max(
-            self.primary_durable_lsn, self.applied_lsn
-        )
-
-    def apply_replicated(
-        self, records: list[Mapping[str, Any]], durable_lsn: int
-    ) -> None:
-        """Replica side: redo a polled batch of primary records.
-
-        Runs synchronously (no awaits), so a ``promote`` arriving on
-        another connection can never observe half a batch.  Records
-        re-log through the replica's *own* WAL (its lsns, its group
-        markers), so the local log is independently recoverable.
-
-        Bare inserts redo through :meth:`Database.redo_insert`, which
-        trusts the primary's validation instead of re-running every
-        constraint probe; everything else takes the applier's
-        validating replay.  A ``batch`` record (of any log version) is
-        read back as its runs and handed to ``Database.apply_runs``,
-        the columnar validators a live ``apply_batch`` uses, and the
-        replica re-logs it in its own (version 3) format.  Divergence
-        (a record the primary committed but this state rejects) raises
-        :class:`RecoveryError` and the replica loop treats it as fatal.
-        """
-        applier = self._applier
-        if applier is None:
-            raise RecoveryError("not a replica (already promoted?)")
-        db = self.db
-        sink = self.span_sink
-        schema_before = db.schema
-        applied = self.applied_lsn
-        for shipped in records:
-            record = dict(shipped)
-            # Shipped records may carry the originating span context
-            # (stamped by the primary's ``repl_poll``); strip it before
-            # redo so the replica re-logs the exact primary payload.
-            ctx = record.pop("span_ctx", None)
-            span = None
-            if ctx is not None and sink is not None:
-                decoded = decode_context(ctx)
-                if decoded is not None and decoded[2]:
-                    span = sink.start_span(
-                        "replica-apply",
-                        trace_id=decoded[0],
-                        parent_id=decoded[1],
-                        kind="repl",
-                        lsn=record.get("lsn"),
-                        op=record.get("op"),
-                    )
-            self._activate_span(span)
-            try:
-                lsn = record.get("lsn", 0)
-                if record.get("op") == "insert" and not applier.in_txn:
-                    try:
-                        db.redo_insert(record)
-                    except (ConstraintViolationError, KeyError) as exc:
-                        raise RecoveryError(
-                            f"logged record lsn={lsn} was rejected on "
-                            f"replay: {exc}"
-                        ) from exc
-                    applier.max_lsn = max(applier.max_lsn, lsn)
-                    applier.report.records_replayed += 1
-                    db.stats.wal_replayed_records += 1
-                else:
-                    applier.feed(record)
-            finally:
-                self._activate_span(None)
-                if span is not None:
-                    sink.export(span.end())
-            if lsn > applied:
-                applied = lsn
-        self.applied_lsn = applied
-        if db.schema is not schema_before:
-            # A shipped merge record evolved the schema (the applier
-            # replays it through apply_merge_online).
-            self._refresh_schema_caches()
-        self.db.sync_wal()
-        self.primary_durable_lsn = max(self.primary_durable_lsn, durable_lsn)
-        if records:
-            self.metrics.repl_applied.inc(len(records))
-
-    def _check_shard(self, verb: str, frame: Mapping[str, Any]) -> None:
-        """Reject single-shard requests whose primary key this worker
-        does not own (:class:`WrongShardError` names the owner).
-
-        Malformed parameters are left alone -- the normal decode path
-        produces the right ``bad-request``/``not-found`` answer, and a
-        row the engine would reject is rejected identically on every
-        worker.
-        """
-        shard = self.shard
-        if shard is None or shard.n_shards <= 1:
-            return
-        me, n = shard.worker_id, shard.n_shards
-        if verb == "insert":
-            owner = self._owner_of_row(frame.get("scheme"), frame.get("row"), n)
-        elif verb in ("update", "delete", "get"):
-            pk = frame.get("pk")
-            if not isinstance(frame.get("scheme"), str) or not isinstance(
-                pk, list
-            ):
-                return
-            owner = shard_of(frame["scheme"], pk, n)
-            if verb == "update" and owner == me:
-                owner = self._owner_after_update(
-                    frame["scheme"], pk, frame.get("updates"), n
-                )
-        elif verb == "insert_many":
-            scheme = frame.get("scheme")
-            rows = frame.get("rows")
-            if not isinstance(rows, list):
-                return
-            for row in rows:
-                owner = self._owner_of_row(scheme, row, n)
-                if owner is not None and owner != me:
-                    raise WrongShardError(owner)
-            return
-        elif verb in ("apply_batch", "batch_prepare"):
-            ops = frame.get("ops")
-            if not isinstance(ops, list):
-                return
-            for op in ops:
-                owner = self._owner_of_op(op, n)
-                if owner is not None and owner != me:
-                    raise WrongShardError(owner)
-            return
-        else:
-            return
-        if owner is not None and owner != me:
-            raise WrongShardError(owner)
-
-    def _owner_after_update(
-        self, scheme: str, pk: Any, updates: Any, n: int
-    ) -> int | None:
-        """Owning shard of the row an update would produce.  A key
-        change that would hash the row onto another worker is rejected
-        (rows never migrate between shards; model it as delete +
-        insert)."""
-        keys = self._key_names.get(scheme)
-        if (
-            not keys
-            or not isinstance(updates, dict)
-            or not isinstance(pk, list)
-            or len(pk) != len(keys)
-            or not any(k in updates for k in keys)
-        ):
-            return None
-        new_pk = [updates.get(k, old) for k, old in zip(keys, pk)]
-        return shard_of(scheme, new_pk, n)
-
-    def _owner_of_row(self, scheme: Any, row: Any, n: int) -> int | None:
-        if not isinstance(scheme, str) or not isinstance(row, dict):
-            return None
-        keys = self._key_names.get(scheme)
-        if keys is None:
-            return None
-        try:
-            pk_wire = [row[k] for k in keys]
-        except KeyError:
-            return None  # shape check rejects it identically everywhere
-        return shard_of(scheme, pk_wire, n)
-
-    def _owner_of_op(self, op: Any, n: int) -> int | None:
-        if not isinstance(op, list) or len(op) < 3:
-            return None
-        kind, scheme = op[0], op[1]
-        if kind == "insert":
-            return self._owner_of_row(scheme, op[2], n)
-        if kind in ("update", "delete") and isinstance(scheme, str):
-            pk = op[2]
-            if not isinstance(pk, list):
-                pk = [pk]
-            owner = shard_of(scheme, pk, n)
-            if (
-                kind == "update"
-                and self.shard is not None
-                and owner == self.shard.worker_id
-                and len(op) > 3
-            ):
-                after = self._owner_after_update(scheme, pk, op[3], n)
-                if after is not None:
-                    return after
-            return owner
-        return None
-
-    def _topology(self) -> dict[str, Any]:
-        schema = self.db.schema
-        referencing = {ind.lhs_scheme for ind in schema.inds}
-        referenced = {ind.rhs_scheme for ind in schema.inds}
-        schemes = {
-            s.name: {
-                "key": list(s.key_names),
-                "refs_out": s.name in referencing,
-                "refs_in": s.name in referenced,
-            }
-            for s in schema.schemes
-        }
-        shard = self.shard
-        if shard is None:
-            return {
-                "workers": 1,
-                "worker_id": 0,
-                "host": "",
-                "ports": [],
-                "shared_port": None,
-                "schemes": schemes,
-            }
-        return {
-            "workers": shard.n_shards,
-            "worker_id": shard.worker_id,
-            "host": shard.host,
-            "ports": list(shard.ports),
-            "shared_port": shard.shared_port,
-            "schemes": schemes,
-        }
+        self.replication.forget(session)
 
     # -- reads (inline, snapshot-consistent) ------------------------------
 
@@ -1256,18 +547,18 @@ class DatabaseService:
     ) -> dict[str, Any]:
         try:
             if verb == "get":
-                self._check_shard("get", frame)
+                self.participant.check_shard("get", frame)
                 t = self.db.get(
-                    _require(frame, "scheme", str),
-                    decode_pk(_require(frame, "pk", list)),
+                    require(frame, "scheme", str),
+                    decode_pk(require(frame, "pk", list)),
                 )
                 return ok_frame(request_id, t.mapping if t else None)
             if verb == "topology":
-                return ok_frame(request_id, self._topology())
+                return ok_frame(request_id, self.participant.topology())
             if verb == "exists":
-                scheme = _require(frame, "scheme", str)
-                attrs = tuple(_require(frame, "attrs", list))
-                value = decode_pk(_require(frame, "value", list))
+                scheme = require(frame, "scheme", str)
+                attrs = tuple(require(frame, "attrs", list))
+                value = decode_pk(require(frame, "value", list))
                 self.db.table(scheme)  # unknown scheme -> not-found
                 return ok_frame(
                     request_id,
@@ -1290,8 +581,8 @@ class DatabaseService:
                 return ok_frame(
                     request_id,
                     self.db.explain(
-                        _require(frame, "op", str),
-                        _require(frame, "scheme", str),
+                        require(frame, "op", str),
+                        require(frame, "scheme", str),
                     ),
                 )
             if verb == "advise":
@@ -1342,18 +633,8 @@ class DatabaseService:
                     },
                 )
             raise ProtocolError(f"unhandled read verb {verb!r}")
-        except WrongShardError as exc:
-            return error_frame(
-                request_id, "wrong-shard", str(exc), worker=exc.worker
-            )
-        except ProtocolError as exc:
-            return error_frame(request_id, "bad-request", str(exc))
-        except KeyError as exc:
-            return error_frame(request_id, "not-found", str(exc))
-        except ValueError as exc:
-            return error_frame(request_id, "bad-request", str(exc))
         except Exception as exc:  # a read must never kill the connection
-            return error_frame(request_id, "server-error", repr(exc))
+            return exception_frame(request_id, exc)
 
     def render_metrics(self) -> str:
         """The full Prometheus text exposition: the engine's counters
@@ -1367,6 +648,7 @@ class DatabaseService:
         queue gauges plus the metric registry's JSON snapshot -- what
         ``python -m repro monitor`` polls."""
         prepares = self.metrics.prepares
+        participant, replication = self.participant, self.replication
         out: dict[str, Any] = {
             "requests_served": self.requests_served,
             "connections": self.connections,
@@ -1375,26 +657,26 @@ class DatabaseService:
             "uptime_s": round(time() - self.started_at, 3),
             "poisoned": self.poisoned,
             "prepares": {
-                "held": self._held_xid is not None,
-                "prepared": self.prepares,
+                "held": participant.held_xid is not None,
+                "prepared": participant.prepares,
                 "committed": int(prepares.value(outcome="committed")),
                 "aborted": int(prepares.value(outcome="aborted")),
                 "expired": int(prepares.value(outcome="expired")),
             },
             "replication": {
-                "role": self.role,
-                "primary": self.primary,
-                "replicas": len(self._replicas),
+                "role": replication.role,
+                "primary": replication.primary,
+                "replicas": len(replication.replicas),
                 "shipped": int(self.metrics.repl_shipped.value()),
                 "applied": int(self.metrics.repl_applied.value()),
-                "applied_lsn": self.applied_lsn,
-                "lag": self.replication_lag(),
+                "applied_lsn": replication.applied_lsn,
+                "lag": replication.lag(),
             },
         }
-        if self.shard is not None:
+        if participant.shard is not None:
             out["shard"] = {
-                "worker_id": self.shard.worker_id,
-                "workers": self.shard.n_shards,
+                "worker_id": participant.shard.worker_id,
+                "workers": participant.shard.n_shards,
             }
         if self.span_sink is not None:
             out["spans"] = {
@@ -1422,8 +704,8 @@ class DatabaseService:
                 return 0
 
     def _source_row(self, frame: Mapping[str, Any]):
-        scheme = _require(frame, "scheme", str)
-        pk = decode_pk(_require(frame, "pk", list))
+        scheme = require(frame, "scheme", str)
+        pk = decode_pk(require(frame, "pk", list))
         t = self.db.get(scheme, pk)
         if t is None:
             raise KeyError(f"{scheme}: no row with key {pk!r}")
@@ -1436,8 +718,8 @@ class DatabaseService:
             raise ProtocolError("parameter 'target_attrs' must be a list")
         t = self.query.join_to(
             source,
-            _require(frame, "via", list),
-            _require(frame, "target_scheme", str),
+            require(frame, "via", list),
+            require(frame, "target_scheme", str),
             target_attrs,
         )
         return t.mapping if t else None
@@ -1446,9 +728,9 @@ class DatabaseService:
         target = self._source_row(frame)
         rows = self.query.find_referencing(
             target,
-            _require(frame, "source_scheme", str),
-            _require(frame, "via", list),
-            _require(frame, "target_attrs", list),
+            require(frame, "source_scheme", str),
+            require(frame, "via", list),
+            require(frame, "target_attrs", list),
         )
         return [t.mapping for t in rows]
 
@@ -1471,7 +753,7 @@ class DatabaseService:
             if item is None:
                 return
             if item[0] == "batch_prepare":
-                await self._run_prepare(item)
+                await self.participant.run_prepare(item)
                 continue
             batch = [item]
             writers = {item[6]}
@@ -1513,187 +795,7 @@ class DatabaseService:
             if stop_after:
                 return
 
-    async def _run_prepare(self, item: tuple) -> None:
-        """Phase one of a sharded batch, run solo by the writer.
-
-        Applies the ops in an open engine transaction, acks the prepare
-        with the requirements only other shards can answer, then parks
-        on the decision queue until ``batch_commit``/``batch_abort``
-        arrives (or :attr:`prepare_timeout` expires, which aborts).  The
-        commit path ends with the same :meth:`Database.sync_wal`
-        durability barrier as a group commit -- results are never acked
-        before the batch is durable.  The prepare itself is volatile:
-        its WAL bracket has no commit marker until the decision, so a
-        crash while holding aborts it on recovery.
-        """
-        _verb, frame, request_id, _trace_id, span, future, _ = item
-        if self.poisoned is not None:
-            self._ack_mutation(future, self._poisoned_frame(request_id))
-            return
-        if span is not None:
-            self._export_queue_wait(span)
-        apply_span = (
-            span.child("prepare", kind="engine") if span is not None else None
-        )
-        self._activate_span(apply_span)
-        lsn_before = self.db.wal.next_lsn if self.db.wal is not None else 0
-        prepared = None
-        try:
-            xid = _require(frame, "xid", str)
-            self._check_shard("batch_prepare", frame)
-            ops = _decode_batch_ops(_require(frame, "ops", list))
-            prepared = self.db.apply_batch_prepare(ops)
-        except ConstraintViolationError as exc:
-            self._ack_mutation(future, violation_frame(request_id, exc))
-        except WrongShardError as exc:
-            self._ack_mutation(
-                future,
-                error_frame(
-                    request_id, "wrong-shard", str(exc), worker=exc.worker
-                ),
-            )
-        except ProtocolError as exc:
-            self._ack_mutation(
-                future, error_frame(request_id, "bad-request", str(exc))
-            )
-        except KeyError as exc:
-            self._ack_mutation(
-                future, error_frame(request_id, "not-found", str(exc))
-            )
-        except WalError as exc:
-            self.poisoned = str(exc)
-            self._ack_mutation(
-                future, error_frame(request_id, "wal-error", str(exc))
-            )
-        except ValueError as exc:
-            self._ack_mutation(
-                future, error_frame(request_id, "bad-request", str(exc))
-            )
-        except Exception as exc:
-            self._ack_mutation(
-                future, error_frame(request_id, "server-error", repr(exc))
-            )
-        finally:
-            self._activate_span(None)
-            if apply_span is not None:
-                self.span_sink.export(
-                    apply_span.end(None if prepared is not None else "error")
-                )
-        if prepared is None:
-            return
-        self.prepares += 1
-        self._held_xid = xid
-        requirements = [
-            {
-                "kind": r["kind"],
-                "scheme": r["scheme"],
-                "attrs": r["attrs"],
-                "value": list(r["value"]),
-                "constraint": r["constraint"],
-                **(
-                    {
-                        "child_scheme": r["child_scheme"],
-                        "child_attrs": r["child_attrs"],
-                    }
-                    if r["kind"] == "restrict"
-                    else {}
-                ),
-            }
-            for r in prepared.requirements
-        ]
-        self._ack_mutation(
-            future,
-            ok_frame(request_id, {"xid": xid, "requirements": requirements}),
-        )
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.prepare_timeout
-        try:
-            while True:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    raise asyncio.TimeoutError
-                (
-                    dxid,
-                    commit,
-                    dfuture,
-                    drequest_id,
-                    dspan,
-                ) = await asyncio.wait_for(self._decisions.get(), remaining)
-                if dxid == "__drain__":
-                    prepared.abort()
-                    self.metrics.prepares.labels(outcome="aborted").inc()
-                    return
-                if dxid != xid:
-                    # A stale decision (its hold already resolved).
-                    if dfuture is not None and not dfuture.done():
-                        dfuture.set_result(
-                            error_frame(
-                                drequest_id,
-                                "no-prepared-batch",
-                                f"no prepared batch {dxid!r} is held here",
-                            )
-                        )
-                    continue
-                break
-        except asyncio.TimeoutError:
-            prepared.abort()
-            self._expired_xids.append(xid)
-            self.metrics.prepares.labels(outcome="expired").inc()
-            return
-        finally:
-            self._held_xid = None
-        if not commit:
-            prepared.abort()
-            self.metrics.prepares.labels(outcome="aborted").inc()
-            if not dfuture.done():
-                dfuture.set_result(ok_frame(drequest_id, None))
-            return
-        commit_parent = dspan if dspan is not None else span
-        commit_span = (
-            commit_parent.child("group-commit", kind="wal", xid=xid)
-            if commit_parent is not None
-            else None
-        )
-        self._activate_span(commit_span)
-        try:
-            results = prepared.commit()
-            self.db.sync_wal()
-        except (WalError, OSError) as exc:
-            self.poisoned = str(exc)
-            outcome = self._poisoned_frame(drequest_id)
-        except Exception as exc:
-            outcome = error_frame(drequest_id, "server-error", repr(exc))
-        else:
-            self.metrics.prepares.labels(outcome="committed").inc()
-            outcome = ok_frame(drequest_id, _result_rows(results))
-            if self.db.wal is not None:
-                outcome["lsn"] = self.db.wal.next_lsn - 1
-                if span is not None:
-                    ctx = span.context()
-                    for lsn in range(lsn_before, self.db.wal.next_lsn):
-                        self._remember_span_ctx(lsn, ctx)
-                self._signal_commit()
-        finally:
-            self._activate_span(None)
-            if commit_span is not None:
-                self.span_sink.export(
-                    commit_span.end(
-                        None if self.poisoned is None else "wal-error"
-                    )
-                )
-        if (
-            outcome.get("ok")
-            and self.db.wal is not None
-            and self._replicas
-            and not self._draining
-        ):
-            # Same semi-sync gate as a group commit: the decision ack
-            # implies replica receipt.
-            await self._await_replication(self.db.wal.durable_lsn)
-        if not dfuture.done():
-            dfuture.set_result(outcome)
-
-    def _ack_mutation(self, future: asyncio.Future, outcome: dict) -> None:
+    def ack_mutation(self, future: asyncio.Future, outcome: dict) -> None:
         """Resolve one queued mutation's future (inflight bookkeeping
         included -- every queued item must pass through exactly one
         ack)."""
@@ -1701,7 +803,7 @@ class DatabaseService:
         if not future.done():
             future.set_result(outcome)
 
-    def _activate_span(self, span: Span | None) -> None:
+    def activate_span(self, span: Span | None) -> None:
         """Make ``span`` the engine's tracer (``None`` detaches).
 
         With a span sink the service owns ``db.tracer``: a span is
@@ -1712,7 +814,7 @@ class DatabaseService:
         if self.span_sink is not None:
             self.db.set_tracer(span)
 
-    def _export_queue_wait(self, span: Span) -> None:
+    def export_queue_wait(self, span: Span) -> None:
         """Export a back-dated ``queue-wait`` child covering the time a
         mutation sat on the writer's queue (server-span open to writer
         pickup -- the handler does no meaningful work in between)."""
@@ -1722,14 +824,6 @@ class DatabaseService:
         child._t0 -= waited
         self.span_sink.export(child.end())
 
-    def _remember_span_ctx(self, lsn: int, ctx: str) -> None:
-        """Map a committed WAL record's lsn to the span context that
-        produced it, bounded so an idle replica can't leak memory (a
-        trailing replica misses stamps, never records)."""
-        self._span_ctx_by_lsn[lsn] = ctx
-        while len(self._span_ctx_by_lsn) > 4096:
-            self._span_ctx_by_lsn.pop(next(iter(self._span_ctx_by_lsn)))
-
     def _commit_group(self, batch: list[tuple]) -> None:
         """Apply one batch, issue the group-commit barrier, then ack.
 
@@ -1737,76 +831,42 @@ class DatabaseService:
         scheduling step, so reads interleave between groups, never
         inside one.
         """
-        outcomes: list[dict | None] = []
+        replication = self.replication
+        outcomes: list[dict] = []
         for verb, frame, request_id, _trace_id, span, _future, _ in batch:
             if self.poisoned is not None:
-                outcomes.append(self._poisoned_frame(request_id))
+                outcomes.append(self.poisoned_frame(request_id))
                 continue
             if span is not None:
-                self._export_queue_wait(span)
+                self.export_queue_wait(span)
             apply_span = (
                 span.child("apply", kind="engine", verb=verb)
                 if span is not None
                 else None
             )
-            self._activate_span(apply_span)
+            self.activate_span(apply_span)
             lsn_before = (
                 self.db.wal.next_lsn if self.db.wal is not None else 0
             )
             try:
-                result = self._execute_mutation(verb, frame)
-            except ConstraintViolationError as exc:
-                outcomes.append(violation_frame(request_id, exc))
-            except WrongShardError as exc:
-                outcomes.append(
-                    error_frame(
-                        request_id, "wrong-shard", str(exc), worker=exc.worker
+                outcome = ok_frame(
+                    request_id, self._execute_mutation(verb, frame)
+                )
+                replication.stamp(outcome, lsn_before, span)
+            except Exception as exc:
+                if isinstance(exc, WalError):
+                    self.poisoned = str(exc)
+                outcome = exception_frame(request_id, exc)
+            finally:
+                self.activate_span(None)
+            outcomes.append(outcome)
+            if apply_span is not None:
+                error = outcome.get("error")
+                self.span_sink.export(
+                    apply_span.end(
+                        None if error is None else error.get("type", "error")
                     )
                 )
-            except ProtocolError as exc:
-                outcomes.append(
-                    error_frame(request_id, "bad-request", str(exc))
-                )
-            except KeyError as exc:
-                outcomes.append(error_frame(request_id, "not-found", str(exc)))
-            except WalError as exc:
-                self.poisoned = str(exc)
-                outcomes.append(
-                    error_frame(request_id, "wal-error", str(exc))
-                )
-            except ValueError as exc:
-                outcomes.append(
-                    error_frame(request_id, "bad-request", str(exc))
-                )
-            except Exception as exc:
-                outcomes.append(
-                    error_frame(request_id, "server-error", repr(exc))
-                )
-            else:
-                outcome = ok_frame(request_id, result)
-                if self.db.wal is not None:
-                    # The lsn of the mutation's last log record -- the
-                    # client's read-your-writes watermark (a replica is
-                    # caught up with this write once its applied_lsn
-                    # reaches it).
-                    outcome["lsn"] = self.db.wal.next_lsn - 1
-                    if span is not None:
-                        ctx = span.context()
-                        for lsn in range(
-                            lsn_before, self.db.wal.next_lsn
-                        ):
-                            self._remember_span_ctx(lsn, ctx)
-                outcomes.append(outcome)
-            finally:
-                self._activate_span(None)
-                if apply_span is not None:
-                    last = outcomes[-1] if outcomes else None
-                    status = None
-                    if isinstance(last, dict) and not last.get("ok"):
-                        status = str(
-                            (last.get("error") or {}).get("type", "error")
-                        )
-                    self.span_sink.export(apply_span.end(status))
         if self.poisoned is None:
             # The barrier covers the whole batch; hang its span (and
             # so its trace events) under the first sampled request's
@@ -1823,7 +883,7 @@ class DatabaseService:
                 group_span.attributes["trace_ids"] = [
                     t for _, _, _, t, _, _, _ in batch
                 ]
-            self._activate_span(group_span)
+            self.activate_span(group_span)
             sync_started = perf_counter()
             try:
                 self.db.sync_wal()
@@ -1832,8 +892,8 @@ class DatabaseService:
                 # and turn every would-be ack into a wal-error frame.
                 self.poisoned = str(exc)
                 outcomes = [
-                    self._poisoned_frame(request_id)
-                    if outcome is not None and outcome.get("ok")
+                    self.poisoned_frame(request_id)
+                    if outcome.get("ok")
                     else outcome
                     for outcome, (_, _, request_id, _, _, _, _) in zip(
                         outcomes, batch
@@ -1844,9 +904,9 @@ class DatabaseService:
                     perf_counter() - sync_started
                 )
                 # Wake parked replica polls: new durable records exist.
-                self._signal_commit()
+                replication.signal_commit()
             finally:
-                self._activate_span(None)
+                self.activate_span(None)
                 if group_span is not None:
                     self.span_sink.export(
                         group_span.end(
@@ -1859,21 +919,15 @@ class DatabaseService:
             if self.db.wal is not None and self.poisoned is None
             else 0
         )
-        for _ in batch:
-            self.inflight -= 1
-        if self._replicas and acked_lsn and not self._draining:
-            # Semi-synchronous shipping: the batch is durable here, but
-            # acks wait until every sync replica confirms receipt --
-            # otherwise a primary-host loss could lose acked records.
-            asyncio.ensure_future(
-                self._resolve_after_confirm(batch, outcomes, acked_lsn)
-            )
-            return
-        for (_, _, _, _, _, future, _), outcome in zip(batch, outcomes):
-            if not future.done():
-                future.set_result(outcome)
+        self.inflight -= len(batch)
+        replication.ack(
+            [(item[5], outcome) for item, outcome in zip(batch, outcomes)],
+            acked_lsn,
+        )
 
-    def _poisoned_frame(self, request_id: Any) -> dict[str, Any]:
+    def poisoned_frame(self, request_id: Any) -> dict[str, Any]:
+        """The ``wal-error`` frame every request gets once the log is
+        poisoned."""
         return error_frame(
             request_id,
             "wal-error",
@@ -1882,38 +936,38 @@ class DatabaseService:
         )
 
     def _execute_mutation(self, verb: str, frame: Mapping[str, Any]) -> Any:
-        self._check_shard(verb, frame)
+        self.participant.check_shard(verb, frame)
         if verb == "insert":
             t = self.db.insert(
-                _require(frame, "scheme", str),
-                decode_row(_require(frame, "row", dict)),
+                require(frame, "scheme", str),
+                decode_row(require(frame, "row", dict)),
             )
             return t.mapping
         if verb == "update":
             t = self.db.update(
-                _require(frame, "scheme", str),
-                decode_pk(_require(frame, "pk", list)),
-                decode_row(_require(frame, "updates", dict)),
+                require(frame, "scheme", str),
+                decode_pk(require(frame, "pk", list)),
+                decode_row(require(frame, "updates", dict)),
             )
             return t.mapping
         if verb == "delete":
             self.db.delete(
-                _require(frame, "scheme", str),
-                decode_pk(_require(frame, "pk", list)),
+                require(frame, "scheme", str),
+                decode_pk(require(frame, "pk", list)),
             )
             return None
         if verb == "insert_many":
-            raw_rows = _require(frame, "rows", list)
+            raw_rows = require(frame, "rows", list)
             if not set(map(type, raw_rows)) <= {dict}:
                 raise ProtocolError("every element of 'rows' must be a row")
             stored = self.db.insert_many(
-                _require(frame, "scheme", str), decode_rows(raw_rows)
+                require(frame, "scheme", str), decode_rows(raw_rows)
             )
-            return _result_rows(stored)
+            return result_rows(stored)
         if verb == "apply_batch":
-            return _result_rows(
+            return result_rows(
                 self.db.apply_batch(
-                    _decode_batch_ops(_require(frame, "ops", list))
+                    decode_batch_ops(require(frame, "ops", list))
                 )
             )
         if verb == "apply_merge":
@@ -1929,7 +983,7 @@ class DatabaseService:
         the advisor picks the best-scoring admissible family from the
         live mined counters.
         """
-        if self.shard is not None and self.shard.n_shards > 1:
+        if self.participant.sharded:
             raise ProtocolError(
                 "apply_merge is not supported on a sharded fleet: the "
                 "merged relation would span shard ownership; merge "
@@ -1964,18 +1018,10 @@ class DatabaseService:
         simplified = self.db.apply_merge_online(
             members, key_relation=key_relation, merged_name=merged_name
         )
-        self._refresh_schema_caches()
         return {
             "merged_name": simplified.info.merged_name,
             "members": list(simplified.info.family),
             "key_relation": simplified.info.key_relation,
             "removed": [list(r.attrs) for r in simplified.removed],
             "schemes": list(self.db.schema.scheme_names),
-        }
-
-    def _refresh_schema_caches(self) -> None:
-        """Rebuild schema-derived caches after an online merge swapped
-        ``db.schema`` (the query engine's IND maps refresh themselves)."""
-        self._key_names = {
-            s.name: s.key_names for s in self.db.schema.schemes
         }

@@ -378,3 +378,94 @@ class TestColumnarUpdates:
         except (ConstraintViolationError, KeyError):
             pass
         assert row_path == [len(ops)]
+
+
+def _counts(db):
+    stats = db.stats
+    return (
+        stats.inserts,
+        stats.updates,
+        stats.deletes,
+        dict(stats.scheme_mutations),
+    )
+
+
+def test_rejected_row_path_batch_is_not_counted(uni_db):
+    """A batch the deferred checks reject counts nothing: the counters
+    and the advisor's workload profile see committed mutations only."""
+    uni_db.insert("COURSE", {"C.NR": "c1"})
+    before = _counts(uni_db)
+    with pytest.raises(ConstraintViolationError):
+        uni_db.apply_batch(
+            [
+                ("insert", "COURSE", {"C.NR": "c2"}),
+                ("delete", "COURSE", "c1"),
+                ("insert", "OFFER", {"O.C.NR": "c2", "O.D.NAME": "nowhere"}),
+            ]
+        )
+    assert _counts(uni_db) == before
+    assert uni_db.count("COURSE") == 1
+    uni_db.apply_batch(
+        [
+            ("insert", "COURSE", {"C.NR": "c2"}),
+            ("delete", "COURSE", "c1"),
+            ("insert", "OFFER", {"O.C.NR": "c2", "O.D.NAME": "cs"}),
+        ]
+    )
+    inserts, updates, deletes, mutations = _counts(uni_db)
+    assert (inserts, updates, deletes) == (before[0] + 2, 0, 1)
+    assert mutations["COURSE"] == before[3]["COURSE"] + 2
+    assert mutations["OFFER"] == 1
+
+
+def test_prepared_batch_counts_only_at_commit(uni_db):
+    """A prepare that is aborted counts nothing; one that commits
+    counts its ops once, at the commit."""
+    before = _counts(uni_db)
+    prepared = uni_db.apply_batch_prepare(
+        [("insert", "COURSE", {"C.NR": "c1"})]
+    )
+    assert _counts(uni_db) == before
+    prepared.abort()
+    assert _counts(uni_db) == before
+    prepared = uni_db.apply_batch_prepare(
+        [("insert", "COURSE", {"C.NR": "c1"})]
+    )
+    prepared.commit()
+    assert _counts(uni_db)[0] == before[0] + 1
+    assert _counts(uni_db)[3]["COURSE"] == 1
+
+
+def test_insert_many_is_one_insert_run(university_schema):
+    """``insert_many`` logs the record and emits the trace events of
+    one insert run, labelled ``insert_many`` with its scheme, on the
+    columnar path and on the row path alike."""
+    tracer = RingBufferTracer()
+    db = Database(
+        university_schema, wal=WriteAheadLog(MemoryStorage()), tracer=tracer
+    )
+    with pytest.raises(KeyError):
+        db.insert_many("NOPE", [])
+    db.insert("DEPARTMENT", {"D.NAME": "cs"})
+    db.insert_many("COURSE", [{"C.NR": "c1"}, {"C.NR": "c2"}])
+    with db.transaction():  # an open transaction takes the row path
+        db.insert_many("COURSE", ({"C.NR": c} for c in ("c3", "c4")))
+    batches = [
+        r for r in parse_wal(db.wal.storage.read()).records
+        if r["op"] == "batch"
+    ]
+    assert [b["runs"] for b in batches] == [
+        [["insert", "COURSE", {"C.NR": ["c1", "c2"]}]],
+        [["insert", "COURSE", {"C.NR": ["c3", "c4"]}]],
+    ]
+    labelled = [
+        (e.event, e.op, e.scheme, e.rows)
+        for e in tracer.events
+        if e.op == "insert_many"
+    ]
+    assert labelled == [
+        ("wal", "insert_many", "COURSE", 2),
+        ("mutation", "insert_many", "COURSE", 2),
+    ] * 2
+    assert db.stats.inserts == 5
+    assert db.stats.scheme_mutations["COURSE"] == 4

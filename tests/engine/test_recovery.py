@@ -24,7 +24,7 @@ from repro.core.merge import merge
 from repro.core.remove import remove_all
 from repro.engine.database import ConstraintViolationError, Database
 from repro.engine.faults import FaultyStorage, InjectedFault
-from repro.engine.recovery import RecoveryError, recover_database
+from repro.engine.recovery import RecoveryError, WalApplier, recover_database
 from repro.engine.wal import (
     FileStorage,
     WAL_VERSION,
@@ -358,6 +358,37 @@ def test_recovery_refuses_a_newer_log_version():
         RecoveryError, match=f"version {newer}.*up to {WAL_VERSION}"
     ):
         recover_database(SCHEMA, storage=storage)
+
+
+def test_replaying_a_batch_tail_builds_no_row_views(monkeypatch):
+    # Replay hands no rows out, so it builds no Tuple views of them.
+    db = Database(SCHEMA, wal=WriteAheadLog(MemoryStorage()))
+    db.insert("DEPARTMENT", {"D.NAME": "cs"})
+    courses = [f"c{i}" for i in range(20)]
+    db.insert_many("COURSE", [{"C.NR": c} for c in courses])
+    db.apply_batch(
+        [("insert", "OFFER", {"O.C.NR": c, "O.D.NAME": "cs"}) for c in courses]
+    )
+    db.apply_batch(
+        [("delete", "OFFER", c) for c in courses[:5]]
+        + [("delete", "COURSE", c) for c in courses[:5]]
+    )
+    records = parse_wal(db.wal.storage.read()).records
+    assert sum(r["op"] == "batch" for r in records) == 3
+    calls = []
+
+    def spy(values):
+        calls.append(values)
+        return Tuple(values)
+
+    monkeypatch.setattr("repro.engine.rows.adopt_row", spy)
+    monkeypatch.setattr("repro.engine.database.adopt_row", spy)
+    replica = Database(SCHEMA)
+    applier = WalApplier(replica)
+    for record in records:
+        applier.feed(record)
+    assert calls == []
+    assert replica.count("COURSE") == 15 and replica.count("OFFER") == 15
 
 
 def test_verify_false_skips_the_recheck():

@@ -147,7 +147,7 @@ def test_batch_op_decoder_fast_and_fallback_paths_agree():
     """A marker-free batch converts in bulk, adopting the wire rows; a
     batch with a marker anywhere decodes op by op to the same shapes;
     a malformed op still gets the op-by-op error naming it."""
-    from repro.server.service import _decode_batch_ops
+    from repro.server.protocol import decode_batch_ops as _decode_batch_ops
 
     row = {"O.C.NR": "c1", "O.D.NAME": "cs"}
     plain = [

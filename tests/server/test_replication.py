@@ -23,7 +23,7 @@ import pytest
 
 from repro.client import Client, ReplicatedClient, RemoteError
 from repro.engine.database import Database
-from repro.engine.recovery import recover_database
+from repro.engine.recovery import RecoveryError, recover_database
 from repro.engine.wal import (
     MemoryStorage,
     WalCursor,
@@ -32,7 +32,12 @@ from repro.engine.wal import (
     parse_wal,
 )
 from repro.io import relational_schema_to_dict, state_to_dict
-from repro.server import ServerConfig, ServerProcess, ServerThread
+from repro.server import (
+    DatabaseService,
+    ServerConfig,
+    ServerProcess,
+    ServerThread,
+)
 from repro.workloads.university import university_relational, university_state
 
 from tests.engine._wal_oracle import oracle_replay
@@ -51,6 +56,18 @@ def _database() -> Database:
     return Database(
         university_relational(), wal=WriteAheadLog(MemoryStorage())
     )
+
+
+def test_replica_validates_a_shipped_bare_insert():
+    """A bare ``insert`` record redoes through the validating applier
+    like every other record: one whose inclusion-dependency target is
+    missing is divergence, not a stored row."""
+    db = _database()
+    service = DatabaseService(db, role="replica", primary="127.0.0.1:1")
+    forged = insert_record("OFFER", {"O.C.NR": "c1", "O.D.NAME": "cs"})
+    with pytest.raises(RecoveryError, match="lsn=2"):
+        service.replication.apply_replicated([forged | {"lsn": 2}], 2)
+    assert db.count("OFFER") == 0
 
 
 def _replica_thread(primary: ServerThread) -> ServerThread:
