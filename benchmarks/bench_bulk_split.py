@@ -8,9 +8,10 @@ for them, and times each stage per row:
 * ``json.loads`` -- :func:`repro.server.protocol.decode_frame`;
 * ``row decode`` -- :func:`~repro.server.protocol.decode_rows` for
   ``insert_many``, the op decoder for ``apply_batch``;
-* ``engine`` -- ``Database.insert_many`` / ``apply_batch`` with a
-  write-ahead log over memory (record encoding included, no fsync);
-* ``response encode`` -- building the result rows;
+* ``engine`` -- ``Database.insert_rows`` / ``apply_runs``, as the
+  server calls them, with a write-ahead log over memory (record
+  encoding included, no fsync); they return the stored row dicts the
+  response is built from;
 * ``json.dumps`` -- :func:`~repro.server.protocol.encode_frame`.
 
 Rows are grouped by batch shape.  Each repeat replays on a fresh
@@ -37,12 +38,12 @@ from repro.engine.database import (  # noqa: E402
     ConstraintViolationError,
     Database,
 )
-from repro.engine.wal import MemoryStorage, WriteAheadLog  # noqa: E402
+from repro.engine.wal import MemoryStorage, WriteAheadLog, op_runs  # noqa: E402
 from repro.relational.state import DatabaseState  # noqa: E402
 from repro.server import protocol  # noqa: E402
 from repro.workloads.university import university_relational  # noqa: E402
 
-STAGES = ("json.loads", "row decode", "engine", "response encode", "json.dumps")
+STAGES = ("json.loads", "row decode", "engine", "json.dumps")
 
 
 def _shape(verb: str, ops: list) -> str:
@@ -71,21 +72,17 @@ def replay(state, lines, verbs) -> dict[str, dict[str, float]]:
         shape = _shape(verb, batch)
         try:
             if verb == "insert_many":
-                stored = db.insert_many(frame["scheme"], batch)
+                result = db.insert_rows(frame["scheme"], batch)
             else:
-                stored = db.apply_batch(batch)
+                result = db.apply_runs(op_runs(batch))
         except ConstraintViolationError:
-            stored, shape = None, shape + " (rejected)"
+            result, shape = None, shape + " (rejected)"
         t3 = clock()
-        result = protocol.result_rows(stored) if stored is not None else None
-        t4 = clock()
         protocol.encode_frame(protocol.ok_frame(i, result))
-        t5 = clock()
+        t4 = clock()
         row = acc[shape]
         row["rows"] += len(batch)
-        for stage, seconds in zip(
-            STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
-        ):
+        for stage, seconds in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             row[stage] += seconds
     return acc
 

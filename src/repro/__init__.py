@@ -24,6 +24,7 @@ paper-to-module map.
 """
 
 import importlib
+import sys
 
 #: Each public name and the module that defines it.  Names resolve on
 #: first use (:func:`__getattr__`), so ``import repro`` -- and every
@@ -97,15 +98,26 @@ __version__ = "1.0.0"
 __all__ = [*_EXPORTS, "__version__"]
 
 
-def __getattr__(name: str):
-    """Import the module behind a public name on first use."""
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
+def lazy_exports(package: str, exports: dict[str, str]):
+    """The module-level ``__getattr__`` and ``__dir__`` of ``package``,
+    whose public names ``exports`` maps to the modules defining them:
+    a name's module is imported on first use, and the name is then
+    cached in the package."""
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationScheme
 from repro.relational.state import Columns
-from repro.relational.tuples import has_null
+from repro.relational.tuples import null_probe
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,9 @@ class FunctionalDependency:
     def holds_in(self, columns: Columns) -> bool:
         """:meth:`is_satisfied_by` over the scheme's relation in
         ``columns``, reading its columns through the pass's cache."""
-        lhs = columns.values(self.scheme_name, sorted(self.lhs))
-        total = list(map(not_, map(has_null, lhs)))
+        names = sorted(self.lhs)
+        lhs = columns.values(self.scheme_name, names)
+        total = list(map(not_, map(null_probe(names), lhs)))
         lefts = list(itertools.compress(lhs, total))
         distinct = len(set(lefts))
         if distinct == len(lefts):

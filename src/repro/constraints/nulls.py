@@ -24,11 +24,11 @@ rows holding a ``NULL`` there, and the flags are combined row-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, and_, ne, not_
+from operator import and_, ne, not_, or_
 from typing import Iterable, Mapping
 
 from repro.relational.state import Columns, DatabaseState
-from repro.relational.tuples import Tuple, has_null
+from repro.relational.tuples import Tuple, null_probe
 
 
 class NullConstraint:
@@ -96,12 +96,11 @@ class NullExistenceConstraint(NullConstraint):
     def holds_in(self, columns: Columns) -> bool:
         """No tuple is total on ``lhs`` but not on ``rhs``."""
         name = self.scheme_name
-        rhs_partial = list(map(has_null, columns.values(name, sorted(self.rhs))))
+        rhs, lhs = sorted(self.rhs), sorted(self.lhs)
+        rhs_partial = list(map(null_probe(rhs), columns.values(name, rhs)))
         if not any(rhs_partial):
             return True
-        lhs_total = map(
-            not_, map(has_null, columns.values(name, sorted(self.lhs)))
-        )
+        lhs_total = map(not_, map(null_probe(lhs), columns.values(name, lhs)))
         return not any(map(and_, lhs_total, rhs_partial))
 
     def attributes_mentioned(self) -> frozenset[str]:
@@ -185,7 +184,7 @@ class PartNullConstraint(NullConstraint):
     def holds_in(self, columns: Columns) -> bool:
         """No tuple holds a ``NULL`` in every group."""
         partial = [
-            map(has_null, columns.values(self.scheme_name, sorted(g)))
+            map(null_probe(g), columns.values(self.scheme_name, sorted(g)))
             for g in self.groups
         ]
         return not any(map(all, zip(*partial)))
@@ -254,7 +253,12 @@ class TotalEqualityConstraint(NullConstraint):
         """No tuple is total on both sides with the sides unequal."""
         lhs = columns.values(self.scheme_name, self.lhs)
         rhs = columns.values(self.scheme_name, self.rhs)
-        both_total = map(not_, map(has_null, map(add, lhs, rhs)))
+        either_null = map(
+            or_,
+            map(null_probe(self.lhs), lhs),
+            map(null_probe(self.rhs), rhs),
+        )
+        both_total = map(not_, either_null)
         return not any(map(and_, map(ne, lhs, rhs), both_total))
 
     def attributes_mentioned(self) -> frozenset[str]:

@@ -28,47 +28,36 @@ measurement substrate:
   for the crash-point test matrix.
 """
 
-from repro.engine.database import ConstraintViolationError, Database
-from repro.engine.faults import FaultyStorage, InjectedFault
-from repro.engine.oracle import OracleDatabase
-from repro.engine.plans import SchemeAccessPlan, compile_schema
-from repro.engine.query import QueryEngine
-from repro.engine.recovery import (
-    RecoveryError,
-    RecoveryReport,
-    RecoveryResult,
-    recover_database,
-)
-from repro.engine.stats import EngineStats
-from repro.engine.views import MergedViewResolver
-from repro.engine.wal import (
-    FileStorage,
-    MemoryStorage,
-    Storage,
-    WalError,
-    WriteAheadLog,
-    parse_wal,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ConstraintViolationError",
-    "Database",
-    "OracleDatabase",
-    "QueryEngine",
-    "EngineStats",
-    "MergedViewResolver",
-    "SchemeAccessPlan",
-    "compile_schema",
-    "WriteAheadLog",
-    "WalError",
-    "Storage",
-    "FileStorage",
-    "MemoryStorage",
-    "parse_wal",
-    "FaultyStorage",
-    "InjectedFault",
-    "recover_database",
-    "RecoveryError",
-    "RecoveryReport",
-    "RecoveryResult",
-]
+#: Each public name and the module that defines it.  Names resolve on
+#: first use (:func:`__getattr__`), so importing one engine module --
+#: as ``serve`` does -- loads neither the oracle nor the fault
+#: injector.
+_EXPORTS = {
+    "ConstraintViolationError": "repro.engine.database",
+    "Database": "repro.engine.database",
+    "OracleDatabase": "repro.engine.oracle",
+    "QueryEngine": "repro.engine.query",
+    "EngineStats": "repro.engine.stats",
+    "MergedViewResolver": "repro.engine.views",
+    "SchemeAccessPlan": "repro.engine.plans",
+    "compile_schema": "repro.engine.plans",
+    "WriteAheadLog": "repro.engine.wal",
+    "WalError": "repro.engine.wal",
+    "Storage": "repro.engine.wal",
+    "FileStorage": "repro.engine.wal",
+    "MemoryStorage": "repro.engine.wal",
+    "parse_wal": "repro.engine.wal",
+    "FaultyStorage": "repro.engine.faults",
+    "InjectedFault": "repro.engine.faults",
+    "recover_database": "repro.engine.recovery",
+    "RecoveryError": "repro.engine.recovery",
+    "RecoveryReport": "repro.engine.recovery",
+    "RecoveryResult": "repro.engine.recovery",
+}
+
+__all__ = list(_EXPORTS)
+
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,7 +18,9 @@ Two layers keep the enforcement fast (see ``docs/PERFORMANCE.md``):
 * **compiled access plans** (:mod:`repro.engine.plans`) -- every
   projection a mutation needs (primary key, candidate keys, both sides
   of every inclusion dependency, null-constraint groups) is compiled
-  once per schema into an ``itemgetter``-backed extractor;
+  once per schema into an ``itemgetter``: a key or projected value is
+  the bare value for one attribute and a tuple for more, and the tables
+  and their indexes are keyed by those values;
 * **reverse-reference indexes** -- for every column group an inclusion
   dependency touches, the owning table keeps ``value -> {pk: None}``
   (insertion-ordered), so existence checks, restrict checks and
@@ -34,7 +36,6 @@ Two layers keep the enforcement fast (see ``docs/PERFORMANCE.md``):
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -70,7 +71,14 @@ from repro.obs.trace import TraceEvent, Tracer
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationScheme, RelationalSchema
 from repro.relational.state import DatabaseState
-from repro.relational.tuples import NULL, Tuple
+from repro.relational.tuples import (
+    NULL,
+    Tuple,
+    any_null,
+    contains_null,
+    key_tuple,
+    key_value,
+)
 
 
 class ConstraintViolationError(ValueError):
@@ -106,7 +114,9 @@ class _Table:
 
     The primary-key index maps each key to the row's plain dict; a
     :class:`Tuple` view of a row is built only when the engine hands it
-    out (:func:`~repro.engine.rows.adopt_row`)."""
+    out (:func:`~repro.engine.rows.adopt_row`).  Every index is keyed by
+    values in the plans' form (:mod:`repro.engine.plans`): bare for a
+    one-attribute group, a tuple for a composite one."""
 
     __slots__ = (
         "scheme",
@@ -121,16 +131,14 @@ class _Table:
     def __init__(self, scheme: RelationScheme, plan: SchemeAccessPlan):
         self.scheme = scheme
         self.plan = plan
-        self.rows: dict[tuple[Any, ...], dict[str, Any]] = {}
-        self.key_indexes: dict[tuple[str, ...], dict[tuple[Any, ...], tuple[Any, ...]]] = {
+        self.rows: dict[Any, dict[str, Any]] = {}
+        self.key_indexes: dict[tuple[str, ...], dict[Any, Any]] = {
             key_names: {} for key_names, _ in plan.candidate_keys
         }
-        #: value tuple -> ordered set of primary keys carrying it, per
-        #: indexed group (a dict-of-None preserves row insertion order,
-        #: so index-backed answers match the seed's scan order).
-        self.group_indexes: dict[
-            tuple[str, ...], dict[tuple[Any, ...], dict[tuple[Any, ...], None]]
-        ] = {}
+        #: value -> ordered set of primary keys carrying it, per indexed
+        #: group (a dict-of-None preserves row insertion order, so
+        #: index-backed answers match the seed's scan order).
+        self.group_indexes: dict[tuple[str, ...], dict[Any, dict[Any, None]]] = {}
         self.group_extractors: dict[tuple[str, ...], Any] = {}
         #: Mutation counter; scans snapshot it to stay iteration-safe.
         self.version = 0
@@ -142,10 +150,10 @@ class _Table:
         if attrs == self.plan.key_names or attrs in self.group_indexes:
             return
         extract = attr_extractor(attrs)
-        index: dict[tuple[Any, ...], dict[tuple[Any, ...], None]] = {}
+        index: dict[Any, dict[Any, None]] = {}
         for pk, row in self.rows.items():
             value = extract(row)
-            if not any(v is NULL for v in value):
+            if not contains_null(value):
                 index.setdefault(value, {})[pk] = None
         self.group_indexes[attrs] = index
         self.group_extractors[attrs] = extract
@@ -167,7 +175,7 @@ class _Table:
         ``attrs``.  The consistency checker's column reads take it
         instead of walking the rows."""
         if attrs == self.plan.key_names:
-            if NULL in chain.from_iterable(self.rows):
+            if any_null(self.rows, len(attrs)):
                 return None  # a bulk-loaded null key: not a total value
             return self.rows.keys()
         index = self.group_indexes.get(attrs)
@@ -286,18 +294,22 @@ def _merged_rows(
     outer join; equal rows then collapse as in a relation.
     """
     family = info.family
+    width = len(info.km)
     if info.synthesized:
-        keys: dict[tuple[Any, ...], None] = {}
+        keys: dict[Any, None] = {}
         for member in family:
             keys.update(dict.fromkeys(tables[member].rows))
-        heads = zip(keys, keys)
+        # The key's values head each merged row.
+        heads = zip(keys, map(key_tuple, keys))
         joined = family
     else:
         key_table = tables[info.key_relation]
         keys = key_table.rows
         head = attr_extractor(info.family_attrs[info.key_relation])
-        heads = ((pk, head(row)) for pk, row in keys.items())
+        heads = ((pk, key_tuple(head(row))) for pk, row in keys.items())
         joined = [m for m in family if m != info.key_relation]
+    # A merged row is concatenated from value tuples, whatever the
+    # number of attributes each part contributes.
     parts = []
     for member in joined:
         attrs = info.family_attrs[member]
@@ -307,24 +319,22 @@ def _merged_rows(
     rows = []
     append = rows.append
     for pk, values in heads:
-        total = NULL not in pk
+        total = not contains_null(pk)
         for member_rows, extract, pad in parts:
             row = member_rows.get(pk) if total else None
-            values += pad if row is None else extract(row)
+            values += pad if row is None else key_tuple(extract(row))
         append(dict(zip(names, values)))
     orphans = []
     end = len(names) - sum(len(pad) for _rows, _extract, pad in parts)
     for member_rows, extract, pad in parts:
         start, end = end, end + len(pad)
-        if member_rows.keys() <= keys.keys() and NULL not in chain.from_iterable(
-            member_rows
-        ):
+        if member_rows.keys() <= keys.keys() and not any_null(member_rows, width):
             continue  # every member row joined a key-relation row
         before, after = (NULL,) * start, (NULL,) * (len(names) - end)
         for pk, row in member_rows.items():
-            if NULL in pk or pk not in keys:
+            if contains_null(pk) or pk not in keys:
                 orphans.append(
-                    dict(zip(names, before + extract(row) + after))
+                    dict(zip(names, before + key_tuple(extract(row)) + after))
                 )
     if not orphans:
         return rows
@@ -391,7 +401,7 @@ class Database:
         self._plans = {name: t.plan for name, t in self._tables.items()}
         #: Undo log of the innermost open transaction (None outside one).
         self._undo_log: list[
-            tuple[str, _Table, tuple[Any, ...], dict[str, Any] | None]
+            tuple[str, _Table, Any, dict[str, Any] | None]
         ] | None = None
         if wal is not None and wal_path is not None:
             raise ValueError("pass either wal or wal_path, not both")
@@ -503,11 +513,10 @@ class Database:
             )
 
     def get(self, scheme_name: str, pk: tuple[Any, ...] | Any) -> Tuple | None:
-        """Primary-key lookup; counts as one lookup."""
-        if not isinstance(pk, tuple):
-            pk = (pk,)
+        """Primary-key lookup; counts as one lookup.  A one-attribute
+        key may be given bare or as a 1-tuple."""
         self.stats.lookups += 1
-        row = self.table(scheme_name).rows.get(pk)
+        row = self.table(scheme_name).rows.get(key_value(pk))
         return None if row is None else adopt_row(row)
 
     def scan(self, scheme_name: str) -> Iterable[Tuple]:
@@ -561,28 +570,27 @@ class Database:
                     kind=classify_null_constraint(constraint),
                 )
 
-    def _check_keys(
-        self, table: _Table, t: Tuple, replacing: tuple[Any, ...] | None
-    ) -> tuple[Any, ...]:
+    def _check_keys(self, table: _Table, t: Tuple, replacing: Any) -> Any:
         """Key-uniqueness checks; returns the (validated) primary key so
         callers can store the row without re-projecting it."""
         plan = table.plan
         values = t.mapping
         pk = plan.pk(values)
-        if any(v is NULL for v in pk):
+        if contains_null(pk):
             raise ConstraintViolationError(
                 "primary-key",
-                f"{table.scheme.name}: primary key contains nulls: {pk!r}",
+                f"{table.scheme.name}: primary key contains nulls: "
+                f"{key_tuple(pk)!r}",
             )
         self.stats.constraint_checks += 1
         if pk in table.rows and pk != replacing:
             raise ConstraintViolationError(
                 "primary-key",
-                f"{table.scheme.name}: duplicate primary key {pk!r}",
+                f"{table.scheme.name}: duplicate primary key {key_tuple(pk)!r}",
             )
         for key_names, extract in plan.candidate_keys:
             value = extract(values)
-            if any(v is NULL for v in value):
+            if contains_null(value):
                 if self.null_semantics == "distinct":
                     continue  # binds only when total
                 # 'identical' semantics (SYBASE/INGRES, Section 5.1):
@@ -594,7 +602,7 @@ class Database:
                 raise ConstraintViolationError(
                     "candidate-key",
                     f"{table.scheme.name}: duplicate candidate key "
-                    f"{dict(zip(key_names, value))!r} "
+                    f"{dict(zip(key_names, key_tuple(value)))!r} "
                     f"({self.null_semantics} null semantics)",
                 )
         return pk
@@ -603,20 +611,18 @@ class Database:
         values = t.mapping
         for ref in self._plans[scheme_name].outgoing:
             value = ref.extract(values)
-            if any(v is NULL for v in value):
+            if contains_null(value):
                 continue
             self.stats.constraint_checks += 1
             if not self._referenced_exists_via(ref, value):
                 raise ConstraintViolationError(
                     str(ref.ind),
                     f"no {ref.scheme} row with "
-                    f"{dict(zip(ref.attrs, value))!r}",
+                    f"{dict(zip(ref.attrs, key_tuple(value)))!r}",
                     kind="inclusion-dependency",
                 )
 
-    def _referenced_exists_via(
-        self, ref: CompiledReference, value: tuple[Any, ...]
-    ) -> bool:
+    def _referenced_exists_via(self, ref: CompiledReference, value: Any) -> bool:
         table = self._tables[ref.scheme]
         scanned = 0
         if ref.is_pk:
@@ -632,11 +638,8 @@ class Database:
             scanned = len(table.rows)
             self.stats.tuples_scanned += scanned
             path = "scan"
-            attrs = ref.attrs
-            found = any(
-                tuple(row[a] for a in attrs) == value
-                for row in table.rows.values()
-            )
+            extract = attr_extractor(ref.attrs)
+            found = any(extract(row) == value for row in table.rows.values())
         if self.tracer is not None:
             self.tracer.emit(
                 TraceEvent(
@@ -654,9 +657,10 @@ class Database:
         return found
 
     def _referenced_exists(
-        self, scheme_name: str, attrs: tuple[str, ...], value: tuple[Any, ...]
+        self, scheme_name: str, attrs: tuple[str, ...], value: Any
     ) -> bool:
-        """Index-backed existence of ``value`` under ``scheme_name[attrs]``."""
+        """Index-backed existence of ``value`` (in the plans' form) under
+        ``scheme_name[attrs]``."""
         table = self.table(scheme_name)
         attrs = tuple(attrs)
         if attrs == table.plan.key_names:
@@ -668,10 +672,8 @@ class Database:
             return bool(index.get(value))
         self.stats.index_misses += 1
         self.stats.tuples_scanned += len(table.rows)
-        return any(
-            tuple(row[a] for a in attrs) == value
-            for row in table.rows.values()
-        )
+        extract = attr_extractor(attrs)
+        return any(extract(row) == value for row in table.rows.values())
 
     def _trace_restrict(
         self,
@@ -699,8 +701,8 @@ class Database:
     def _blocking_referencer(
         self,
         ref: CompiledReference,
-        value: tuple[Any, ...],
-        exclude_pk: tuple[Any, ...] | None,
+        value: Any,
+        exclude_pk: Any,
     ) -> str | None:
         """Description of a row of ``ref.scheme`` referencing ``value``
         (ignoring the row keyed ``exclude_pk``), or ``None``."""
@@ -714,7 +716,9 @@ class Database:
                 if exclude_pk is None:
                     blocker = f"{ref.ind} (from {ref.scheme})"
                 elif value != exclude_pk:
-                    blocker = f"{ref.ind} (row {value!r} of {ref.scheme})"
+                    blocker = (
+                        f"{ref.ind} (row {key_tuple(value)!r} of {ref.scheme})"
+                    )
         elif (index := child.group_indexes.get(ref.attrs)) is not None:
             self.stats.index_hits += 1
             path = "group-index"
@@ -725,19 +729,24 @@ class Database:
                 else:
                     for pk in referencers:
                         if pk != exclude_pk:
-                            blocker = f"{ref.ind} (row {pk!r} of {ref.scheme})"
+                            blocker = (
+                                f"{ref.ind} (row {key_tuple(pk)!r} "
+                                f"of {ref.scheme})"
+                            )
                             break
         else:
             self.stats.index_misses += 1
             scanned = len(child.rows)
             self.stats.tuples_scanned += scanned
             path = "scan"
-            attrs = ref.attrs
+            extract = attr_extractor(ref.attrs)
             for pk, row in child.rows.items():
                 if exclude_pk is not None and pk == exclude_pk:
                     continue
-                if tuple(row[a] for a in attrs) == value:
-                    blocker = f"{ref.ind} (row {pk!r} of {ref.scheme})"
+                if extract(row) == value:
+                    blocker = (
+                        f"{ref.ind} (row {key_tuple(pk)!r} of {ref.scheme})"
+                    )
                     break
         if self.tracer is not None:
             self._trace_restrict(ref, path, scanned, blocker)
@@ -747,13 +756,13 @@ class Database:
         self,
         scheme_name: str,
         values: dict[str, Any],
-        ignore_self_pk: tuple[Any, ...] | None = None,
+        ignore_self_pk: Any = None,
     ) -> str | None:
         """Description of a restricting reference into the stored row
         ``values``, if any."""
         for ref in self._plans[scheme_name].incoming:
             value = ref.extract(values)
-            if any(v is NULL for v in value):
+            if contains_null(value):
                 continue
             exclude = (
                 ignore_self_pk
@@ -795,18 +804,18 @@ class Database:
 
     def delete(self, scheme_name: str, pk: tuple[Any, ...] | Any) -> None:
         """Delete by primary key, restricting when referenced."""
-        if not isinstance(pk, tuple):
-            pk = (pk,)
+        pk = key_value(pk)
         timed = self._timed
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
         old = table.rows.get(pk)
         if old is None:
-            raise KeyError(f"{scheme_name}: no row with key {pk!r}")
+            raise KeyError(f"{scheme_name}: no row with key {key_tuple(pk)!r}")
         blocker = self._referencing_rows_exist(scheme_name, old)
         if blocker is not None:
             exc = ConstraintViolationError(
-                "restrict-delete", f"{scheme_name} row {pk!r} referenced via {blocker}"
+                "restrict-delete",
+                f"{scheme_name} row {key_tuple(pk)!r} referenced via {blocker}",
             )
             if timed:
                 self._observe_reject("delete", scheme_name, exc, start)
@@ -823,14 +832,13 @@ class Database:
         self, scheme_name: str, pk: tuple[Any, ...] | Any, updates: Mapping[str, Any]
     ) -> Tuple:
         """Update one row by primary key."""
-        if not isinstance(pk, tuple):
-            pk = (pk,)
+        pk = key_value(pk)
         timed = self._timed
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
         old = table.rows.get(pk)
         if old is None:
-            raise KeyError(f"{scheme_name}: no row with key {pk!r}")
+            raise KeyError(f"{scheme_name}: no row with key {key_tuple(pk)!r}")
         try:
             t = adopt_row(old).with_values(dict(updates))
             self._check_null_constraints(scheme_name, t)
@@ -851,7 +859,7 @@ class Database:
                         if blocker is not None:
                             raise ConstraintViolationError(
                                 "restrict-update",
-                                f"{scheme_name} row {pk!r} "
+                                f"{scheme_name} row {key_tuple(pk)!r} "
                                 f"referenced via {blocker}",
                             )
                         break
@@ -893,15 +901,21 @@ class Database:
         (:func:`~repro.engine.wal.batch_record`), whichever path
         accepted it; a rejected one logs nothing.
         """
+        return adopt_rows(self.insert_rows(scheme_name, rows))
+
+    def insert_rows(
+        self, scheme_name: str, rows: Iterable[Mapping[str, Any]]
+    ) -> list[dict[str, Any]]:
+        """:meth:`insert_many`, returning the stored row dicts themselves
+        rather than views of them.  The dicts are the stored rows, so
+        callers must not change them.  The server's ``insert_many`` verb
+        calls it, and only serializes the rows it gets; the batch's
+        trace events are labelled ``insert_many`` with its scheme either
+        way."""
         self.table(scheme_name)  # an unknown scheme fails, rows or not
         rows = rows if isinstance(rows, list) else list(rows)
-        return adopt_rows(
-            self._apply(
-                None,
-                [("insert", scheme_name, rows)],
-                "insert_many",
-                scheme_name,
-            )
+        return self._apply(
+            None, [("insert", scheme_name, rows)], "insert_many", scheme_name
         )
 
     def apply_batch(
@@ -934,14 +948,18 @@ class Database:
         ops = ops if isinstance(ops, list) else list(ops)
         return adopt_rows(self._apply(ops, None))
 
-    def apply_runs(self, runs: list[tuple]) -> None:
+    def apply_runs(self, runs: list[tuple]) -> list[dict[str, Any] | None]:
         """:meth:`apply_batch` for a batch already grouped into runs
-        (:func:`~repro.engine.wal.op_runs`) -- the entry point of log
-        replay, which reads a ``batch`` record back as its runs
-        (:func:`~repro.engine.wal.record_runs`) and hands them to the
-        columnar validators without regrouping.  Replay hands no rows
-        out, so no row views are built."""
-        self._apply(None, runs)
+        (:func:`~repro.engine.wal.op_runs`), returning the stored row
+        dicts themselves (``None`` for a delete): no row views are
+        built.  The dicts are the stored rows, so callers must not
+        change them.
+
+        It is the entry point of log replay, which reads a ``batch``
+        record back as its runs (:func:`~repro.engine.wal.record_runs`)
+        and hands them to the columnar validators without regrouping,
+        and of the server, which only serializes the rows it gets."""
+        return self._apply(None, runs)
 
     def _apply(
         self,
@@ -1028,7 +1046,7 @@ class Database:
     ) -> tuple[
         list[dict[str, Any] | None],
         list[tuple[str, Tuple]],
-        list[tuple[CompiledReference, tuple[Any, ...]]],
+        list[tuple[CompiledReference, Any]],
         list[tuple],
     ]:
         """Apply a batch's operations with per-op immediate checks,
@@ -1043,7 +1061,7 @@ class Database:
         """
         results: list[dict[str, Any] | None] = []
         pending_out: list[tuple[str, Tuple]] = []
-        pending_in: list[tuple[CompiledReference, tuple[Any, ...]]] = []
+        pending_in: list[tuple[CompiledReference, Any]] = []
         applied: list[tuple] = []
         for op in ops:
             kind = op[0]
@@ -1059,30 +1077,28 @@ class Database:
                 applied.append(("insert", scheme_name, t.mapping))
             elif kind == "delete":
                 _, scheme_name, pk = op
-                if not isinstance(pk, tuple):
-                    pk = (pk,)
+                pk = key_value(pk)
                 table = self.table(scheme_name)
                 old = table.rows.get(pk)
                 if old is None:
                     raise KeyError(
-                        f"{scheme_name}: no row with key {pk!r}"
+                        f"{scheme_name}: no row with key {key_tuple(pk)!r}"
                     )
                 for ref in self._plans[scheme_name].incoming:
                     value = ref.extract(old)
-                    if not any(v is NULL for v in value):
+                    if not contains_null(value):
                         pending_in.append((ref, value))
                 self._unstore(table, pk, old)
                 results.append(None)
                 applied.append(("delete", scheme_name, pk))
             elif kind == "update":
                 _, scheme_name, pk, updates = op
-                if not isinstance(pk, tuple):
-                    pk = (pk,)
+                pk = key_value(pk)
                 table = self.table(scheme_name)
                 old = table.rows.get(pk)
                 if old is None:
                     raise KeyError(
-                        f"{scheme_name}: no row with key {pk!r}"
+                        f"{scheme_name}: no row with key {key_tuple(pk)!r}"
                     )
                 updates = dict(updates)
                 t = adopt_row(old).with_values(updates)
@@ -1095,7 +1111,7 @@ class Database:
                 for ref in self._plans[scheme_name].incoming:
                     if changed & ref.watch:
                         value = ref.extract(old)
-                        if not any(v is NULL for v in value):
+                        if not contains_null(value):
                             pending_in.append((ref, value))
                 self._unstore(table, pk, old)
                 self._store(table, new_values, new_pk)
@@ -1109,7 +1125,7 @@ class Database:
     def _verify_deferred(
         self,
         pending_out: list[tuple[str, Tuple]],
-        pending_in: list[tuple[CompiledReference, tuple[Any, ...]]],
+        pending_in: list[tuple[CompiledReference, Any]],
         collect_remote: bool = False,
     ) -> list[dict[str, Any]]:
         """Verify a batch's deferred reference checks against its final
@@ -1142,7 +1158,7 @@ class Database:
                 continue
             for ref in self._plans[scheme_name].outgoing:
                 value = ref.extract(values)
-                if any(v is NULL for v in value):
+                if contains_null(value):
                     continue
                 self.stats.constraint_checks += 1
                 if self._referenced_exists_via(ref, value):
@@ -1152,11 +1168,11 @@ class Database:
                         "kind": "exists",
                         "scheme": ref.scheme,
                         "attrs": list(ref.attrs),
-                        "value": list(value),
+                        "value": list(key_tuple(value)),
                         "constraint": str(ref.ind),
                     }
                 )
-        verified: set[tuple[Any, ...]] = set()
+        verified: set[tuple[int, Any]] = set()
         for ref, value in pending_in:
             dedup_key = (id(ref.ind), value)
             if dedup_key in verified:
@@ -1178,7 +1194,7 @@ class Database:
                         "attrs": list(ref.ind.rhs_attrs),
                         "child_scheme": ref.scheme,
                         "child_attrs": list(ref.attrs),
-                        "value": list(value),
+                        "value": list(key_tuple(value)),
                         "constraint": str(ref.ind),
                     }
                 )
@@ -1188,7 +1204,7 @@ class Database:
                 raise ConstraintViolationError(
                     "restrict-batch",
                     f"{ref.ind.rhs_scheme} value "
-                    f"{dict(zip(ref.ind.rhs_attrs, value))!r} "
+                    f"{dict(zip(ref.ind.rhs_attrs, key_tuple(value)))!r} "
                     f"still referenced via {blocker}",
                 )
         return requirements
@@ -1219,9 +1235,7 @@ class Database:
         except BaseException as exc:
             ctx.__exit__(type(exc), exc, exc.__traceback__)
             raise
-        return PreparedBatch(
-            self, ctx, adopt_rows(results), requirements, applied
-        )
+        return PreparedBatch(self, ctx, results, requirements, applied)
 
     def load_state(self, state: DatabaseState, validate: bool = True) -> None:
         """Bulk-load an existing state (e.g. the image of a state mapping).
@@ -1652,7 +1666,7 @@ class Database:
         self,
         op: str,
         table: _Table,
-        pk: tuple[Any, ...],
+        pk: Any,
         old: dict[str, Any] | None,
     ) -> None:
         if self._undo_log is not None:
@@ -1673,19 +1687,19 @@ class Database:
     # -- low-level storage ---------------------------------------------------
 
     def _store(
-        self, table: _Table, values: dict[str, Any], pk: tuple[Any, ...]
+        self, table: _Table, values: dict[str, Any], pk: Any
     ) -> None:
         self._journal("store", table, pk, None)
         self._store_raw(table, values, pk)
 
     def _unstore(
-        self, table: _Table, pk: tuple[Any, ...], old: dict[str, Any]
+        self, table: _Table, pk: Any, old: dict[str, Any]
     ) -> None:
         self._journal("unstore", table, pk, old)
         self._unstore_raw(table, pk, old)
 
     def _store_raw(
-        self, table: _Table, values: dict[str, Any], pk: tuple[Any, ...]
+        self, table: _Table, values: dict[str, Any], pk: Any
     ) -> None:
         plan = table.plan
         table.rows[pk] = values
@@ -1694,11 +1708,11 @@ class Database:
             identical = self.null_semantics == "identical"
             for key_names, extract in plan.candidate_keys:
                 value = extract(values)
-                if identical or not any(v is NULL for v in value):
+                if identical or not contains_null(value):
                     table.key_indexes[key_names][value] = pk
         for attrs, refs in table.group_indexes.items():
             value = table.group_extractors[attrs](values)
-            if not any(v is NULL for v in value):
+            if not contains_null(value):
                 bucket = refs.get(value)
                 if bucket is None:
                     refs[value] = {pk: None}
@@ -1706,7 +1720,7 @@ class Database:
                     bucket[pk] = None
 
     def _unstore_raw(
-        self, table: _Table, pk: tuple[Any, ...], values: dict[str, Any]
+        self, table: _Table, pk: Any, values: dict[str, Any]
     ) -> None:
         del table.rows[pk]
         table.version += 1
@@ -1793,8 +1807,9 @@ class PreparedBatch:
     """A batch applied but not yet decided (phase one of the sharded
     two-phase apply; see :meth:`Database.apply_batch_prepare`).
 
-    ``results`` mirrors :meth:`Database.apply_batch`'s return value;
-    ``requirements`` lists the reference checks only other shards can
+    ``results`` mirrors :meth:`Database.apply_runs`'s return value (the
+    stored row dicts, ``None`` for a delete: the server only serializes
+    them); ``requirements`` lists the reference checks only other shards can
     answer.  Exactly one of :meth:`commit` / :meth:`abort` must be
     called; until then the underlying transaction (and its WAL bracket)
     stays open and the owning database must not run other mutations.
@@ -1809,7 +1824,7 @@ class PreparedBatch:
         self,
         db: Database,
         ctx: _TransactionContext,
-        results: list[Tuple | None],
+        results: list[dict[str, Any] | None],
         requirements: list[dict[str, Any]],
         applied: list[tuple],
     ):
@@ -1825,7 +1840,7 @@ class PreparedBatch:
         """Whether the hold has already been committed or aborted."""
         return self._ctx is None
 
-    def commit(self) -> list[Tuple | None]:
+    def commit(self) -> list[dict[str, Any] | None]:
         """Make the batch permanent (the requirements were satisfied)."""
         ctx, self._ctx = self._take(), None
         ctx.__exit__(None, None, None)

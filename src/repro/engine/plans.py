@@ -6,9 +6,18 @@ each candidate key, both sides of every inclusion dependency, and the
 attribute groups of the per-tuple null constraints.  Re-deriving those
 projections from attribute-name lists on every call costs a Python-level
 generator per row per group; an access plan compiles each projection
-*once per schema* into an :func:`operator.itemgetter`-backed extractor
-over the tuple's underlying mapping, and each null constraint into a
-closure of plain dict lookups.
+*once per schema* into an :func:`operator.itemgetter` over the tuple's
+underlying mapping, and each null constraint into a closure of plain
+dict lookups.
+
+One rule gives every key and projected value its form: it is
+``itemgetter(*names)(row)`` -- the bare value for one attribute, a
+tuple for two or more.  Stored rows, candidate-key and reverse-reference
+indexes are keyed by such values, and every comparison pairs values of
+one group, so both sides always have the same form.  A key that comes
+in from outside is normalized once (:func:`~repro.relational.tuples.key_value`);
+the log, the wire and error texts write keys as value tuples
+(:func:`~repro.relational.tuples.key_tuple`).
 
 Plans are purely derived data: they hold no row state and can be shared
 between any number of databases over the same schema.
@@ -17,7 +26,7 @@ between any number of databases over the same schema.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.constraints.inclusion import InclusionDependency
 from repro.constraints.nulls import (
@@ -29,8 +38,9 @@ from repro.constraints.nulls import (
 from repro.relational.schema import RelationScheme, RelationalSchema
 from repro.relational.tuples import NULL, Tuple
 
-#: A compiled projection: mapping of attribute values -> value tuple.
-Extractor = Callable[[Mapping[str, Any]], tuple]
+#: A compiled projection: mapping of attribute values -> the value on the
+#: group (bare for one attribute, a tuple for more).
+Extractor = Callable[[Mapping[str, Any]], Any]
 
 #: A compiled per-tuple null check, over the tuple's attribute mapping
 #: (so the bulk path can run it on not-yet-materialized row dicts).
@@ -38,22 +48,11 @@ NullCheck = Callable[[Mapping[str, Any]], bool]
 
 
 def attr_extractor(names: Sequence[str]) -> Extractor:
-    """An extractor returning ``tuple(values[n] for n in names)``.
-
-    ``itemgetter`` with two or more keys already returns a tuple; the
-    zero- and one-attribute cases are wrapped so every extractor has the
-    same ``mapping -> tuple`` contract.
-    """
+    """The extractor ``itemgetter(*names)``: the bare value for one
+    attribute, the value tuple for more (``()`` for none)."""
     names = tuple(names)
     if not names:
         return lambda values: ()
-    if len(names) == 1:
-        name = names[0]
-
-        def extract_one(values: Mapping[str, Any], _name: str = name) -> tuple:
-            return (values[_name],)
-
-        return extract_one
     return itemgetter(*names)
 
 
@@ -243,11 +242,3 @@ class SchemeAccessPlan:
 def compile_schema(schema: RelationalSchema) -> dict[str, SchemeAccessPlan]:
     """Access plans for every scheme of ``schema``, keyed by name."""
     return {s.name: SchemeAccessPlan(s, schema) for s in schema.schemes}
-
-
-def contains_null(value: Iterable[Any]) -> bool:
-    """True iff any component of ``value`` is the ``NULL`` marker."""
-    for v in value:
-        if v is NULL:
-            return True
-    return False

@@ -19,8 +19,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.engine.database import Database
+from repro.engine.plans import attr_extractor
 from repro.engine.rows import adopt_row
-from repro.relational.tuples import NULL, Tuple, is_null
+from repro.relational.tuples import Tuple, contains_null
 
 if TYPE_CHECKING:  # the merge machinery loads on the first merge
     from repro.core.merge import MergedSchemeInfo
@@ -87,9 +88,9 @@ class QueryEngine:
         lookup, exactly as the equivalent :meth:`Database.get` would.
         """
         via_t = tuple(via)
-        value = tuple(source[a] for a in via_t)
+        value = attr_extractor(via_t)(source)
         self.stats.joins_performed += 1
-        if any(is_null(v) for v in value):
+        if contains_null(value):
             return None
         table = self.db.table(target_scheme)
         targets = (
@@ -113,8 +114,9 @@ class QueryEngine:
             return None
         self.stats.index_misses += 1
         self.stats.tuples_scanned += len(table.rows)
+        extract = attr_extractor(targets)
         for row in table.rows.values():
-            if tuple(row[a] for a in targets) == value:
+            if extract(row) == value:
                 return adopt_row(row)
         return None
 
@@ -138,14 +140,14 @@ class QueryEngine:
         never cheaper than a point query in either direction.
         """
         self.stats.joins_performed += 1
-        value = tuple(target[a] for a in target_attrs)
+        targets_t = tuple(target_attrs)
+        value = attr_extractor(targets_t)(target)
         table = self.db.table(source_scheme)
         via_t = tuple(via)
-        targets_t = tuple(target_attrs)
         ind = self._ind_maps()[1].get((source_scheme, via_t, targets_t))
         if ind is not None:
             self.stats.count_ind_join(ind)
-        if not any(v is NULL for v in value):
+        if not contains_null(value):
             if via_t == table.scheme.key_names:
                 self.stats.lookups += 1
                 row = table.rows.get(value)
@@ -161,10 +163,11 @@ class QueryEngine:
                 return [adopt_row(rows[pk]) for pk in referencers]
             self.stats.index_misses += 1
         self.stats.tuples_scanned += len(table.rows)
+        extract = attr_extractor(via_t)
         return [
             adopt_row(row)
             for row in table.rows.values()
-            if tuple(row[a] for a in via_t) == value
+            if extract(row) == value
         ]
 
     # -- merged-relation reconstruction ---------------------------------------

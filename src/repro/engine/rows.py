@@ -15,8 +15,15 @@ on this path the very dict the caller handed over (non-dict mappings
 never reach it), adopted without a copy.  A dict whose values are all
 untracked (no ``NULL``, which is an object the cyclic collector
 tracks) is itself untracked, so the stored rows add nothing to a full
-collection's walk.  :class:`~repro.relational.tuples.Tuple` views are
-built only for the rows the engine hands out (:func:`adopt_row`).
+collection's walk.  Keys and index values follow the plans' rule
+(:mod:`repro.engine.plans`): one attribute is keyed by its bare value,
+which for a ``str`` reuses the string's cached hash and is never
+tracked, and only a composite key is a tuple.  Column passes read
+values with :func:`~repro.relational.tuples.values_on`, and
+:func:`~repro.relational.tuples.any_null` finds a ``NULL`` among them
+with one probe.
+:class:`~repro.relational.tuples.Tuple` views are built only for the
+rows the engine hands out (:func:`adopt_row`).
 Batches are validated wholesale against the pre-state -- no
 journaling, no undo log -- and applied with bulk ``dict.update`` /
 ``dict.__delitem__`` runs only after every check has passed, so a batch
@@ -61,11 +68,16 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.constraints.checker import key_violation
 from repro.constraints.functional import KeyDependency
-from repro.engine.plans import contains_null
 from repro.engine.wal import op_runs
 from repro.io.state_json import StateDecodeError
 from repro.relational.relation import Relation
-from repro.relational.tuples import NULL, Tuple
+from repro.relational.tuples import (
+    NULL,
+    Tuple,
+    any_null,
+    contains_null,
+    values_on,
+)
 
 #: Drains a map object without building a list -- the cheapest way to
 #: run a C-level function over every element.
@@ -117,7 +129,7 @@ def _materialize(table, rows: Sequence[Mapping[str, Any]]):
         frozenset().union(*rows)
     ):
         return None  # some row's attribute set differs from the scheme
-    return dict(zip(_project(key_names, rows), rows))
+    return dict(zip(values_on(rows, key_names), rows))
 
 
 def _validate_inserts(db, groups):
@@ -139,11 +151,8 @@ def _validate_inserts(db, groups):
             return None  # intra-batch duplicate primary key
         # One dict lookup / one C identity scan replaces a per-row null
         # filter (duplicate null keys already shrank ``len(new)``).
-        if len(plan.key_names) == 1:
-            if (NULL,) in new:
-                return None  # null primary key
-        elif NULL in chain.from_iterable(new):
-            return None  # null component in a primary key
+        if any_null(new, len(plan.key_names)):
+            return None  # a null (component) in a primary key
         if not table.rows.keys().isdisjoint(new):
             return None  # primary-key clash with stored rows
         for _constraint, check in plan.bulk_null_checks:
@@ -189,28 +198,21 @@ def _validate_inserts(db, groups):
                         continue
                     if batch_new is not None:
                         if inbatch is None:
-                            inbatch = set(_project(ref.attrs, batch_new[1]))
+                            inbatch = set(values_on(batch_new[1], ref.attrs))
                         if v in inbatch:
                             continue
                     return None
     return prepared
 
 
-def _project(attrs: tuple[str, ...], rows) -> list[tuple]:
-    """Each row's value tuple under ``attrs``, in C loops."""
-    if len(attrs) == 1:
-        return list(zip(map(itemgetter(attrs[0]), rows)))
-    return list(map(itemgetter(*attrs), rows))
-
-
 def _total_values(attrs: tuple[str, ...], rows) -> set:
     """The distinct values of ``rows`` under ``attrs`` that contain no
     ``NULL`` (a partly-null value binds no reference)."""
-    vals = set(_project(attrs, rows))
+    vals = set(values_on(rows, attrs))
     if len(attrs) == 1:
-        vals.discard((NULL,))
+        vals.discard(NULL)
         return vals
-    return {v for v in vals if not contains_null(v)}
+    return {v for v in vals if NULL not in v}
 
 
 def _commit_inserts(db, prepared) -> None:
@@ -221,14 +223,14 @@ def _commit_inserts(db, prepared) -> None:
         table.rows.update(new)
         table.version += 1
         for key_names, _extract in table.plan.candidate_keys:
-            values = _project(key_names, rows)
+            values = values_on(rows, key_names)
             pairs = zip(values, new)
-            if not identical and NULL in chain.from_iterable(values):
+            if not identical and any_null(values, len(key_names)):
                 # Under distinct nulls a partly-null key binds nothing.
                 pairs = [p for p in pairs if not contains_null(p[0])]
             table.key_indexes[key_names].update(pairs)
         for attrs, gindex in table.group_indexes.items():
-            _file(gindex, list(new), _project(attrs, rows))
+            _file(gindex, list(new), values_on(rows, attrs), len(attrs))
 
 
 def install_rows(
@@ -356,8 +358,8 @@ def bulk_apply(
 @contextmanager
 def _gc_paused():
     """Hold off the cyclic collector for one batch: a big batch
-    allocates thousands of tracked containers (key tuples, index
-    buckets), and without a pause they trigger
+    allocates thousands of tracked containers (index buckets,
+    composite key tuples), and without a pause they trigger
     generational collections mid-batch."""
     paused = gc.isenabled()
     if paused:
@@ -425,8 +427,8 @@ def _validate_changes(db, runs):
     final state, and restrict for the values deletes and updates take
     away.
     """
-    # Collect each scheme's keys from its runs (keys are tuples
-    # already); a missing row or a repeated key is a slow-path matter
+    # Collect each scheme's keys from its runs (normalized already); a
+    # missing row or a repeated key is a slow-path matter
     # (KeyError with the canonical message, or sequential semantics).
     delete_runs: defaultdict[str, list] = defaultdict(list)
     update_runs: defaultdict[str, list] = defaultdict(list)
@@ -475,7 +477,7 @@ class _Edit:
     def __init__(self, table, keys, olds, merged, attrs):
         self.table = table
         #: The updated keys (a dict, for set tests) in batch order.
-        self.keys: dict[tuple, None] = keys
+        self.keys: dict[Any, None] = keys
         self.olds: list[dict[str, Any]] = olds
         #: Each old row's values with its update applied.
         self.merged: list[dict[str, Any]] = merged
@@ -653,8 +655,9 @@ def _commit_changes(db, deleted, updated, runs) -> list[dict | None]:
         for attrs, gindex in table.group_indexes.items():
             if not edit.attrs.isdisjoint(attrs):
                 keys = list(edit.keys)
-                _unfile(gindex, keys, _project(attrs, edit.olds))
-                _file(gindex, keys, _project(attrs, edit.merged))
+                width = len(attrs)
+                _unfile(gindex, keys, values_on(edit.olds, attrs), width)
+                _file(gindex, keys, values_on(edit.merged, attrs), width)
     # One result per op, in batch order: a scheme's merged rows are in
     # the order of its update runs.
     merged = {name: iter(edit.merged) for name, edit in updated.items()}
@@ -679,12 +682,13 @@ def _commit_changes(db, deleted, updated, runs) -> list[dict | None]:
     return results
 
 
-def _unfile(gindex, keys: list, values: list) -> None:
-    """Take each key out of its ``values`` bucket of a group index,
-    dropping buckets left empty -- C loops, unless a value has a
-    ``NULL`` (it has no bucket) or the index lacks one."""
+def _unfile(gindex, keys: list, values: list, width: int) -> None:
+    """Take each key out of its ``values`` bucket of a group index
+    over ``width`` attributes, dropping buckets left empty -- C loops,
+    unless a value has a ``NULL`` (it has no bucket) or the index lacks
+    one."""
     distinct = set(values)
-    if NULL in chain.from_iterable(distinct) or not gindex.keys() >= distinct:
+    if any_null(distinct, width) or not gindex.keys() >= distinct:
         for pk, value in zip(keys, values):
             bucket = gindex.get(value)
             if bucket is not None:
@@ -696,11 +700,11 @@ def _unfile(gindex, keys: list, values: list) -> None:
     _consume(map(gindex.__delitem__, filterfalse(gindex.__getitem__, distinct)))
 
 
-def _file(gindex, keys: list, values: list) -> None:
-    """Add each key to its ``values`` bucket of a group index; a value
-    with a ``NULL`` gets none."""
+def _file(gindex, keys: list, values: list, width: int) -> None:
+    """Add each key to its ``values`` bucket of a group index over
+    ``width`` attributes; a value with a ``NULL`` gets none."""
     distinct = set(values)
-    if NULL in chain.from_iterable(distinct):
+    if any_null(distinct, width):
         kept = [(k, v) for k, v in zip(keys, values) if not contains_null(v)]
         keys = [k for k, _v in kept]
         values = [v for _k, v in kept]
@@ -734,4 +738,6 @@ def _commit_deletes(deleted) -> None:
                 if index.get(value) == pk:
                     del index[value]
         for attrs, gindex in table.group_indexes.items():
-            _unfile(gindex, list(olds), _project(attrs, olds.values()))
+            _unfile(
+                gindex, list(olds), values_on(olds.values(), attrs), len(attrs)
+            )

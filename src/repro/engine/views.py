@@ -59,8 +59,6 @@ class MergedViewResolver:
         ``None`` when that object does not exist (one lookup, no join)."""
         if member not in self.info.family:
             raise KeyError(f"{member!r} is not part of {self.info.merged_name}")
-        if not isinstance(key, tuple):
-            key = (key,)
         row = self.db.get(self.info.merged_name, key)
         if row is None:
             return None
@@ -85,8 +83,6 @@ class MergedViewResolver:
         """Every member's row for one key value -- the whole-object read
         that costs three joins on the unmerged schema and one lookup
         here."""
-        if not isinstance(key, tuple):
-            key = (key,)
         row = self.db.get(self.info.merged_name, key)
         if row is None:
             return {member: None for member in self.info.family}

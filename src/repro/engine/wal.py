@@ -87,6 +87,7 @@ from repro.io.state_json import (
     encode_value,
     null_default,
 )
+from repro.relational.tuples import key_tuple, key_value
 
 #: Format version stamped into every ``header`` record (2 added the
 #: ``batch`` record, 3 stores its insert runs as value columns and its
@@ -405,24 +406,23 @@ def insert_record(scheme: str, row: Mapping[str, Any]) -> dict:
     }
 
 
-def update_record(
-    scheme: str, pk: tuple[Any, ...], updates: Mapping[str, Any]
-) -> dict:
-    """The log payload of one accepted update."""
+def update_record(scheme: str, pk: Any, updates: Mapping[str, Any]) -> dict:
+    """The log payload of one accepted update (the key as a value list,
+    whatever its number of attributes)."""
     return {
         "op": "update",
         "scheme": scheme,
-        "pk": [encode_value(v) for v in pk],
+        "pk": [encode_value(v) for v in key_tuple(pk)],
         "updates": {k: encode_value(v) for k, v in updates.items()},
     }
 
 
-def delete_record(scheme: str, pk: tuple[Any, ...]) -> dict:
-    """The log payload of one accepted delete."""
+def delete_record(scheme: str, pk: Any) -> dict:
+    """The log payload of one accepted delete (the key as a value list)."""
     return {
         "op": "delete",
         "scheme": scheme,
-        "pk": [encode_value(v) for v in pk],
+        "pk": [encode_value(v) for v in key_tuple(pk)],
     }
 
 
@@ -457,21 +457,23 @@ def op_runs(ops: Sequence[tuple]) -> list[tuple[str, str, list]]:
 
     A run is ``(kind, scheme, items)``; an item is the row mapping of an
     insert, the primary key of a delete, or a ``(pk, updates)`` pair of
-    an update, with scalar primary keys made 1-tuples.  The grouping is
-    strict about arity -- a malformed op raises ``IndexError``,
-    ``TypeError`` or ``ValueError`` -- and leaves an unknown kind as a
-    run of its own for the validators to refuse."""
+    an update, with every key in the engine's form
+    (:func:`~repro.relational.tuples.key_value`: a 1-tuple key becomes
+    its bare value).  The grouping is strict about arity -- a malformed
+    op raises ``IndexError``, ``TypeError`` or ``ValueError`` -- and
+    leaves an unknown kind as a run of its own for the validators to
+    refuse."""
     runs: list[tuple[str, str, list]] = []
     kind = scheme = None
     items: list = []
     for op in ops:
         if op[0] == "update":
             _, name, pk, updates = op
-            item = (pk if isinstance(pk, tuple) else (pk,), updates)
+            item = (key_value(pk), updates)
         else:
             _, name, item = op
-            if op[0] == "delete" and not isinstance(item, tuple):
-                item = (item,)
+            if op[0] == "delete":
+                item = key_value(item)
         if op[0] != kind or name != scheme:
             kind, scheme, items = op[0], name, []
             runs.append((kind, scheme, items))
@@ -496,9 +498,10 @@ def batch_record(runs: Sequence[tuple[str, str, Sequence]]) -> dict:
 
     ``runs`` lists ``(kind, scheme, items)`` stretches in batch order
     (see :func:`op_runs`).  The record stores them by columns: an insert
-    run is one value list per attribute, and a delete run of
-    single-attribute keys lists the bare key values.  An update run
-    keeps its ``[pk, updates]`` items.  The payload otherwise holds the
+    run is one value list per attribute, and a delete run lists its
+    keys as the runs hold them -- bare values for a one-attribute key,
+    value lists for a composite one.  An update run keeps its ``[pk,
+    updates]`` items, each key a value list.  The payload otherwise holds the
     caller's objects as they are -- the encoder writes a ``NULL``
     anywhere as the null marker -- so logging a batch costs C-level
     column passes and one JSON pass, not a per-value Python loop.
@@ -506,8 +509,7 @@ def batch_record(runs: Sequence[tuple[str, str, Sequence]]) -> dict:
     them with ``Database.apply_runs``, whose deferred reference checks
     accept exactly what the original batch accepted.
     """
-    encoded = [run if run[0] == "update" else _encode_run(*run) for run in runs]
-    return {"op": "batch", "runs": encoded}
+    return {"op": "batch", "runs": [_encode_run(*run) for run in runs]}
 
 
 def _encode_run(kind: str, scheme: str, items: Sequence) -> tuple:
@@ -519,8 +521,9 @@ def _encode_run(kind: str, scheme: str, items: Sequence) -> tuple:
         else:
             columns = dict(zip(names, zip(*map(itemgetter(*names), items))))
         return (kind, scheme, columns)
-    if len(items[0]) == 1:  # a delete run of single-attribute keys
-        return (kind, scheme, list(chain.from_iterable(items)))
+    if kind == "update" and not isinstance(items[0][0], tuple):
+        # One-attribute keys are logged as value lists, as ever.
+        items = [((pk,), updates) for pk, updates in items]
     return (kind, scheme, items)
 
 
@@ -568,20 +571,24 @@ def _column_rows(columns: Mapping[str, list]) -> list[dict]:
     return list(map(dict, map(zip, repeat(tuple(columns)), zip(*cols))))
 
 
-def _decode_keys(items: list) -> list[tuple]:
-    """Primary keys of a run as tuples: bare single-attribute values
-    (version 3 deletes) or value lists."""
+def _decode_keys(items: list) -> list:
+    """Primary keys of a run in the engine's form, from bare
+    single-attribute values (version 3 deletes) or value lists (a
+    one-value list is a bare key too)."""
     types = set(map(type, items))
-    if list not in types:
-        if dict in types:
-            items = list(map(decode_value, items))
-        return list(zip(items))
-    if len(types) != 1:
-        raise WalError("batch run mixes bare and listed keys")
-    keys = list(map(tuple, items))
-    if dict in set(map(type, chain.from_iterable(keys))):
-        keys = [tuple(map(decode_value, k)) for k in keys]
-    return keys
+    if list in types:
+        if len(types) != 1:
+            raise WalError("batch run mixes bare and listed keys")
+        if set(map(len, items)) != {1}:
+            keys = list(map(tuple, items))
+            if dict in set(map(type, chain.from_iterable(keys))):
+                keys = [tuple(map(decode_value, k)) for k in keys]
+            return keys
+        items = list(chain.from_iterable(items))
+        types = set(map(type, items))
+    if dict in types:
+        return list(map(decode_value, items))
+    return items
 
 
 def decode_batch_op(record: Mapping[str, Any]) -> tuple:
@@ -597,14 +604,14 @@ def decode_batch_op(record: Mapping[str, Any]) -> tuple:
         return (
             "update",
             record["scheme"],
-            tuple(decode_value(v) for v in record["pk"]),
+            key_value(tuple(map(decode_value, record["pk"]))),
             {k: decode_value(v) for k, v in record["updates"].items()},
         )
     if op == "delete":
         return (
             "delete",
             record["scheme"],
-            tuple(decode_value(v) for v in record["pk"]),
+            key_value(tuple(map(decode_value, record["pk"]))),
         )
     raise WalError(f"record op {op!r} is not a mutation")
 

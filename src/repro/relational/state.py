@@ -7,7 +7,7 @@ from typing import AbstractSet, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationalSchema
-from repro.relational.tuples import has_null, is_null, values_on
+from repro.relational.tuples import is_null, null_probe, values_on
 
 
 class DatabaseState:
@@ -145,11 +145,12 @@ class Columns:
 
     def __init__(self, relations: Mapping[str, Any]):
         self.relations = relations
-        self._values: dict[tuple[str, tuple[str, ...]], list[tuple]] = {}
-        self._totals: dict[tuple[str, tuple[str, ...]], set[tuple]] = {}
+        self._values: dict[tuple[str, tuple[str, ...]], list] = {}
+        self._totals: dict[tuple[str, tuple[str, ...]], set] = {}
 
-    def values(self, scheme_name: str, names: Sequence[str]) -> list[tuple]:
-        """Each tuple's values on ``names``, in the relation's order."""
+    def values(self, scheme_name: str, names: Sequence[str]) -> list:
+        """Each tuple's value on ``names`` (bare for one attribute, a
+        tuple for more), in the relation's order."""
         key = (scheme_name, tuple(names))
         column = self._values.get(key)
         if column is None:
@@ -158,7 +159,7 @@ class Columns:
             )
         return column
 
-    def total(self, scheme_name: str, names: Sequence[str]) -> AbstractSet[tuple]:
+    def total(self, scheme_name: str, names: Sequence[str]) -> AbstractSet:
         """The distinct values on ``names`` that contain no ``NULL`` --
         the value-level counterpart of ``total_project``.  A relation
         with a ``total_values(names)`` method (the engine's stored
@@ -171,7 +172,9 @@ class Columns:
             total = indexed(key[1]) if indexed is not None else None
             if total is None:
                 total = set(
-                    filterfalse(has_null, self.values(scheme_name, key[1]))
+                    filterfalse(
+                        null_probe(key[1]), self.values(scheme_name, key[1])
+                    )
                 )
             self._totals[key] = total
         return total

@@ -9,8 +9,10 @@ singleton and compares equal only to itself.
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter, methodcaller
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from itertools import chain
+from operator import attrgetter, is_, itemgetter, methodcaller
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.attributes import Attribute
 
@@ -213,21 +215,61 @@ backing = attrgetter("_values")
 #: ``filterfalse`` run it without a Python frame per row.
 has_null = methodcaller("__contains__", NULL)
 
+#: ``is_null`` as a C-level callable, for the same column passes.
+_is_null = partial(is_, NULL)
 
-def values_on(rows: Iterable[Mapping[str, Any]], names: Sequence[str]) -> list[tuple]:
-    """Each row mapping's values on ``names``, as plain value tuples in
-    iteration order -- the value-level counterpart of ``project``.
 
-    ``rows`` are attribute mappings: a relation's ``mappings`` (its
-    tuples' backing dicts) or the engine's stored row dicts.  The values
-    are read with :func:`operator.itemgetter`, so the pass is a C loop
-    that builds no :class:`Tuple`.  A missing attribute raises
-    ``KeyError``.
+def null_probe(names: Sequence[str]) -> Callable[[Any], bool]:
+    """The C-level "holds a ``NULL``" test for values on ``names`` as
+    :func:`values_on` reads them: an identity test for one attribute
+    (the value is bare), :data:`has_null` for more."""
+    return _is_null if len(names) == 1 else has_null
+
+
+def contains_null(value: Any) -> bool:
+    """True iff the key or projected value ``value`` holds the ``NULL``
+    marker: it is ``NULL`` (a one-attribute value), or a tuple with a
+    ``NULL`` component."""
+    return value is NULL or (isinstance(value, tuple) and NULL in value)
+
+
+def any_null(values: Iterable[Any], width: int) -> bool:
+    """Whether some value of ``values`` -- values on ``width``
+    attributes, bare for one -- holds a ``NULL``: one C-level probe
+    (a hash lookup when ``values`` is a set or a dict's keys)."""
+    if width == 1:
+        return NULL in values
+    return NULL in chain.from_iterable(values)
+
+
+def values_on(rows: Iterable[Mapping[str, Any]], names: Sequence[str]) -> list:
+    """Each row mapping's value on ``names``, in iteration order -- the
+    value-level counterpart of ``project``.
+
+    A value follows the engine's one rule for keys and projections: it
+    is ``itemgetter(*names)(row)``, the bare value for one attribute and
+    a tuple for two or more.  ``rows`` are attribute mappings: a
+    relation's ``mappings`` (its tuples' backing dicts) or the engine's
+    stored row dicts.  The pass is a C loop that builds no
+    :class:`Tuple`.  A missing attribute raises ``KeyError``.
     """
     names = tuple(names)
-    if len(names) == 1:
-        # ``zip`` with a single iterable wraps each value in a 1-tuple.
-        return list(zip(map(itemgetter(names[0]), rows)))
     if not names:
         return [() for _ in rows]
     return list(map(itemgetter(*names), rows))
+
+
+def key_value(key: Any) -> Any:
+    """A key given from outside in the engine's form: a 1-tuple is
+    unwrapped to its bare value, and anything else is kept, so ``"x"``
+    and ``("x",)`` name the same one-attribute key."""
+    if isinstance(key, tuple) and len(key) == 1:
+        return key[0]
+    return key
+
+
+def key_tuple(value: Any) -> tuple:
+    """A key or reference value as a value tuple -- the form the log,
+    the wire and error texts write -- whatever its number of
+    attributes (a bare value becomes a 1-tuple)."""
+    return value if isinstance(value, tuple) else (value,)

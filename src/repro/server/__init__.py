@@ -12,7 +12,10 @@ paper-rule label, exactly as the in-process engine raises them.
 Layering:
 
 * :mod:`repro.server.protocol` -- the wire format (framing, verbs,
-  row/NULL encoding, typed error frames);
+  row/NULL encoding, typed error frames), shared with the client and
+  free of engine imports;
+* :mod:`repro.server.errors` -- the one exception-to-error-frame
+  mapping;
 * :mod:`repro.server.service` -- sessions, verb dispatch, and the
   single-writer transaction manager with the group-commit WAL path;
 * :mod:`repro.server.participant` -- the shard/2PC participant:
@@ -49,39 +52,32 @@ The matching blocking client lives in :mod:`repro.client`; the CLI
 entry point is ``python -m repro serve`` (see ``docs/SERVER.md``).
 """
 
-from repro.server.protocol import (
-    MAX_FRAME_BYTES,
-    ProtocolError,
-    RemoteConstraintViolation,
-    RemoteError,
-)
-from repro.server.router import ShardMap, shard_of
-from repro.server.server import (
-    ReproServer,
-    ServerConfig,
-    ServerThread,
-    drain_summary,
-    serve,
-)
-from repro.server.participant import ShardInfo
-from repro.server.service import DatabaseService, ServerMetrics
-from repro.server.supervisor import ServerProcess, Supervisor
+from repro import lazy_exports
 
-__all__ = [
-    "MAX_FRAME_BYTES",
-    "ProtocolError",
-    "RemoteConstraintViolation",
-    "RemoteError",
-    "ReproServer",
-    "ServerConfig",
-    "ServerMetrics",
-    "ServerProcess",
-    "ServerThread",
-    "ShardInfo",
-    "Supervisor",
-    "ShardMap",
-    "DatabaseService",
-    "drain_summary",
-    "serve",
-    "shard_of",
-]
+#: Each public name and the module that defines it, resolved on first
+#: use (:func:`__getattr__`): the client imports
+#: :mod:`repro.server.protocol` and :mod:`repro.server.router` through
+#: this package without loading the server, or the engine behind it.
+_EXPORTS = {
+    "MAX_FRAME_BYTES": "repro.server.protocol",
+    "ProtocolError": "repro.server.protocol",
+    "RemoteConstraintViolation": "repro.server.protocol",
+    "RemoteError": "repro.server.protocol",
+    "ReproServer": "repro.server.server",
+    "ServerConfig": "repro.server.server",
+    "ServerMetrics": "repro.server.service",
+    "ServerProcess": "repro.server.supervisor",
+    "ServerThread": "repro.server.server",
+    "ShardInfo": "repro.server.participant",
+    "Supervisor": "repro.server.supervisor",
+    "ShardMap": "repro.server.router",
+    "DatabaseService": "repro.server.service",
+    "drain_summary": "repro.server.server",
+    "serve": "repro.server.server",
+    "shard_of": "repro.server.router",
+}
+
+__all__ = list(_EXPORTS)
+
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

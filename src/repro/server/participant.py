@@ -28,14 +28,13 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.engine.wal import WalError
 from repro.obs.spans import Span
+from repro.server.errors import exception_frame
 from repro.server.protocol import (
     WrongShardError,
     decode_batch_ops,
     error_frame,
-    exception_frame,
     ok_frame,
     require,
-    result_rows,
 )
 from repro.server.router import shard_of
 
@@ -380,7 +379,7 @@ class Participant:
             outcome = error_frame(drequest_id, "server-error", repr(exc))
         else:
             outcomes.labels(outcome="committed").inc()
-            outcome = ok_frame(drequest_id, result_rows(results))
+            outcome = ok_frame(drequest_id, results)
             replication.stamp(outcome, lsn_before, span)
             if db.wal is not None:
                 acked_lsn = db.wal.durable_lsn

@@ -150,8 +150,6 @@ from itertools import chain, compress, repeat
 from operator import is_, itemgetter
 from typing import Any, Iterable, Mapping
 
-from repro.engine.database import ConstraintViolationError
-from repro.engine.wal import WalError
 from repro.io.state_json import (  # noqa: F401 - decode_row(s) re-exported
     decode_row,
     decode_rows,
@@ -159,6 +157,7 @@ from repro.io.state_json import (  # noqa: F401 - decode_row(s) re-exported
     encode_value,
     null_default,
 )
+from repro.relational.tuples import key_value
 
 #: Hard cap on one frame's length in bytes (newline included).  A
 #: JSON-lines protocol has no other framing, so an unbounded line is an
@@ -271,9 +270,10 @@ def encode_row(row: Mapping[str, Any]) -> dict[str, Any]:
     return {k: encode_value(v) for k, v in row.items()}
 
 
-def decode_pk(pk: Iterable[Any]) -> tuple[Any, ...]:
-    """A wire-form primary key as the engine's value tuple."""
-    return tuple(decode_value(v) for v in pk)
+def decode_pk(pk: Iterable[Any]) -> Any:
+    """A wire-form key (a value list) in the engine's form: the bare
+    value for one attribute, the value tuple for more."""
+    return key_value(tuple(map(decode_value, pk)))
 
 
 # -- request parameters --------------------------------------------------------
@@ -309,8 +309,8 @@ def _op_tuple(raw: list) -> tuple:
     if raw[0] == "insert":
         return ("insert", raw[1], raw[2])
     if raw[0] == "update":
-        return ("update", raw[1], tuple(raw[2]), raw[3])
-    return ("delete", raw[1], tuple(raw[2]))
+        return ("update", raw[1], key_value(tuple(raw[2])), raw[3])
+    return ("delete", raw[1], key_value(tuple(raw[2])))
 
 
 def _plain_batch_ops(raw_ops: list) -> list[tuple] | None:
@@ -322,7 +322,8 @@ def _plain_batch_ops(raw_ops: list) -> list[tuple] | None:
     and its kind, length and element types form one of
     :data:`_OP_SHAPES`); one type probe over every row value and key
     component then finds any marker, since only a marker is a JSON
-    object.  Rows are passed on as parsed.
+    object.  Rows are passed on as parsed, and keys take the engine's
+    form (:func:`decode_pk`).
     """
     if set(map(type, raw_ops)) != {list}:
         return None  # empty batch, or some op is not an array
@@ -352,7 +353,7 @@ def _plain_batch_ops(raw_ops: list) -> list[tuple] | None:
         return list(map(_op_tuple, raw_ops))
     if kinds[0] == "insert":
         return list(zip(kinds, schemes, thirds))
-    keys = map(tuple, thirds)
+    keys = map(key_value, map(tuple, thirds))
     if kinds[0] == "delete":
         return list(zip(kinds, schemes, keys))
     return list(zip(kinds, schemes, keys, lasts))
@@ -391,13 +392,6 @@ def decode_batch_ops(raw_ops: list) -> list[tuple]:
                 f"ops[{i}] is not a valid insert/update/delete op array"
             )
     return ops
-
-
-def result_rows(results: list) -> list:
-    """A bulk result in response form: each stored row's mapping as it
-    is (:func:`encode_frame` writes any
-    ``NULL`` in it), ``None`` for a delete."""
-    return [t.mapping if t is not None else None for t in results]
 
 
 # -- framing -------------------------------------------------------------------
@@ -474,28 +468,6 @@ def violation_frame(id: Any, exc: Any) -> dict[str, Any]:
         rule=exc.rule,
         detail=exc.detail,
     )
-
-
-def exception_frame(id: Any, exc: Exception) -> dict[str, Any]:
-    """The error frame for an exception a request raised -- the server's
-    one mapping from exception type to error ``type``.
-
-    :class:`ConstraintViolationError` and :class:`ProtocolError` are
-    ``ValueError`` subclasses, so the violation is matched first and a
-    protocol error falls to ``bad-request`` with any other
-    ``ValueError``.
-    """
-    if isinstance(exc, ConstraintViolationError):
-        return violation_frame(id, exc)
-    if isinstance(exc, WrongShardError):
-        return error_frame(id, "wrong-shard", str(exc), worker=exc.worker)
-    if isinstance(exc, KeyError):
-        return error_frame(id, "not-found", str(exc))
-    if isinstance(exc, WalError):
-        return error_frame(id, "wal-error", str(exc))
-    if isinstance(exc, ValueError):
-        return error_frame(id, "bad-request", str(exc))
-    return error_frame(id, "server-error", repr(exc))
 
 
 def raise_error(frame: Mapping[str, Any]) -> None:

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro.engine.recovery import RecoveryError, WalApplier
 from repro.engine.wal import WalCursor
 from repro.obs.spans import Span, decode_context
+from repro.server.errors import exception_frame
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -33,7 +34,6 @@ from repro.server.protocol import (
     decode_frame,
     encode_frame,
     error_frame,
-    exception_frame,
     ok_frame,
     raise_error,
     request_frame,

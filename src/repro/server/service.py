@@ -40,7 +40,10 @@ If the sync barrier itself fails, the log is poisoned (the WAL module's
 standing discipline): every mutation in the batch -- and every later
 one -- is answered with a ``wal-error`` frame, and the process must be
 restarted through :meth:`Database.recover`, which drops whatever the
-log cannot prove committed.
+log cannot prove committed.  The failed group stays applied in memory,
+so every read answers ``wal-error`` as well, except the few that report
+on the server itself (:data:`POISON_EXEMPT_VERBS`: ``stats``,
+``metrics``, ``spans`` and ``topology``).
 
 Two jobs live in modules of their own, which the service calls
 directly: WAL shipping, both the primary's and the replica's half
@@ -49,7 +52,7 @@ gate every mutation ack passes), and the shard/2PC participant
 (:mod:`repro.server.participant`: ownership checks, ``topology``, held
 cross-shard prepares).  Every request path turns an exception into its
 error frame through the one mapping,
-:func:`~repro.server.protocol.exception_frame`.
+:func:`~repro.server.errors.exception_frame`.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from typing import Any, Mapping
 
 from repro.engine.database import Database
 from repro.engine.query import QueryEngine
-from repro.engine.wal import WalCursor, WalError
+from repro.engine.wal import WalCursor, WalError, op_runs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     Span,
@@ -72,6 +75,7 @@ from repro.obs.spans import (
     new_trace_id,
     render_trace,
 )
+from repro.server.errors import exception_frame
 from repro.server.participant import Participant, ShardInfo
 from repro.server.protocol import (
     DECISION_VERBS,
@@ -84,16 +88,20 @@ from repro.server.protocol import (
     decode_row,
     decode_rows,
     error_frame,
-    exception_frame,
     ok_frame,
     require,
-    result_rows,
 )
 from repro.server.replication import Replication
 
 #: Bound on queued-but-uncommitted mutations (the backpressure
 #: threshold).
 QUEUE_DEPTH = 1024
+
+#: The read verbs that still answer once a barrier has failed: they
+#: report on the server itself, not on the stored rows.  Memory may then
+#: hold rows no recovery brings back, so every other read answers
+#: ``wal-error``.
+POISON_EXEMPT_VERBS = frozenset(("stats", "metrics", "spans", "topology"))
 
 
 @dataclass
@@ -545,6 +553,8 @@ class DatabaseService:
     def _execute_read(
         self, verb: str, frame: Mapping[str, Any], request_id: Any
     ) -> dict[str, Any]:
+        if self.poisoned is not None and verb not in POISON_EXEMPT_VERBS:
+            return self.poisoned_frame(request_id)
         try:
             if verb == "get":
                 self.participant.check_shard("get", frame)
@@ -956,20 +966,19 @@ class DatabaseService:
                 decode_pk(require(frame, "pk", list)),
             )
             return None
+        # The bulk verbs answer with the stored row dicts themselves
+        # (Database.insert_rows and apply_runs build no row views): the
+        # response only serializes them.
         if verb == "insert_many":
             raw_rows = require(frame, "rows", list)
             if not set(map(type, raw_rows)) <= {dict}:
                 raise ProtocolError("every element of 'rows' must be a row")
-            stored = self.db.insert_many(
+            return self.db.insert_rows(
                 require(frame, "scheme", str), decode_rows(raw_rows)
             )
-            return result_rows(stored)
         if verb == "apply_batch":
-            return result_rows(
-                self.db.apply_batch(
-                    decode_batch_ops(require(frame, "ops", list))
-                )
-            )
+            ops = decode_batch_ops(require(frame, "ops", list))
+            return self.db.apply_runs(op_runs(ops))
         if verb == "apply_merge":
             return self._apply_merge(frame)
         raise ProtocolError(f"unhandled mutation verb {verb!r}")

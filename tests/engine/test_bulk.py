@@ -308,8 +308,8 @@ class TestColumnarUpdates:
         assert [r["op"] for r in after[len(before):]] == ["batch"]
         # The group index follows the changed value.
         index = db.table("OFFER").group_indexes[("O.D.NAME",)]
-        assert list(index[("math",)]) == [("c1",)]
-        assert list(index[("cs",)]) == [("c2",)]
+        assert list(index["math"]) == ["c1"]
+        assert list(index["cs"]) == ["c2"]
         assert (db.stats.updates, db.stats.deletes) == (2, 1)
 
     def test_update_to_a_provider_deleted_in_the_batch_is_rejected(

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 
 from repro.constraints.checker import ConsistencyChecker
 from repro.engine.database import ConstraintViolationError, Database
+from repro.engine.plans import attr_extractor
 from repro.engine.recovery import RecoveryError, recover_database
 from repro.engine.wal import MemoryStorage, WriteAheadLog
 from repro.io.state_json import (
@@ -36,7 +37,7 @@ from repro.io.state_json import (
 from repro.obs.trace import RingBufferTracer
 from repro.relational.relation import Relation
 from repro.relational.state import DatabaseState
-from repro.relational.tuples import NULL, Tuple
+from repro.relational.tuples import NULL, Tuple, contains_null
 from repro.workloads.random_schemas import RandomSchemaParams, random_schema
 from repro.workloads.university import university_relational, university_state
 
@@ -66,7 +67,7 @@ def reference_install(db: Database, state: DatabaseState) -> None:
             index = {}
             for pk, row in rows.items():
                 value = extract(row)
-                if identical or not any(v is NULL for v in value):
+                if identical or not contains_null(value):
                     index[value] = pk
             table.key_indexes[key_names] = index
         for attrs in table.group_indexes:
@@ -74,7 +75,7 @@ def reference_install(db: Database, state: DatabaseState) -> None:
             refs = {}
             for pk, row in rows.items():
                 value = extract(row)
-                if not any(v is NULL for v in value):
+                if not contains_null(value):
                     refs.setdefault(value, {})[pk] = None
             table.group_indexes[attrs] = refs
 
@@ -94,7 +95,7 @@ def _contents(db: Database) -> dict:
         for key_names, index in t.key_indexes.items():
             for value, pk in index.items():
                 row = t.rows[pk]
-                assert tuple(row[a] for a in key_names) == value
+                assert attr_extractor(key_names)(row) == value
             keys[key_names] = set(index)
         contents[name] = (t.rows, keys, t.group_indexes)
     return contents

@@ -75,7 +75,7 @@ def test_bulk_insert_stores_the_adopted_dicts():
     views = db.insert_many("COURSE", rows)
     stored = db.table("COURSE").rows
     for row in rows:
-        assert stored[(row["C.NR"],)] is row
+        assert stored[row["C.NR"]] is row
     assert [v.mapping for v in views] == rows
     assert all(v.mapping is row for v, row in zip(views, rows))
     _assert_untracked(db)

@@ -138,7 +138,7 @@ def test_image_encodes_the_same_after_updates_and_deletes(monkeypatch):
 
     def other_department(pk):
         current = db.get("OFFER", pk)["O.D.NAME"]
-        return next(d[0] for d in departments if d[0] != current)
+        return next(d for d in departments if d != current)
 
     # The row-at-a-time path.
     db.update("OFFER", offers[0], {"O.D.NAME": other_department(offers[0])})

@@ -107,11 +107,11 @@ def test_golden_null_round_trips_as_null():
     assert decode_batch_op(update) == (
         "update",
         "OFFER",
-        ("c1",),
+        "c1",
         {"O.D.NAME": "math"},
     )
     delete = parse_wal(GOLDEN_RECORDS[2][1]).records[0]
-    assert decode_batch_op(delete) == ("delete", "OFFER", ("c1",))
+    assert decode_batch_op(delete) == ("delete", "OFFER", "c1")
 
 
 def test_decode_batch_op_rejects_non_mutations():
@@ -135,8 +135,8 @@ GOLDEN_BATCH_RUNS = [
         "OFFER",
         [{"O.C.NR": "c1", "O.D.NAME": NULL}, {"O.C.NR": "c2", "O.D.NAME": "cs"}],
     ),
-    ("delete", "COURSE", [("c9",)]),
-    ("update", "OFFER", [(("c2",), {"O.D.NAME": "math"})]),
+    ("delete", "COURSE", ["c9"]),
+    ("update", "OFFER", [("c2", {"O.D.NAME": "math"})]),
 ]
 GOLDEN_BATCH_BYTES = (
     b'000000b8 e60583a7 {"lsn":11,"op":"batch","runs":[["insert","OFFER",'
@@ -165,8 +165,8 @@ def test_golden_batch_record_bytes():
     assert run_ops(runs) == [
         ("insert", "OFFER", {"O.C.NR": "c1", "O.D.NAME": NULL}),
         ("insert", "OFFER", {"O.C.NR": "c2", "O.D.NAME": "cs"}),
-        ("delete", "COURSE", ("c9",)),
-        ("update", "OFFER", ("c2",), {"O.D.NAME": "math"}),
+        ("delete", "COURSE", "c9"),
+        ("update", "OFFER", "c2", {"O.D.NAME": "math"}),
     ]
 
 
@@ -183,7 +183,7 @@ def test_batch_record_columns_and_keys_round_trip():
     runs = [
         ("insert", "PAIR", [{"a": 1, "b": NULL}, {"b": "x", "a": 2}]),
         ("delete", "PAIR", [(1, NULL), (2, "x")]),
-        ("delete", "ONE", [(NULL,), ("k",)]),
+        ("delete", "ONE", [NULL, "k"]),
         ("update", "PAIR", [((3, "y"), {"c": NULL}), ((4, "z"), {})]),
         ("insert", "ONE", [{"k": "k1"}, {"k": "k2"}]),
     ]
@@ -236,7 +236,7 @@ def test_replay_decodes_values_only_in_runs_holding_a_null(monkeypatch):
 
 def test_op_runs_normalizes_keys_and_refuses_malformed_ops():
     assert op_runs([("delete", "A", 1), ("delete", "A", (2,))]) == [
-        ("delete", "A", [(1,), (2,)])
+        ("delete", "A", [1, 2])
     ]
     for bad in [("insert", "A"), ("update", "A", 1), ("delete", "A", 1, 2), ()]:
         with pytest.raises((IndexError, TypeError, ValueError)):
@@ -245,10 +245,10 @@ def test_op_runs_normalizes_keys_and_refuses_malformed_ops():
 
 def test_record_runs_wraps_single_records_and_rejects_bad_runs():
     record = parse_wal(GOLDEN_RECORDS[2][1]).records[0]
-    assert record_runs(record) == [("delete", "OFFER", [("c1",)])]
+    assert record_runs(record) == [("delete", "OFFER", ["c1"])]
     record = parse_wal(GOLDEN_RECORDS[1][1]).records[0]
     assert record_runs(record) == [
-        ("update", "OFFER", [(("c1",), {"O.D.NAME": "math"})])
+        ("update", "OFFER", [("c1", {"O.D.NAME": "math"})])
     ]
     with pytest.raises(WalError):
         record_runs({"op": "batch", "runs": [["merge", "OFFER", []]]})

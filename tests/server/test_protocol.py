@@ -158,18 +158,18 @@ def test_batch_op_decoder_fast_and_fallback_paths_agree():
     ops = _decode_batch_ops(plain)
     assert ops == [
         ("insert", "OFFER", row),
-        ("update", "OFFER", ("c1",), {"O.D.NAME": "ee"}),
-        ("delete", "ASSIST", ("c1",)),
+        ("update", "OFFER", "c1", {"O.D.NAME": "ee"}),
+        ("delete", "ASSIST", "c1"),
     ]
     assert ops[0][2] is row  # adopted, not copied
     assert _decode_batch_ops([["delete", "ASSIST", ["c1"]]]) == [
-        ("delete", "ASSIST", ("c1",))
+        ("delete", "ASSIST", "c1")
     ]
     marked = plain[:2] + [["delete", "ASSIST", ["c1", {"$null": True}]]]
     assert _decode_batch_ops(marked)[2] == ("delete", "ASSIST", ("c1", NULL))
     nulled = [["update", "OFFER", ["c1"], {"O.D.NAME": {"$null": True}}]]
     assert _decode_batch_ops(nulled) == [
-        ("update", "OFFER", ("c1",), {"O.D.NAME": NULL})
+        ("update", "OFFER", "c1", {"O.D.NAME": NULL})
     ]
     for bad in (
         [["delete", "ASSIST"]],

@@ -399,3 +399,68 @@ def test_client_round_trips_null_through_bulk_verbs():
         assert c.get("ITEM", "i2")["I.NOTE"] is NULL
     assert db.get("ITEM", "i2")["I.NOTE"] is NULL
     assert db.get("ITEM", "i1")["I.NOTE"] == "m"
+
+
+def test_served_bulk_verbs_hand_out_the_stored_dicts(monkeypatch):
+    """The bulk verbs answer with the stored row dicts: no row view is
+    built for a served batch, and the response bytes stay as they
+    were."""
+    import repro.engine.rows as rows_module
+
+    calls = []
+    adopt_row = rows_module.adopt_row
+
+    def spy(values):
+        calls.append(values)
+        return adopt_row(values)
+
+    monkeypatch.setattr("repro.engine.rows.adopt_row", spy)
+    monkeypatch.setattr("repro.engine.database.adopt_row", spy)
+    span = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-00"
+    requests = [
+        {
+            "id": 1,
+            "verb": "insert_many",
+            "scheme": "COURSE",
+            "rows": [{"C.NR": "c1"}, {"C.NR": "c2"}],
+            "span": span,
+        },
+        {
+            "id": 2,
+            "verb": "apply_batch",
+            "ops": [
+                ["insert", "DEPARTMENT", {"D.NAME": "cs"}],
+                ["insert", "DEPARTMENT", {"D.NAME": "ee"}],
+                ["insert", "OFFER", {"O.C.NR": "c1", "O.D.NAME": "cs"}],
+            ],
+            "span": span,
+        },
+        {
+            "id": 3,
+            "verb": "apply_batch",
+            "ops": [
+                ["update", "OFFER", ["c1"], {"O.D.NAME": "ee"}],
+                ["delete", "COURSE", ["c2"]],
+            ],
+            "span": span,
+        },
+    ]
+    db = Database(university_relational(), wal=WriteAheadLog(MemoryStorage()))
+    responses = []
+    with ServerThread(db) as served:
+        with socket.create_connection(("127.0.0.1", served.port)) as sock:
+            stream = sock.makefile("rwb")
+            for request in requests:
+                stream.write(encode_frame(request))
+                stream.flush()
+                responses.append(stream.readline())
+    assert calls == []
+    trace = b'"trace_id":"' + b"ab" * 16 + b'"}\n'
+    assert responses == [
+        b'{"id":1,"ok":true,"result":[{"C.NR":"c1"},{"C.NR":"c2"}],'
+        b'"lsn":2,' + trace,
+        b'{"id":2,"ok":true,"result":[{"D.NAME":"cs"},{"D.NAME":"ee"},'
+        b'{"O.C.NR":"c1","O.D.NAME":"cs"}],"lsn":3,' + trace,
+        b'{"id":3,"ok":true,"result":[{"O.C.NR":"c1","O.D.NAME":"ee"},null],'
+        b'"lsn":4,' + trace,
+    ]

@@ -463,3 +463,26 @@ def test_cross_shard_2pc_trace_with_replica_reassembles(
     assert "replica-apply" in out
     assert "critical path: client:batch -> router:2pc" in out
     assert "time by kind:" in out
+
+
+def test_served_insert_many_events_name_the_verb_and_scheme(span_server):
+    """A served ``insert_many`` labels its engine events as in process:
+    ``insert_many`` and its scheme, accepted or rejected."""
+    with Client(port=span_server.port, timeout=30) as c:
+        c.insert_many("COURSE", [{"C.NR": "c1"}, {"C.NR": "c2"}])
+        with pytest.raises(RemoteConstraintViolation):
+            c.insert_many("COURSE", [{"C.NR": "c3"}, {"C.NR": "c1"}])
+        spans = c.spans()["spans"]
+    served = [s for s in spans if s["name"] == "server:insert_many"]
+    assert [s["status"] for s in served] == ["ok", "constraint-violation"]
+    for server, names in zip(served, ({"mutation", "wal"}, {"reject"})):
+        events = [
+            e
+            for s in spans
+            if s.get("parent_id") == server["span_id"] and s["name"] == "apply"
+            for e in s.get("events", [])
+        ]
+        assert {e["name"] for e in events} == names
+        for e in events:
+            assert e["op"] == "insert_many", e
+            assert e.get("scheme") == "COURSE", e
