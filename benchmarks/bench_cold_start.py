@@ -17,7 +17,11 @@ reads what the cyclic collector holds after the recovery: the number of
 GC-tracked objects in the process (``tracked``, after one full
 collection has untracked what it can) and the time of one more full
 ``gc.collect()`` (``gc_full_ms``) -- each full collection a serving
-process runs walks that many objects.  Peak RSS is the
+process runs walks that many objects -- and its resident set
+(``VmRSS``, ``rss_mb``) right after the first recovery, before any
+checkpoint: what the recovered tables hold, on top of the interpreter
+and imports.  ``wal_bytes`` is the size of the checkpointed preload
+log the recovery reads.  Peak RSS is the
 child's high-water mark (``VmHWM``; ``ru_maxrss`` where there is no
 ``/proc``, which on Linux also counts the forking parent): interpreter,
 imports and every recovery and checkpoint, which is what a starting
@@ -81,11 +85,13 @@ def recover_repeatedly(wal: str, repeats: int) -> dict:
 
     schema = university_relational()
     replay, verify, checkpoint, tracked, gc_full = [], [], [], [], []
+    rss = []
     for i in range(repeats):
         copy = f"{wal}.{i}"
         shutil.copyfile(wal, copy)
         result = recover_database(schema, copy)
         gc.collect()
+        rss.append(_status_mb("VmRSS"))
         tracked.append(len(gc.get_objects()))
         start = perf_counter()
         gc.collect()
@@ -104,6 +110,7 @@ def recover_repeatedly(wal: str, repeats: int) -> dict:
         "checkpoint_s": checkpoint,
         "tracked": tracked,
         "gc_full_ms": gc_full,
+        "rss_mb": rss,
         "peak_rss_mb": _peak_mb(),
     }
 
@@ -171,15 +178,24 @@ def replay_tail(wal: str, seed: int, repeats: int) -> dict:
     }
 
 
-def _peak_mb() -> float:
-    """This process's peak resident set size, MiB."""
+def _status_mb(field: str) -> float | None:
+    """One ``/proc/self/status`` memory field of this process, MiB
+    (``None`` where there is no ``/proc``)."""
     try:
         with open("/proc/self/status") as fh:
             for line in fh:
-                if line.startswith("VmHWM:"):
+                if line.startswith(field + ":"):
                     return int(line.split()[1]) / 1024.0
     except OSError:
         pass
+    return None
+
+
+def _peak_mb() -> float:
+    """This process's peak resident set size, MiB."""
+    peak = _status_mb("VmHWM")
+    if peak is not None:
+        return peak
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
@@ -214,10 +230,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{os.cpu_count()} CPU(s), Python {sys.version.split()[0]}"
     )
     print(
-        "| workload | rows | replay_s | verify_s | checkpoint_s "
-        "| tracked | gc_full_ms | peak RSS MiB |"
+        "| workload | rows | wal_bytes | replay_s | verify_s | checkpoint_s "
+        "| tracked | gc_full_ms | rss_mb | peak RSS MiB |"
     )
-    print("|---|---:|---:|---:|---:|---:|---:|---:|")
+    print("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
             wal = os.path.join(tmp, f"{workload}.wal")
@@ -228,12 +244,16 @@ def main(argv: list[str] | None = None) -> int:
                 check=True, capture_output=True, text=True,
             ).stdout
             r = json.loads(out.strip().splitlines()[-1])
+            rss = r["rss_mb"][0]
             print(
-                f"| {workload} | {rows} | {_median_iqr(r['replay_s'])} | "
+                f"| {workload} | {rows} | {os.path.getsize(wal)} | "
+                f"{_median_iqr(r['replay_s'])} | "
                 f"{_median_iqr(r['verify_s'])} | "
                 f"{_median_iqr(r['checkpoint_s'])} | "
                 f"{statistics.median(r['tracked']):.0f} | "
-                f"{_median_iqr(r['gc_full_ms'])} | {r['peak_rss_mb']:.1f} |"
+                f"{_median_iqr(r['gc_full_ms'])} | "
+                f"{'n/a' if rss is None else f'{rss:.1f}'} | "
+                f"{r['peak_rss_mb']:.1f} |"
             )
         wal = os.path.join(tmp, "bulk_ingest.wal")
         out = subprocess.run(

@@ -27,9 +27,10 @@ from repro.relational.schema import RelationalSchema
 from repro.relational.state import Columns, DatabaseState
 
 #: What the checker reads: a state, or any mapping of scheme names to
-#: relation-like collections (``attribute_names``, ``len``, ``mappings``
-#: -- the rows' attribute mappings, for column reads -- and ``tuples``,
-#: the :class:`~repro.relational.tuples.Tuple` set a failure names).
+#: relation-like collections (``attribute_names``, ``len``,
+#: ``column(names)`` -- the rows' values on ``names``, for column reads
+#: -- and ``tuples``, the :class:`~repro.relational.tuples.Tuple` set a
+#: failure names).
 StateLike = DatabaseState | Mapping
 
 

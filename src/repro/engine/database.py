@@ -18,9 +18,9 @@ Two layers keep the enforcement fast (see ``docs/PERFORMANCE.md``):
 * **compiled access plans** (:mod:`repro.engine.plans`) -- every
   projection a mutation needs (primary key, candidate keys, both sides
   of every inclusion dependency, null-constraint groups) is compiled
-  once per schema into an ``itemgetter``: a key or projected value is
-  the bare value for one attribute and a tuple for more, and the tables
-  and their indexes are keyed by those values;
+  once per schema into an ``itemgetter``: a stored row, a key or a
+  projected value is the bare value for one attribute and a tuple for
+  more, and the tables and their indexes are keyed by those values;
 * **reverse-reference indexes** -- for every column group an inclusion
   dependency touches, the owning table keeps ``value -> {pk: None}``
   (insertion-ordered), so existence checks, restrict checks and
@@ -41,9 +41,9 @@ from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.engine.plans import (
+    ABSENT,
     CompiledReference,
     SchemeAccessPlan,
-    attr_extractor,
     compile_schema,
 )
 from repro.engine.rows import (
@@ -51,7 +51,9 @@ from repro.engine.rows import (
     adopt_row,
     adopt_rows,
     bulk_apply,
+    image_values,
     install_rows,
+    row_values,
 )
 from repro.engine.stats import EngineStats
 from repro.engine.wal import (
@@ -65,7 +67,6 @@ from repro.engine.wal import (
     run_ops,
     update_record,
 )
-from repro.io.state_json import decode_relations
 from repro.obs.rules import classify_null_constraint, paper_rule
 from repro.obs.trace import TraceEvent, Tracer
 from repro.relational.relation import Relation
@@ -112,11 +113,12 @@ class _Table:
     for the column groups inclusion dependencies touch, so reference and
     restrict checks are O(1) and ``find_referencing`` is O(k).
 
-    The primary-key index maps each key to the row's plain dict; a
-    :class:`Tuple` view of a row is built only when the engine hands it
-    out (:func:`~repro.engine.rows.adopt_row`).  Every index is keyed by
-    values in the plans' form (:mod:`repro.engine.plans`): bare for a
-    one-attribute group, a tuple for a composite one."""
+    The primary-key index maps each key to the row's stored value: the
+    bare value of a one-attribute scheme (the key itself) or the value
+    tuple in attribute order (:mod:`repro.engine.plans`).  A row dict,
+    and a :class:`Tuple` view of it, is built only when the engine hands
+    a row out.  Every index is keyed by values of the same rule: bare
+    for a one-attribute group, a tuple for a composite one."""
 
     __slots__ = (
         "scheme",
@@ -131,7 +133,7 @@ class _Table:
     def __init__(self, scheme: RelationScheme, plan: SchemeAccessPlan):
         self.scheme = scheme
         self.plan = plan
-        self.rows: dict[Any, dict[str, Any]] = {}
+        self.rows: dict[Any, Any] = {}
         self.key_indexes: dict[tuple[str, ...], dict[Any, Any]] = {
             key_names: {} for key_names, _ in plan.candidate_keys
         }
@@ -149,7 +151,7 @@ class _Table:
         attrs = tuple(attrs)
         if attrs == self.plan.key_names or attrs in self.group_indexes:
             return
-        extract = attr_extractor(attrs)
+        extract = self.plan.getter(attrs)
         index: dict[Any, dict[Any, None]] = {}
         for pk, row in self.rows.items():
             value = extract(row)
@@ -189,25 +191,25 @@ class _Table:
         """The scheme's attribute names."""
         return self.scheme.attribute_names
 
-    @property
-    def mappings(self) -> Iterable[dict[str, Any]]:
-        """The stored row dicts, in table order: the checker's column
-        reads take them as they are."""
-        return self.rows.values()
+    def column(self, names: Sequence[str]) -> list:
+        """The stored rows' values on ``names``, in table order: the
+        checker's column reads."""
+        return self.plan.column(self.rows.values(), names)
 
     @property
     def tuples(self) -> frozenset[Tuple]:
         """The stored rows as a set of views, iterating in the order a
-        ``Relation`` of them would (hashes every row: only the checker's
-        failure path reads it)."""
-        return frozenset(map(adopt_row, self.rows.values()))
+        ``Relation`` of them would (builds and hashes every row: only
+        the checker's failure path reads it)."""
+        return frozenset(map(adopt_row, map(self.plan.row_of, self.rows.values())))
 
     def __len__(self) -> int:
         return len(self.rows)
 
 
 def _snapshot_scan(table: _Table) -> Iterator[Tuple]:
-    """Lazily yield views of the table's rows, guarding against
+    """Lazily yield views of the table's rows, each built from its
+    stored value as it is reached, guarding against
     concurrent mutation (no full-list copy is materialized).
 
     The version check runs *before* resuming the dict iterator: a
@@ -218,6 +220,7 @@ def _snapshot_scan(table: _Table) -> Iterator[Tuple]:
     """
     expected = table.version
     it = iter(table.rows.values())
+    row_of = table.plan.row_of
     while True:
         if table.version != expected:
             raise RuntimeError(
@@ -228,7 +231,7 @@ def _snapshot_scan(table: _Table) -> Iterator[Tuple]:
             row = next(it)
         except StopIteration:
             return
-        yield adopt_row(row)
+        yield adopt_row(row_of(row))
 
 
 def _indexed_groups(schema: RelationalSchema) -> dict[str, list[tuple[str, ...]]]:
@@ -256,32 +259,32 @@ def _empty_tables(schema: RelationalSchema) -> dict[str, _Table]:
 
 
 class _Pending(list):
-    """Row dicts of one scheme not yet stored, read by the consistency
-    checker like a relation (``attribute_names``, ``mappings``,
-    ``tuples``)."""
+    """A scheme's rows, as stored values, before they are stored: read
+    by the consistency checker like a relation (``attribute_names``,
+    ``column``, ``tuples``)."""
 
-    def __init__(self, attribute_names: tuple[str, ...], rows):
-        super().__init__(rows)
-        self.attribute_names = attribute_names
+    def __init__(self, plan: SchemeAccessPlan, values):
+        super().__init__(values)
+        self.plan = plan
+        self.attribute_names = plan.names
 
-    @property
-    def mappings(self) -> list[dict[str, Any]]:
-        """The row dicts themselves."""
-        return self
+    def column(self, names: Sequence[str]) -> list:
+        """The values on ``names``, in order."""
+        return self.plan.column(self, names)
 
     @property
     def tuples(self) -> frozenset[Tuple]:
         """The rows as a set of views (only a failed null check reads
         it)."""
-        return frozenset(map(adopt_row, self))
+        return frozenset(map(adopt_row, map(self.plan.row_of, self)))
 
 
-def _merged_rows(
-    tables: Mapping[str, _Table], info, names: tuple[str, ...]
-) -> list[dict[str, Any]]:
-    """The merged relation of ``info`` (a ``MergedSchemeInfo``) as row
-    dicts over ``names``: Definition 4.1's eta, then each ``Remove``
-    step's projection, read off the member tables.
+def _merged_values(
+    tables: Mapping[str, _Table], info, plan: SchemeAccessPlan
+) -> list:
+    """The merged relation of ``info`` (a ``MergedSchemeInfo``) as the
+    stored values of ``plan``'s scheme: Definition 4.1's eta, then each
+    ``Remove`` step's projection, read off the member tables.
 
     Eta outer-equi-joins the key-relation with every other member on
     ``Km = Ki``.  Every member table is keyed by its primary key, so
@@ -305,49 +308,42 @@ def _merged_rows(
     else:
         key_table = tables[info.key_relation]
         keys = key_table.rows
-        head = attr_extractor(info.family_attrs[info.key_relation])
+        head = key_table.plan.getter(info.family_attrs[info.key_relation])
         heads = ((pk, key_tuple(head(row))) for pk, row in keys.items())
         joined = [m for m in family if m != info.key_relation]
     # A merged row is concatenated from value tuples, whatever the
-    # number of attributes each part contributes.
+    # number of attributes each part contributes; the merged scheme's
+    # attributes are the parts' in this order, so the concatenation is
+    # the stored value.
     parts = []
     for member in joined:
         attrs = info.family_attrs[member]
-        parts.append(
-            (tables[member].rows, attr_extractor(attrs), (NULL,) * len(attrs))
-        )
+        table = tables[member]
+        parts.append((table.rows, table.plan.getter(attrs), (NULL,) * len(attrs)))
+    total_width = len(plan.names)
     rows = []
     append = rows.append
     for pk, values in heads:
         total = not contains_null(pk)
         for member_rows, extract, pad in parts:
-            row = member_rows.get(pk) if total else None
-            values += pad if row is None else key_tuple(extract(row))
-        append(dict(zip(names, values)))
+            row = member_rows.get(pk, ABSENT) if total else ABSENT
+            values += pad if row is ABSENT else key_tuple(extract(row))
+        append(values)
     orphans = []
-    end = len(names) - sum(len(pad) for _rows, _extract, pad in parts)
+    end = total_width - sum(len(pad) for _rows, _extract, pad in parts)
     for member_rows, extract, pad in parts:
         start, end = end, end + len(pad)
         if member_rows.keys() <= keys.keys() and not any_null(member_rows, width):
             continue  # every member row joined a key-relation row
-        before, after = (NULL,) * start, (NULL,) * (len(names) - end)
+        before, after = (NULL,) * start, (NULL,) * (total_width - end)
         for pk, row in member_rows.items():
             if contains_null(pk) or pk not in keys:
-                orphans.append(
-                    dict(zip(names, before + key_tuple(extract(row)) + after))
-                )
-    if not orphans:
-        return rows
-    distinct: dict[frozenset, dict[str, Any]] = {}
-    for row in rows + orphans:
-        distinct.setdefault(frozenset(row.items()), row)
-    return list(distinct.values())
-
-
-def _rows_of(state: DatabaseState) -> dict[str, list[dict[str, Any]]]:
-    """Each relation's tuple values, for :func:`install_rows` (the
-    stored rows then share them with ``state``'s tuples)."""
-    return {name: list(rel.mappings) for name, rel in state.items()}
+                orphans.append(before + key_tuple(extract(row)) + after)
+    if orphans:
+        rows = list(dict.fromkeys(rows + orphans))
+    if total_width == 1:
+        rows = [value for (value,) in rows]
+    return rows
 
 
 class Database:
@@ -400,9 +396,7 @@ class Database:
         self._tables: dict[str, _Table] = _empty_tables(schema)
         self._plans = {name: t.plan for name, t in self._tables.items()}
         #: Undo log of the innermost open transaction (None outside one).
-        self._undo_log: list[
-            tuple[str, _Table, Any, dict[str, Any] | None]
-        ] | None = None
+        self._undo_log: list[tuple[str, _Table, Any, Any]] | None = None
         if wal is not None and wal_path is not None:
             raise ValueError("pass either wal or wal_path, not both")
         if wal_path is not None:
@@ -516,8 +510,9 @@ class Database:
         """Primary-key lookup; counts as one lookup.  A one-attribute
         key may be given bare or as a 1-tuple."""
         self.stats.lookups += 1
-        row = self.table(scheme_name).rows.get(key_value(pk))
-        return None if row is None else adopt_row(row)
+        table = self.table(scheme_name)
+        row = table.rows.get(key_value(pk), ABSENT)
+        return None if row is ABSENT else adopt_row(table.plan.row_of(row))
 
     def scan(self, scheme_name: str) -> Iterable[Tuple]:
         """Full scan; counts every tuple touched.
@@ -539,7 +534,8 @@ class Database:
         return DatabaseState(
             {
                 name: Relation(
-                    table.scheme.attributes, map(adopt_row, table.rows.values())
+                    table.scheme.attributes,
+                    map(adopt_row, map(table.plan.row_of, table.rows.values())),
                 )
                 for name, table in self._tables.items()
             }
@@ -560,22 +556,24 @@ class Database:
             )
         return Tuple(row)
 
-    def _check_null_constraints(self, scheme_name: str, t: Tuple) -> None:
-        for constraint, check in self._plans[scheme_name].null_checks:
+    def _check_null_constraints(self, plan: SchemeAccessPlan, value: Any) -> None:
+        """Run the per-tuple null checks on the stored value ``value``."""
+        for constraint, check in plan.null_checks:
             self.stats.constraint_checks += 1
-            if not check(t.mapping):
+            if not check(value):
                 raise ConstraintViolationError(
                     str(constraint),
-                    f"row {t!r}",
+                    f"row {adopt_row(plan.row_of(value))!r}",
                     kind=classify_null_constraint(constraint),
                 )
 
-    def _check_keys(self, table: _Table, t: Tuple, replacing: Any) -> Any:
-        """Key-uniqueness checks; returns the (validated) primary key so
+    def _check_keys(self, table: _Table, value: Any, replacing: Any) -> Any:
+        """Key-uniqueness checks on the stored value ``value``, which
+        replaces the row keyed ``replacing`` (``ABSENT`` for an insert:
+        ``None`` is a key); returns the (validated) primary key so
         callers can store the row without re-projecting it."""
         plan = table.plan
-        values = t.mapping
-        pk = plan.pk(values)
+        pk = plan.pk(value)
         if contains_null(pk):
             raise ConstraintViolationError(
                 "primary-key",
@@ -589,28 +587,28 @@ class Database:
                 f"{table.scheme.name}: duplicate primary key {key_tuple(pk)!r}",
             )
         for key_names, extract in plan.candidate_keys:
-            value = extract(values)
-            if contains_null(value):
+            key = extract(value)
+            if contains_null(key):
                 if self.null_semantics == "distinct":
                     continue  # binds only when total
                 # 'identical' semantics (SYBASE/INGRES, Section 5.1):
                 # nulls compare equal, so a partially-null key value
                 # occupies an index slot like any other.
             self.stats.constraint_checks += 1
-            owner = table.key_indexes[key_names].get(value)
-            if owner is not None and owner != replacing:
+            owner = table.key_indexes[key_names].get(key, ABSENT)
+            if owner is not ABSENT and owner != replacing:
                 raise ConstraintViolationError(
                     "candidate-key",
                     f"{table.scheme.name}: duplicate candidate key "
-                    f"{dict(zip(key_names, key_tuple(value)))!r} "
+                    f"{dict(zip(key_names, key_tuple(key)))!r} "
                     f"({self.null_semantics} null semantics)",
                 )
         return pk
 
-    def _check_references_out(self, scheme_name: str, t: Tuple) -> None:
-        values = t.mapping
-        for ref in self._plans[scheme_name].outgoing:
-            value = ref.extract(values)
+    def _check_references_out(self, plan: SchemeAccessPlan, row: Any) -> None:
+        """Every outgoing reference of the stored value ``row`` holds."""
+        for ref in plan.outgoing:
+            value = ref.extract(row)
             if contains_null(value):
                 continue
             self.stats.constraint_checks += 1
@@ -638,7 +636,7 @@ class Database:
             scanned = len(table.rows)
             self.stats.tuples_scanned += scanned
             path = "scan"
-            extract = attr_extractor(ref.attrs)
+            extract = table.plan.getter(ref.attrs)
             found = any(extract(row) == value for row in table.rows.values())
         if self.tracer is not None:
             self.tracer.emit(
@@ -672,7 +670,7 @@ class Database:
             return bool(index.get(value))
         self.stats.index_misses += 1
         self.stats.tuples_scanned += len(table.rows)
-        extract = attr_extractor(attrs)
+        extract = table.plan.getter(attrs)
         return any(extract(row) == value for row in table.rows.values())
 
     def _trace_restrict(
@@ -739,7 +737,7 @@ class Database:
             scanned = len(child.rows)
             self.stats.tuples_scanned += scanned
             path = "scan"
-            extract = attr_extractor(ref.attrs)
+            extract = child.plan.getter(ref.attrs)
             for pk, row in child.rows.items():
                 if exclude_pk is not None and pk == exclude_pk:
                     continue
@@ -755,13 +753,13 @@ class Database:
     def _referencing_rows_exist(
         self,
         scheme_name: str,
-        values: dict[str, Any],
+        row: Any,
         ignore_self_pk: Any = None,
     ) -> str | None:
-        """Description of a restricting reference into the stored row
-        ``values``, if any."""
+        """Description of a restricting reference into the stored value
+        ``row``, if any."""
         for ref in self._plans[scheme_name].incoming:
-            value = ref.extract(values)
+            value = ref.extract(row)
             if contains_null(value):
                 continue
             exclude = (
@@ -782,11 +780,13 @@ class Database:
         timed = self._timed
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
+        plan = table.plan
         try:
             t = self._check_shape(table, row)
-            self._check_null_constraints(scheme_name, t)
-            pk = self._check_keys(table, t, replacing=None)
-            self._check_references_out(scheme_name, t)
+            value = plan.values(t.mapping)
+            self._check_null_constraints(plan, value)
+            pk = self._check_keys(table, value, replacing=ABSENT)
+            self._check_references_out(plan, value)
         except ConstraintViolationError as exc:
             if timed:
                 self._observe_reject("insert", scheme_name, exc, start)
@@ -795,7 +795,7 @@ class Database:
             self._wal_append(
                 insert_record(scheme_name, t.mapping), "insert", scheme_name
             )
-        self._store(table, t.mapping, pk)
+        self._store(table, value, pk)
         self.stats.inserts += 1
         self.stats.count_scheme_mutation(scheme_name)
         if timed:
@@ -808,8 +808,8 @@ class Database:
         timed = self._timed
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
-        old = table.rows.get(pk)
-        if old is None:
+        old = table.rows.get(pk, ABSENT)
+        if old is ABSENT:
             raise KeyError(f"{scheme_name}: no row with key {key_tuple(pk)!r}")
         blocker = self._referencing_rows_exist(scheme_name, old)
         if blocker is not None:
@@ -836,19 +836,22 @@ class Database:
         timed = self._timed
         start = perf_counter() if timed else 0.0
         table = self.table(scheme_name)
-        old = table.rows.get(pk)
-        if old is None:
+        plan = table.plan
+        old = table.rows.get(pk, ABSENT)
+        if old is ABSENT:
             raise KeyError(f"{scheme_name}: no row with key {key_tuple(pk)!r}")
         try:
-            t = adopt_row(old).with_values(dict(updates))
-            self._check_null_constraints(scheme_name, t)
-            new_pk = self._check_keys(table, t, replacing=pk)
-            self._check_references_out(scheme_name, t)
+            old_row = plan.row_of(old)
+            t = adopt_row(old_row).with_values(dict(updates))
+            new_row = t.mapping
+            value = plan.values(new_row)
+            self._check_null_constraints(plan, value)
+            new_pk = self._check_keys(table, value, replacing=pk)
+            self._check_references_out(plan, value)
             # Referenced attribute values must not change under incoming
             # references (restrict semantics on update).
-            new_values = t.mapping
             changed = {
-                name for name in updates if old[name] != new_values[name]
+                name for name in updates if old_row[name] != new_row[name]
             }
             if changed:
                 for ref in self._plans[scheme_name].incoming:
@@ -874,7 +877,7 @@ class Database:
                 scheme_name,
             )
         self._unstore(table, pk, old)
-        self._store(table, t.mapping, new_pk)
+        self._store(table, value, new_pk)
         self.stats.updates += 1
         self.stats.count_scheme_mutation(scheme_name)
         if timed:
@@ -906,9 +909,9 @@ class Database:
     def insert_rows(
         self, scheme_name: str, rows: Iterable[Mapping[str, Any]]
     ) -> list[dict[str, Any]]:
-        """:meth:`insert_many`, returning the stored row dicts themselves
-        rather than views of them.  The dicts are the stored rows, so
-        callers must not change them.  The server's ``insert_many`` verb
+        """:meth:`insert_many`, returning the accepted row dicts
+        themselves rather than views of them: on the columnar path the
+        very dicts the caller passed.  The server's ``insert_many`` verb
         calls it, and only serializes the rows it gets; the batch's
         trace events are labelled ``insert_many`` with its scheme either
         way."""
@@ -940,8 +943,8 @@ class Database:
         failures raise the same error the per-row path would, dangling
         references left by deletes/updates raise ``restrict-batch``.
 
-        Returns one entry per operation: the stored :class:`Tuple` for
-        inserts/updates, ``None`` for deletes.  With a log attached, an
+        Returns one entry per operation: the accepted row as a
+        :class:`Tuple` for inserts/updates, ``None`` for deletes.  With a log attached, an
         accepted batch is one ``batch`` record, as for
         :meth:`insert_many`.
         """
@@ -950,10 +953,9 @@ class Database:
 
     def apply_runs(self, runs: list[tuple]) -> list[dict[str, Any] | None]:
         """:meth:`apply_batch` for a batch already grouped into runs
-        (:func:`~repro.engine.wal.op_runs`), returning the stored row
-        dicts themselves (``None`` for a delete): no row views are
-        built.  The dicts are the stored rows, so callers must not
-        change them.
+        (:func:`~repro.engine.wal.op_runs`), returning the accepted row
+        dicts themselves (``None`` for a delete): an insert's dict as
+        given, an update's merged dict.  No row views are built.
 
         It is the entry point of log replay, which reads a ``batch``
         record back as its runs (:func:`~repro.engine.wal.record_runs`)
@@ -968,7 +970,7 @@ class Database:
         op: str = "apply_batch",
         scheme: str | None = None,
     ) -> list[dict[str, Any] | None]:
-        """One batch, given as op tuples or as runs; returns the stored
+        """One batch, given as op tuples or as runs; returns the accepted
         row dicts, one per op (``None`` for a delete).  The columnar
         path groups the ops once (the runs it validates are the runs its
         log record is written from); the row path takes the op tuples,
@@ -1045,7 +1047,7 @@ class Database:
         self, ops: Iterable[tuple]
     ) -> tuple[
         list[dict[str, Any] | None],
-        list[tuple[str, Tuple]],
+        list[tuple[str, Any]],
         list[tuple[CompiledReference, Any]],
         list[tuple],
     ]:
@@ -1053,14 +1055,16 @@ class Database:
         accumulating the deferred reference checks.
 
         Returns ``(results, pending_out, pending_in, applied)``, where
-        ``results`` holds each op's stored row (``None`` for a delete)
-        and ``applied`` the ops normalized for logging (stored rows,
-        tuple keys, plain-dict updates).  The caller owns the enclosing
+        ``results`` holds each op's accepted row dict (``None`` for a
+        delete), ``pending_out`` the ``(scheme, stored value)`` pairs
+        whose outgoing references are checked at the end, and
+        ``applied`` the ops normalized for logging (row dicts, engine
+        keys, plain-dict updates).  The caller owns the enclosing
         transaction, the deferred verification, the log append and the
         counting (:meth:`_count_applied`).
         """
         results: list[dict[str, Any] | None] = []
-        pending_out: list[tuple[str, Tuple]] = []
+        pending_out: list[tuple[str, Any]] = []
         pending_in: list[tuple[CompiledReference, Any]] = []
         applied: list[tuple] = []
         for op in ops:
@@ -1068,19 +1072,21 @@ class Database:
             if kind == "insert":
                 _, scheme_name, row = op
                 table = self.table(scheme_name)
+                plan = table.plan
                 t = self._check_shape(table, row)
-                self._check_null_constraints(scheme_name, t)
-                pk = self._check_keys(table, t, replacing=None)
-                self._store(table, t.mapping, pk)
-                pending_out.append((scheme_name, t))
+                value = plan.values(t.mapping)
+                self._check_null_constraints(plan, value)
+                pk = self._check_keys(table, value, replacing=ABSENT)
+                self._store(table, value, pk)
+                pending_out.append((scheme_name, value))
                 results.append(t.mapping)
                 applied.append(("insert", scheme_name, t.mapping))
             elif kind == "delete":
                 _, scheme_name, pk = op
                 pk = key_value(pk)
                 table = self.table(scheme_name)
-                old = table.rows.get(pk)
-                if old is None:
+                old = table.rows.get(pk, ABSENT)
+                if old is ABSENT:
                     raise KeyError(
                         f"{scheme_name}: no row with key {key_tuple(pk)!r}"
                     )
@@ -1095,28 +1101,30 @@ class Database:
                 _, scheme_name, pk, updates = op
                 pk = key_value(pk)
                 table = self.table(scheme_name)
-                old = table.rows.get(pk)
-                if old is None:
+                plan = table.plan
+                old = table.rows.get(pk, ABSENT)
+                if old is ABSENT:
                     raise KeyError(
                         f"{scheme_name}: no row with key {key_tuple(pk)!r}"
                     )
                 updates = dict(updates)
-                t = adopt_row(old).with_values(updates)
-                self._check_null_constraints(scheme_name, t)
-                new_pk = self._check_keys(table, t, replacing=pk)
-                new_values = t.mapping
+                old_row = plan.row_of(old)
+                new_row = adopt_row(old_row).with_values(updates).mapping
+                value = plan.values(new_row)
+                self._check_null_constraints(plan, value)
+                new_pk = self._check_keys(table, value, replacing=pk)
                 changed = {
-                    name for name in updates if old[name] != new_values[name]
+                    name for name in updates if old_row[name] != new_row[name]
                 }
-                for ref in self._plans[scheme_name].incoming:
+                for ref in plan.incoming:
                     if changed & ref.watch:
-                        value = ref.extract(old)
-                        if not contains_null(value):
-                            pending_in.append((ref, value))
+                        referenced = ref.extract(old)
+                        if not contains_null(referenced):
+                            pending_in.append((ref, referenced))
                 self._unstore(table, pk, old)
-                self._store(table, new_values, new_pk)
-                pending_out.append((scheme_name, t))
-                results.append(new_values)
+                self._store(table, value, new_pk)
+                pending_out.append((scheme_name, value))
+                results.append(new_row)
                 applied.append(("update", scheme_name, pk, updates))
             else:
                 raise ValueError(f"unknown batch operation {kind!r}")
@@ -1124,7 +1132,7 @@ class Database:
 
     def _verify_deferred(
         self,
-        pending_out: list[tuple[str, Tuple]],
+        pending_out: list[tuple[str, Any]],
         pending_in: list[tuple[CompiledReference, Any]],
         collect_remote: bool = False,
     ) -> list[dict[str, Any]]:
@@ -1148,16 +1156,16 @@ class Database:
         """
         requirements: list[dict[str, Any]] = []
         # Deferred verification against the final batch state.
-        for scheme_name, t in pending_out:
+        for scheme_name, row in pending_out:
             table = self._tables[scheme_name]
-            values = t.mapping
-            if table.rows.get(table.plan.pk(values)) is not values:
+            plan = table.plan
+            if table.rows.get(plan.pk(row), ABSENT) is not row:
                 continue  # superseded by a later operation
             if not collect_remote:
-                self._check_references_out(scheme_name, t)
+                self._check_references_out(plan, row)
                 continue
-            for ref in self._plans[scheme_name].outgoing:
-                value = ref.extract(values)
+            for ref in plan.outgoing:
+                value = ref.extract(row)
                 if contains_null(value):
                     continue
                 self.stats.constraint_checks += 1
@@ -1243,14 +1251,18 @@ class Database:
         Every relation of ``state`` replaces its table's contents through
         the bulk insert path's columnar install
         (:func:`~repro.engine.rows.install_rows`) -- no per-row
-        constraint checks, no journaling; the stored rows share the
-        state's tuple values.  Two different rows on one primary key
-        are refused before anything changes.  With ``validate`` the
+        constraint checks, no journaling; the stored values share the
+        state's attribute values.  Two different rows on one primary
+        key are refused before anything changes.  With ``validate`` the
         final contents are checked wholesale via the consistency
         checker, which is much cheaper than per-row checks with
         inter-row ordering concerns.
         """
-        self._bulk_load(_rows_of(state), validate, self._tables)
+        relations = {
+            name: row_values(self.table(name), list(rel.mappings))
+            for name, rel in state.items()
+        }
+        self._bulk_load(relations, validate, self._tables)
 
     def snapshot_image(self) -> dict[str, Any]:
         """The current contents as a snapshot image: ``{"state":
@@ -1259,16 +1271,17 @@ class Database:
         the body of a checkpoint's ``snapshot`` record and of a
         ``repl_snapshot`` frame; :meth:`load_image` installs it.
 
-        The rows are the tables' stored row mappings themselves, in
-        table order and with ``NULL`` as stored: the log's and the
-        wire's JSON encoders write ``NULL`` as the marker, so nothing
-        is copied, converted or sorted.  A stored mapping is replaced
-        on update, never changed in place, so an image taken now still
-        encodes this state after later mutations."""
+        Each relation is one value list per attribute
+        (:meth:`~repro.engine.plans.SchemeAccessPlan.columns`, the shape
+        log version 4 writes), in table order and with ``NULL`` as stored: the log's
+        and the wire's JSON encoders write ``NULL`` as the marker, so
+        no value is converted and no row is built.  The lists are
+        fresh, so an image taken now still encodes this state after
+        later mutations."""
         image: dict[str, Any] = {
             "state": {
                 "relations": {
-                    name: list(table.rows.values())
+                    name: table.plan.columns(table.rows.values())
                     for name, table in self._tables.items()
                 }
             }
@@ -1289,9 +1302,11 @@ class Database:
         then replace the old ones while the stats, the log, the tracer
         and every other attachment stay.  The rows go straight into the
         tables, as by ``load_state(..., validate=False)`` (the image
-        was consistent when it was taken): markers are decoded with one
-        probe per relation, and parsed row dicts become the stored
-        rows.  Refused rows leave the engine untouched."""
+        was consistent when it was taken): a column image's values are
+        zipped into stored values with no dict per row, and the row
+        dicts of an image from log versions 1 to 3 are read once
+        (:func:`~repro.engine.rows.image_values`).  Refused rows leave
+        the engine untouched."""
         schema_dict = image.get("schema")
         schema, tables = self.schema, self._tables
         if schema_dict is not None:
@@ -1300,8 +1315,7 @@ class Database:
             schema = relational_schema_from_dict(schema_dict)
             tables = _empty_tables(schema)
         self._bulk_load(
-            decode_relations(image["state"], schema), False, tables,
-            schema_dict,
+            image_values(tables, image["state"]), False, tables, schema_dict
         )
         if schema_dict is not None:
             self._swap_schema(schema, tables)
@@ -1310,9 +1324,10 @@ class Database:
         self, relations, validate: bool, tables, schema_dict=None
     ) -> None:
         """The shared core of :meth:`load_state` and :meth:`load_image`:
-        install ``relations`` (row dicts per scheme) into ``tables``.
-        The log record is a ``load_state`` of those rows, carrying
-        ``schema_dict`` (the schema of ``tables``) when given."""
+        install ``relations`` (stored values per scheme) into
+        ``tables``.  The log record is a ``load_state`` of those rows in
+        the column image's shape, carrying ``schema_dict`` (the schema
+        of ``tables``) when given."""
         if self.in_transaction:
             raise ConstraintViolationError(
                 "bulk-load", "cannot bulk-load inside a transaction"
@@ -1325,7 +1340,15 @@ class Database:
             # before any table changes: a failed append leaves both the
             # log and the tables untouched, a validate failure leaves
             # both holding the loaded state -- they never disagree.
-            record = {"op": "load_state", "state": {"relations": relations}}
+            record = {
+                "op": "load_state",
+                "state": {
+                    "relations": {
+                        name: tables[name].plan.columns(values)
+                        for name, values in relations.items()
+                    }
+                },
+            }
             if schema_dict is not None:
                 record["schema"] = schema_dict
             self._wal_append(record, "load_state", None)
@@ -1387,7 +1410,7 @@ class Database:
         applied to what they change: the member tables.
 
         Eta reads the member tables through their primary-key indexes
-        (:func:`_merged_rows`).  With ``verify``, only the constraints
+        (:func:`_merged_values`).  With ``verify``, only the constraints
         of the new schema that name the merged scheme are checked --
         its key dependencies, its null constraints and the rewritten
         inclusion dependencies, whose other side is read from the live
@@ -1419,9 +1442,9 @@ class Database:
         # as on the bulk path: a full collection would walk the whole
         # database heap, the part the merge leaves alone.
         with _gc_paused():
-            rows = _merged_rows(self._tables, info, scheme.attribute_names)
+            rows = _merged_values(self._tables, info, table.plan)
             if verify:
-                self._verify_merged(schema, name, rows)
+                self._verify_merged(schema, table.plan, rows)
             # Installed before the merge is logged: a row the install
             # refuses must not leave a logged merge that cannot replay.
             install_rows(self, {name: table}, {name: rows})
@@ -1441,16 +1464,18 @@ class Database:
     def _verify_merged(
         self,
         schema: RelationalSchema,
-        name: str,
-        rows: list[dict[str, Any]],
+        plan: SchemeAccessPlan,
+        rows: list,
     ) -> None:
         """Check the constraints of ``schema`` that name the merged
-        scheme ``name`` against its not-yet-stored ``rows``; raise the
-        ``online-merge`` violation when any fails.  The member tables
-        are still in place, but no constraint of ``schema`` names them."""
+        scheme (``plan``'s) against its not-yet-stored values ``rows``;
+        raise the ``online-merge`` violation when any fails.  The member
+        tables are still in place, but no constraint of ``schema`` names
+        them."""
         from repro.constraints.checker import ConsistencyChecker
 
-        pending = _Pending(schema.scheme(name).attribute_names, rows)
+        name = plan.scheme.name
+        pending = _Pending(plan, rows)
         relations = {**self._tables, name: pending}
         checker = ConsistencyChecker(schema, tracer=self.tracer)
         violations = list(checker.iter_violations(relations, name))
@@ -1662,13 +1687,7 @@ class Database:
         """Whether a transaction block is currently open."""
         return self._undo_log is not None
 
-    def _journal(
-        self,
-        op: str,
-        table: _Table,
-        pk: Any,
-        old: dict[str, Any] | None,
-    ) -> None:
+    def _journal(self, op: str, table: _Table, pk: Any, old: Any) -> None:
         if self._undo_log is not None:
             self._undo_log.append((op, table, pk, old))
 
@@ -1677,8 +1696,8 @@ class Database:
         while len(self._undo_log) > mark:
             op, table, pk, old = self._undo_log.pop()
             if op == "store":
-                current = table.rows.get(pk)
-                if current is not None:
+                current = table.rows.get(pk, ABSENT)
+                if current is not ABSENT:
                     self._unstore_raw(table, pk, current)
             else:  # "unstore"
                 assert old is not None
@@ -1686,21 +1705,17 @@ class Database:
 
     # -- low-level storage ---------------------------------------------------
 
-    def _store(
-        self, table: _Table, values: dict[str, Any], pk: Any
-    ) -> None:
+    def _store(self, table: _Table, values: Any, pk: Any) -> None:
         self._journal("store", table, pk, None)
         self._store_raw(table, values, pk)
 
-    def _unstore(
-        self, table: _Table, pk: Any, old: dict[str, Any]
-    ) -> None:
+    def _unstore(self, table: _Table, pk: Any, old: Any) -> None:
         self._journal("unstore", table, pk, old)
         self._unstore_raw(table, pk, old)
 
-    def _store_raw(
-        self, table: _Table, values: dict[str, Any], pk: Any
-    ) -> None:
+    def _store_raw(self, table: _Table, values: Any, pk: Any) -> None:
+        """File the stored value ``values`` under ``pk`` and in every
+        index of ``table``."""
         plan = table.plan
         table.rows[pk] = values
         table.version += 1
@@ -1719,15 +1734,13 @@ class Database:
                 else:
                     bucket[pk] = None
 
-    def _unstore_raw(
-        self, table: _Table, pk: Any, values: dict[str, Any]
-    ) -> None:
+    def _unstore_raw(self, table: _Table, pk: Any, values: Any) -> None:
         del table.rows[pk]
         table.version += 1
         for key_names, extract in table.plan.candidate_keys:
             value = extract(values)
             index = table.key_indexes[key_names]
-            if index.get(value) == pk:
+            if index.get(value, ABSENT) == pk:
                 del index[value]
         for attrs, refs in table.group_indexes.items():
             value = table.group_extractors[attrs](values)

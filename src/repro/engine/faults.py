@@ -121,6 +121,11 @@ class FaultyStorage:
             data = _corrupt(data)
         self.base.replace(data)
 
+    @property
+    def generation(self) -> int:
+        """The base storage's generation (bumped by each replace)."""
+        return self.base.generation
+
     def read(self) -> bytes:
         """Pass through to the base storage."""
         return self.base.read()

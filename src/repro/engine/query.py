@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.engine.database import Database
-from repro.engine.plans import attr_extractor
+from repro.engine.plans import ABSENT, attr_extractor
 from repro.engine.rows import adopt_row
 from repro.relational.tuples import Tuple, contains_null
 
@@ -101,23 +101,24 @@ class QueryEngine:
         ind = self._ind_maps()[0].get((via_t, target_scheme, targets))
         if ind is not None:
             self.stats.count_ind_join(ind)
+        row_of = table.plan.row_of
         if targets == table.scheme.key_names:
             self.stats.lookups += 1
-            row = table.rows.get(value)
-            return None if row is None else adopt_row(row)
+            row = table.rows.get(value, ABSENT)
+            return None if row is ABSENT else adopt_row(row_of(row))
         index = table.group_indexes.get(targets)
         if index is not None:
             self.stats.index_hits += 1
             referencers = index.get(value)
             if referencers:
-                return adopt_row(table.rows[next(iter(referencers))])
+                return adopt_row(row_of(table.rows[next(iter(referencers))]))
             return None
         self.stats.index_misses += 1
         self.stats.tuples_scanned += len(table.rows)
-        extract = attr_extractor(targets)
+        extract = table.plan.getter(targets)
         for row in table.rows.values():
             if extract(row) == value:
-                return adopt_row(row)
+                return adopt_row(row_of(row))
         return None
 
     def find_referencing(
@@ -147,11 +148,12 @@ class QueryEngine:
         ind = self._ind_maps()[1].get((source_scheme, via_t, targets_t))
         if ind is not None:
             self.stats.count_ind_join(ind)
+        row_of = table.plan.row_of
         if not contains_null(value):
             if via_t == table.scheme.key_names:
                 self.stats.lookups += 1
-                row = table.rows.get(value)
-                return [adopt_row(row)] if row is not None else []
+                row = table.rows.get(value, ABSENT)
+                return [] if row is ABSENT else [adopt_row(row_of(row))]
             index = table.group_indexes.get(via_t)
             if index is not None:
                 self.stats.index_hits += 1
@@ -160,12 +162,12 @@ class QueryEngine:
                 if not referencers:
                     return []
                 rows = table.rows
-                return [adopt_row(rows[pk]) for pk in referencers]
+                return [adopt_row(row_of(rows[pk])) for pk in referencers]
             self.stats.index_misses += 1
         self.stats.tuples_scanned += len(table.rows)
-        extract = attr_extractor(via_t)
+        extract = table.plan.getter(via_t)
         return [
-            adopt_row(row)
+            adopt_row(row_of(row))
             for row in table.rows.values()
             if extract(row) == value
         ]

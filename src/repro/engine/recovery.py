@@ -14,7 +14,10 @@ validated mutations are ever logged, see :mod:`repro.engine.wal`):
    into the tables through ``Database.load_image`` -- the one installer
    of snapshot images: it adopts an embedded schema first, then takes
    the bulk insert path's columnar install, without per-record
-   validation, since the image was consistent when written.  Two
+   validation, since the image was consistent when written.  A version
+   4 image holds each relation by columns, so the stored values are
+   zipped from them with no dict per row; a version 1 to 3 image's row
+   dicts are read once by the legacy row reader.  Two
    different rows on one primary key cannot both be stored, so such an
    image is refused with the key dependency's violation instead of
    losing one.
@@ -165,7 +168,8 @@ class WalApplier:
             version = record.get("version", 1)
             if version > WAL_VERSION:
                 # A newer writer's records may reuse a kind with a new
-                # shape (v3 batch runs); refuse instead of misreading.
+                # shape (v3 batch runs, v4 column images); refuse
+                # instead of misreading.
                 raise RecoveryError(
                     f"log is format version {version}; this reader "
                     f"understands versions up to {WAL_VERSION}"

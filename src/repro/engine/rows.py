@@ -10,24 +10,37 @@ probe per **distinct** foreign-key value, and shape validation is a
 iterating.  This module implements that columnar path on top of the
 compiled access plans (:mod:`repro.engine.plans`).
 
-Row representation.  A table stores each row as a plain ``dict`` --
-on this path the very dict the caller handed over (non-dict mappings
-never reach it), adopted without a copy.  A dict whose values are all
-untracked (no ``NULL``, which is an object the cyclic collector
-tracks) is itself untracked, so the stored rows add nothing to a full
-collection's walk.  Keys and index values follow the plans' rule
-(:mod:`repro.engine.plans`): one attribute is keyed by its bare value,
-which for a ``str`` reuses the string's cached hash and is never
-tracked, and only a composite key is a tuple.  Column passes read
-values with :func:`~repro.relational.tuples.values_on`, and
-:func:`~repro.relational.tuples.any_null` finds a ``NULL`` among them
-with one probe.
-:class:`~repro.relational.tuples.Tuple` views are built only for the
-rows the engine hands out (:func:`adopt_row`).
+Row representation.  A table stores each row as its values, by the
+plans' rule (:mod:`repro.engine.plans`): a one-attribute scheme's row
+is its bare value -- the key object itself -- and a wider scheme's row
+is the value tuple in attribute order.  The scheme fixes the attribute
+names, so no row repeats them, and a bare ``str`` or a tuple of
+untracked values adds nothing to a full collection's walk (the
+collector untracks such a tuple the first time it sees it).  Keys and
+index values follow the same rule.  An incoming batch's row dicts are
+read once, by C-level column passes
+(:func:`~repro.relational.tuples.values_on` over the scheme's
+attributes gives the stored values); every later pass reads stored
+values by position (:meth:`~repro.engine.plans.SchemeAccessPlan.column`),
+and :func:`~repro.relational.tuples.any_null` finds a ``NULL`` among
+them with one probe.  A batch answers with the row dicts it accepted,
+never with rows rebuilt from the tables.  :class:`~repro.relational.tuples.Tuple`
+views are built only for the rows the engine hands out in process
+(:func:`adopt_row`).
+
 Batches are validated wholesale against the pre-state -- no
 journaling, no undo log -- and applied with bulk ``dict.update`` /
 ``dict.__delitem__`` runs only after every check has passed, so a batch
 the fast path cannot accept touches nothing.
+
+Images.  :func:`install_rows` is the one installer of whole tables
+(``load_state``, snapshot recovery, replica bootstrap, the online
+merge).  A snapshot image holds each scheme as one value list per
+attribute (``plan.columns``), so recovery builds the stored values
+straight from the parsed columns (:func:`image_values`) and never a
+dict per row; only the row-dict images of log versions 1 to 3 and
+``load_state`` of a :class:`~repro.relational.state.DatabaseState`
+read row dicts (:func:`row_values`).
 
 Batch shapes.  Three shapes take the columnar path: ``insert_many``,
 an all-insert ``apply_batch``, and an ``apply_batch`` of updates and
@@ -68,14 +81,20 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.constraints.checker import key_violation
 from repro.constraints.functional import KeyDependency
+from repro.engine.plans import ABSENT
 from repro.engine.wal import op_runs
-from repro.io.state_json import StateDecodeError
+from repro.io.state_json import (
+    StateDecodeError,
+    decode_columns,
+    decode_relation_rows,
+)
 from repro.relational.relation import Relation
 from repro.relational.tuples import (
     NULL,
     Tuple,
     any_null,
     contains_null,
+    has_null,
     values_on,
 )
 
@@ -88,9 +107,10 @@ def adopt_row(values: dict[str, Any]) -> Tuple:
     """A :class:`Tuple` view of the row dict ``values``, sharing it
     without a copy.
 
-    The engine hands its stored rows out through such views.  A stored
-    dict is replaced on update, never changed in place, so a view stays
-    the row it was when it was handed out.
+    The engine hands rows out in process through such views: of a dict
+    built from the stored value (``plan.row_of``), or of the row dict a
+    batch accepted.  Neither is kept by a table, so a view stays the
+    row it was when it was handed out.
     """
     t = object.__new__(Tuple)
     t._values = values
@@ -99,55 +119,61 @@ def adopt_row(values: dict[str, Any]) -> Tuple:
 
 
 def adopt_rows(rows: list) -> list[Tuple | None]:
-    """Views of a batch's stored rows, one per op (a delete's ``None``
-    stays ``None``), built with the cyclic collector held off as for
+    """Views of a batch's accepted row dicts, one per op (a delete's
+    ``None`` stays ``None``), built with the cyclic collector held off as for
     the batch itself: a view is a tracked object."""
     with _gc_paused():
         return [None if row is None else adopt_row(row) for row in rows]
 
 
 def _materialize(table, rows: Sequence[Mapping[str, Any]]):
-    """Shape-check rows and key them with all-C-loop passes.
+    """Shape-check rows and turn them into stored values with all-C-loop
+    passes.
 
-    Returns the insertion-ordered ``pk -> row`` dict, whose values are
-    the caller's row dicts themselves, or ``None`` when the shape proof
+    Returns the rows' stored values, or ``None`` when the shape proof
     fails.  Every pass is a C loop; no per-row Python frame runs.
     Shape is proved batch-wide: all rows are exactly ``dict``, every
     row has ``len(attrs)`` keys, and the union of all keys is a subset
     of ``attrs`` -- together that forces each row's key set to equal
-    ``attrs`` (equal-size subset).  Intra-batch key duplicates
-    show up as ``len(new) != len(rows)``.  The ``new`` dict carries
-    each key's hash, so committing it via ``dict.update`` never
-    rehashes.
+    ``attrs`` (equal-size subset).
     """
     plan = table.plan
     attrs = plan.attr_set
-    key_names = plan.key_names
     if set(map(type, rows)) != {dict}:
         return None  # non-dict row (or empty batch): slow path decides
     if set(map(len, rows)) != {len(attrs)} or not attrs.issuperset(
         frozenset().union(*rows)
     ):
         return None  # some row's attribute set differs from the scheme
-    return dict(zip(values_on(rows, key_names), rows))
+    return values_on(rows, plan.names)
+
+
+def _keyed(plan, values: list) -> dict:
+    """The insertion-ordered ``pk -> value`` dict of stored values.
+    Intra-batch key duplicates show up as ``len(new) != len(values)``;
+    the dict carries each key's hash, so committing it via
+    ``dict.update`` never rehashes."""
+    return dict(zip(plan.column(values, plan.key_names), values))
 
 
 def _validate_inserts(db, groups):
     """Columnar validation of insert groups against the pre-state.
 
     ``groups`` is a list of ``(table, rows)`` pairs, one per scheme.
-    Returns ``(table, rows, new)`` triples ready to commit, or ``None``
-    when the batch must take the slow path.  Performs no mutation.
+    Returns ``(table, values, new)`` triples ready to commit, or
+    ``None`` when the batch must take the slow path.  Performs no
+    mutation.
     """
     identical = db.null_semantics == "identical"
     prepared = []
     new_by_scheme: dict[str, tuple] = {}
     for table, rows in groups:
         plan = table.plan
-        new = _materialize(table, rows)
-        if new is None:
+        values = _materialize(table, rows)
+        if values is None:
             return None  # shape
-        if len(new) != len(rows):
+        new = _keyed(plan, values)
+        if len(new) != len(values):
             return None  # intra-batch duplicate primary key
         # One dict lookup / one C identity scan replaces a per-row null
         # filter (duplicate null keys already shrank ``len(new)``).
@@ -156,28 +182,28 @@ def _validate_inserts(db, groups):
         if not table.rows.keys().isdisjoint(new):
             return None  # primary-key clash with stored rows
         for _constraint, check in plan.bulk_null_checks:
-            if not all(map(check, rows)):
+            if not all(map(check, values)):
                 return None
-        for key_names, extract in plan.candidate_keys:
-            if identical:
-                vals = [extract(r) for r in rows]
-            else:
-                vals = [
-                    v for r in rows if not contains_null(v := extract(r))
-                ]
+        for key_names, _extract in plan.candidate_keys:
+            vals = plan.column(values, key_names)
+            if not identical and any_null(vals, len(key_names)):
+                vals = list(filterfalse(contains_null, vals))
             if len(set(vals)) != len(vals):
                 return None  # intra-batch candidate-key duplicate
             if vals and not table.key_indexes[key_names].keys().isdisjoint(
                 vals
             ):
                 return None
-        prepared.append((table, rows, new))
-        new_by_scheme[table.scheme.name] = (new, rows)
+        prepared.append((table, values, new))
+        new_by_scheme[table.scheme.name] = (table, values, new)
     # Deferred outgoing-reference existence: one probe per distinct
     # foreign-key value, against stored rows plus the batch itself.
-    for table, rows, _new in prepared:
-        for ref in table.plan.outgoing:
-            vals = _total_values(ref.ind.lhs_attrs, rows)
+    for table, values, _new in prepared:
+        plan = table.plan
+        for ref in plan.outgoing:
+            vals = _total_values(
+                plan.column(values, ref.ind.lhs_attrs), len(ref.attrs)
+            )
             if not vals:
                 continue
             rtable = db._tables[ref.scheme]
@@ -185,7 +211,7 @@ def _validate_inserts(db, groups):
             if ref.is_pk:
                 missing = vals.difference(rtable.rows)
                 if missing and (
-                    batch_new is None or not batch_new[0].keys() >= missing
+                    batch_new is None or not batch_new[2].keys() >= missing
                 ):
                     return None  # dangling reference
             else:
@@ -198,39 +224,42 @@ def _validate_inserts(db, groups):
                         continue
                     if batch_new is not None:
                         if inbatch is None:
-                            inbatch = set(values_on(batch_new[1], ref.attrs))
+                            inbatch = set(
+                                rtable.plan.column(batch_new[1], ref.attrs)
+                            )
                         if v in inbatch:
                             continue
                     return None
     return prepared
 
 
-def _total_values(attrs: tuple[str, ...], rows) -> set:
-    """The distinct values of ``rows`` under ``attrs`` that contain no
-    ``NULL`` (a partly-null value binds no reference)."""
-    vals = set(values_on(rows, attrs))
-    if len(attrs) == 1:
+def _total_values(column: list, width: int) -> set:
+    """The distinct values of a column over ``width`` attributes that
+    contain no ``NULL`` (a partly-null value binds no reference)."""
+    vals = set(column)
+    if width == 1:
         vals.discard(NULL)
         return vals
-    return {v for v in vals if NULL not in v}
+    return set(filterfalse(has_null, vals))
 
 
 def _commit_inserts(db, prepared) -> None:
-    """Apply validated insert groups: bulk row adoption plus the exact
+    """Apply validated insert groups: bulk row storage plus the exact
     index maintenance ``Database._store_raw`` performs per row."""
     identical = db.null_semantics == "identical"
-    for table, rows, new in prepared:
+    for table, values, new in prepared:
+        plan = table.plan
         table.rows.update(new)
         table.version += 1
-        for key_names, _extract in table.plan.candidate_keys:
-            values = values_on(rows, key_names)
-            pairs = zip(values, new)
-            if not identical and any_null(values, len(key_names)):
+        for key_names, _extract in plan.candidate_keys:
+            keys = plan.column(values, key_names)
+            pairs = zip(keys, new)
+            if not identical and any_null(keys, len(key_names)):
                 # Under distinct nulls a partly-null key binds nothing.
                 pairs = [p for p in pairs if not contains_null(p[0])]
             table.key_indexes[key_names].update(pairs)
         for attrs, gindex in table.group_indexes.items():
-            _file(gindex, list(new), values_on(rows, attrs), len(attrs))
+            _file(gindex, list(new), plan.column(values, attrs), len(attrs))
 
 
 def install_rows(
@@ -240,43 +269,99 @@ def install_rows(
     the one install path of :meth:`Database.load_state`, snapshot
     recovery, replica bootstrap and the online merge's schema swap.
 
-    ``relations`` maps scheme names to lists of plain row dicts, which
-    the tables adopt as their stored rows: the caller hands them over.
-    Each relation takes the insert path's columnar steps --
-    :func:`_materialize` proves the shape and keys the rows,
+    ``relations`` maps scheme names to lists of stored values
+    (:func:`row_values`, :func:`image_values`, or the merge's own),
+    which the tables keep as their rows.  Each relation takes the
+    insert path's columnar steps -- keyed in one pass, then
     :func:`_commit_inserts` fills the candidate-key and group indexes.
     Equal rows collapse into one, as in a ``Relation``; two different
     rows on one primary key are refused with the key dependency's
-    violation, and a row that does not fit its scheme with
-    ``state_from_dict``'s error.  Nothing is touched unless every
-    relation passes; ``log`` runs between the checks and the install.
-    No constraint is checked -- callers own validation.  Returns the
-    number of rows installed.
+    violation.  Nothing is touched unless every relation passes;
+    ``log`` runs between the checks and the install.  No constraint is
+    checked -- callers own validation.  Returns the number of rows
+    installed.
     """
     with _gc_paused():
         prepared = []
-        for name, rows in relations.items():
+        for name, values in relations.items():
             table = tables.get(name)
             if table is None:
                 raise KeyError(f"no relation named {name!r}")
-            if not rows:
-                prepared.append((table, rows, {}))
-                continue
-            new = _materialize(table, rows)
-            if new is None:
-                _refuse_shape(table, rows)
-            if len(new) != len(rows):
-                rows = _distinct_rows(table, rows)
-                new = _materialize(table, rows)
-            prepared.append((table, rows, new))
+            new = _keyed(table.plan, values)
+            if len(new) != len(values):
+                values = _distinct_rows(table, values)
+                new = _keyed(table.plan, values)
+            prepared.append((table, values, new))
         if log is not None:
             log()
-        for table, _rows, _new in prepared:
+        for table, _values, _new in prepared:
             table.rows = {}
             table.key_indexes = {k: {} for k in table.key_indexes}
             table.group_indexes = {a: {} for a in table.group_indexes}
         _commit_inserts(db, prepared)
-    return sum(len(rows) for _t, rows, _n in prepared)
+    return sum(len(values) for _t, values, _n in prepared)
+
+
+def row_values(table, rows: list) -> list:
+    """The stored values of row dicts that must fit ``table``'s scheme
+    (a ``load_state`` or a version 1 to 3 image); a row that does not
+    fit is refused with ``state_from_dict``'s error."""
+    if not rows:
+        return []
+    values = _materialize(table, rows)
+    if values is None:
+        _refuse_shape(table, rows)
+    return values
+
+
+def image_values(tables, state: Mapping[str, Any]) -> dict[str, list]:
+    """The stored values of a snapshot image's ``state``, per table of
+    ``tables`` (a scheme the image does not name gets none).
+
+    A relation of the image is either one value list per attribute (the
+    column image of log version 4, ``plan.columns``), whose values
+    are zipped into stored values with no dict per row, or a list of
+    row dicts (versions 1 to 3), read by :func:`row_values`.  Markers
+    are decoded with one type probe per column or relation.  Unknown
+    relation names, rows that are not objects, and columns that do not
+    fit the scheme raise :class:`StateDecodeError`."""
+    raw = state.get("relations", {})
+    unknown = set(raw) - set(tables)
+    if unknown:
+        raise StateDecodeError(
+            f"state mentions unknown schemes: {sorted(unknown)}"
+        )
+    # Every row list is decoded before any is installed, so a malformed
+    # row is reported as ``state_from_dict`` reports it.
+    decoded = {
+        name: rel if type(rel) is dict else decode_relation_rows(name, rel)
+        for name, rel in ((name, raw.get(name, [])) for name in tables)
+    }
+    return {
+        name: (
+            _column_values(tables[name], rel)
+            if type(rel) is dict
+            else row_values(tables[name], rel)
+        )
+        for name, rel in decoded.items()
+    }
+
+
+def _column_values(table, columns: Mapping[str, Any]) -> list:
+    """The stored values of one relation's value columns."""
+    plan = table.plan
+    name = table.scheme.name
+    if columns.keys() != plan.attr_set:
+        raise StateDecodeError(
+            f"{name}: columns {sorted(columns)} do not match the scheme "
+            f"attributes {sorted(plan.names)}"
+        )
+    cols = [columns[a] for a in plan.names]
+    if set(map(type, cols)) != {list} or len(set(map(len, cols))) != 1:
+        raise StateDecodeError(
+            f"{name}: the columns must be value lists of one length"
+        )
+    return plan.from_columns(decode_columns(cols))
 
 
 def _refuse_shape(table, rows) -> None:
@@ -472,14 +557,16 @@ def _validate_changes(db, runs):
 class _Edit:
     """One scheme's share of a validated update batch."""
 
-    __slots__ = ("table", "keys", "olds", "merged", "attrs")
+    __slots__ = ("table", "keys", "olds", "news", "merged", "attrs")
 
-    def __init__(self, table, keys, olds, merged, attrs):
+    def __init__(self, table, keys, olds, news, merged, attrs):
         self.table = table
         #: The updated keys (a dict, for set tests) in batch order.
         self.keys: dict[Any, None] = keys
-        self.olds: list[dict[str, Any]] = olds
-        #: Each old row's values with its update applied.
+        #: The stored values the updates replace, and their successors.
+        self.olds: list = olds
+        self.news: list = news
+        #: Each new value's row dict: what the batch answers with.
         self.merged: list[dict[str, Any]] = merged
         #: Every attribute some update of this scheme assigns.
         self.attrs: frozenset[str] = attrs
@@ -510,14 +597,15 @@ def _prepare_updates(db, scheme_name, items):
     if not attrs <= plan.attr_set or not attrs.isdisjoint(plan.key_attrs):
         return None  # an unknown attribute, or a key would change
     olds = list(map(rows.__getitem__, pks))
-    merged = list(map(dict, olds))
+    merged = list(map(plan.row_of, olds))
     _consume(map(dict.update, merged, changes))
+    news = list(map(plan.values, merged))
     # Key attributes keep their (total) stored values, so the
     # key-only nulls-not-allowed checks hold as for inserts.
     for _constraint, check in plan.bulk_null_checks:
-        if not all(map(check, merged)):
+        if not all(map(check, news)):
             return None
-    return _Edit(table, keys, olds, merged, attrs)
+    return _Edit(table, keys, olds, news, merged, attrs)
 
 
 def _outgoing_hold(db, deleted, updated) -> bool:
@@ -531,7 +619,10 @@ def _outgoing_hold(db, deleted, updated) -> bool:
         for ref in edit.table.plan.outgoing:
             if edit.attrs.isdisjoint(ref.watch):
                 continue
-            vals = _total_values(ref.ind.lhs_attrs, edit.merged)
+            vals = _total_values(
+                edit.table.plan.column(edit.news, ref.ind.lhs_attrs),
+                len(ref.attrs),
+            )
             if not vals:
                 continue
             rtable = db._tables[ref.scheme]
@@ -590,11 +681,13 @@ def _restrict_holds(db, deleted, updated) -> bool:
             if rhs_is_pk:
                 vals = olds.keys()
             else:
-                vals = _total_values(rhs_attrs, olds.values())
+                vals = _total_values(
+                    plan.column(olds.values(), rhs_attrs), len(rhs_attrs)
+                )
                 if edit is not None and edit.moved(rhs_attrs):
                     extract = refs[0].extract
                     gone = dict(olds)
-                    for pk, old, new in zip(edit.keys, edit.olds, edit.merged):
+                    for pk, old, new in zip(edit.keys, edit.olds, edit.news):
                         v = extract(old)
                         if v != extract(new):
                             gone[pk] = old
@@ -649,15 +742,16 @@ def _commit_changes(db, deleted, updated, runs) -> list[dict | None]:
         table = edit.table
         # Replaced in place: unlike the row path's unstore/store, an
         # updated row keeps its position in the table's scan order.
-        table.rows.update(zip(edit.keys, edit.merged))
+        plan = table.plan
+        table.rows.update(zip(edit.keys, edit.news))
         table.version += 1
         # Key indexes need no work: updates never change key values.
         for attrs, gindex in table.group_indexes.items():
             if not edit.attrs.isdisjoint(attrs):
                 keys = list(edit.keys)
                 width = len(attrs)
-                _unfile(gindex, keys, values_on(edit.olds, attrs), width)
-                _file(gindex, keys, values_on(edit.merged, attrs), width)
+                _unfile(gindex, keys, plan.column(edit.olds, attrs), width)
+                _file(gindex, keys, plan.column(edit.news, attrs), width)
     # One result per op, in batch order: a scheme's merged rows are in
     # the order of its update runs.
     merged = {name: iter(edit.merged) for name, edit in updated.items()}
@@ -735,9 +829,12 @@ def _commit_deletes(deleted) -> None:
             index = table.key_indexes[key_names]
             for pk, old in olds.items():
                 value = extract(old)
-                if index.get(value) == pk:
+                if index.get(value, ABSENT) == pk:
                     del index[value]
         for attrs, gindex in table.group_indexes.items():
             _unfile(
-                gindex, list(olds), values_on(olds.values(), attrs), len(attrs)
+                gindex,
+                list(olds),
+                plan.column(olds.values(), attrs),
+                len(attrs),
             )

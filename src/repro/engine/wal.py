@@ -30,13 +30,22 @@ Record kinds (the ``op`` field): ``header``, ``insert``, ``update``,
 ``delete``, ``batch`` (one whole ``insert_many``/``apply_batch``, see
 :func:`batch_record`), ``load_state``, ``merge``,
 ``begin``/``commit``/``abort``/``rollback`` (transaction markers) and
-``snapshot`` (the checkpoint image: the state in the
-:mod:`repro.io.state_json` format, plus the ``schema`` once an online
+``snapshot`` (the checkpoint image, plus the ``schema`` once an online
 merge evolved it; see ``Database.snapshot_image``).  Every record
 carries a monotonically increasing ``lsn``.  Version 2 logs add the
 ``batch`` kind; version 3 writes a ``batch`` record's insert runs as
-value columns and its single-attribute delete keys bare.  Version 1
-and 2 logs recover unchanged: :func:`record_runs` reads every shape.
+value columns and its single-attribute delete keys bare.  Version 4
+writes the image of a ``snapshot`` or ``load_state`` record by
+columns too -- each relation one value list per attribute, the shape
+of an insert run::
+
+    {"op":"snapshot","state":{"relations":{"OFFER":{"O.C.NR":["c1"],"O.D.NAME":["cs"]}}}}
+
+so recovery builds each stored row straight from the columns, never
+a dict per row.  Logs of versions 1 to 3 recover unchanged:
+:func:`record_runs` reads every ``batch`` shape, and their row-dict
+images (``"OFFER":[{"O.C.NR":"c1","O.D.NAME":"cs"}]``) go through the
+legacy row reader of ``Database.load_image``.
 
 Write-ahead discipline
 ----------------------
@@ -82,6 +91,7 @@ from operator import itemgetter
 from typing import Any, Mapping, Protocol, Sequence
 
 from repro.io.state_json import (
+    decode_columns,
     decode_rows,
     decode_value,
     encode_value,
@@ -91,9 +101,10 @@ from repro.relational.tuples import key_tuple, key_value
 
 #: Format version stamped into every ``header`` record (2 added the
 #: ``batch`` record, 3 stores its insert runs as value columns and its
-#: single-attribute delete keys bare; version 1 and 2 logs still
+#: single-attribute delete keys bare, 4 stores snapshot and
+#: ``load_state`` images as value columns; version 1 to 3 logs still
 #: recover).
-WAL_VERSION = 3
+WAL_VERSION = 4
 
 #: Bytes of the ``llllllll cccccccc `` record prefix.
 _PREFIX_LEN = 18
@@ -115,8 +126,12 @@ class Storage(Protocol):
     partial append is acceptable only because every record carries its
     length and checksum, letting recovery truncate the torn tail.
     :meth:`replace` (used by checkpoints) should be atomic where the
-    medium allows it.
+    medium allows it, and bumps :attr:`generation`.
     """
+
+    #: How many times :meth:`replace` has swapped the contents: a
+    #: reader's byte offset is meaningful only within one generation.
+    generation: int
 
     def append(self, data: bytes) -> None:
         """Append ``data`` at the end."""
@@ -157,6 +172,7 @@ class MemoryStorage:
 
     def __init__(self, data: bytes = b""):
         self._data = bytearray(data)
+        self.generation = 0
 
     def append(self, data: bytes) -> None:
         """Append ``data`` at the end."""
@@ -177,6 +193,7 @@ class MemoryStorage:
     def replace(self, data: bytes) -> None:
         """Swap the full contents for ``data``."""
         self._data = bytearray(data)
+        self.generation += 1
 
     def size(self) -> int:
         """Current length in bytes."""
@@ -217,6 +234,7 @@ class FileStorage:
         self.buffered = buffered
         self._fh = open(self.path, "ab")
         self._closed = False
+        self.generation = 0
 
     def _handle(self):
         if self._closed:
@@ -286,6 +304,7 @@ class FileStorage:
                 os.close(fd)
         self._fh.close()
         self._fh = open(self.path, "ab")
+        self.generation += 1
 
     def size(self) -> int:
         """Current file length in bytes."""
@@ -559,15 +578,11 @@ def _decode_run(kind: str, scheme: str, items) -> tuple[str, str, list]:
 
 
 def _column_rows(columns: Mapping[str, list]) -> list[dict]:
-    """The row dicts of a version 3 insert run's value columns."""
+    """The row dicts of an insert run's value columns (version 3 on)."""
     cols = list(columns.values())
     if len(set(map(len, cols))) != 1:
         raise WalError("batch insert run has columns of unequal length")
-    if dict in set(map(type, chain.from_iterable(cols))):
-        cols = [
-            list(map(decode_value, col)) if dict in set(map(type, col)) else col
-            for col in cols
-        ]
+    cols = decode_columns(cols)
     return list(map(dict, map(zip, repeat(tuple(columns)), zip(*cols))))
 
 
@@ -851,8 +866,8 @@ class WriteAheadLog:
         schema_dict: Mapping[str, Any] | None = None,
     ) -> int:
         """Compact the log to ``header`` + one ``snapshot`` record
-        holding ``state_dict`` (the :func:`repro.io.state_json` image);
-        returns the snapshot's ``lsn``.  The swap is atomic under
+        holding ``state_dict`` (the column image of
+        ``Database.snapshot_image``); returns the snapshot's ``lsn``.  The swap is atomic under
         :class:`FileStorage`.
 
         ``schema_dict`` (the :func:`repro.io.relational_json` image)
@@ -926,16 +941,18 @@ class WalCursor:
       cursor stops before it without advancing, and simply retries on
       the next poll once the rest of the bytes land.
     - **Checkpoint compaction.**  :meth:`WriteAheadLog.write_snapshot`
-      replaces the file with a shorter one; ``storage.size()`` dropping
-      below the cursor's offset detects that, the cursor resets to byte
-      0, and the snapshot record (whose ``lsn`` exceeds anything
-      shipped before the compaction) flows to the replica as a fresh
-      base image.
+      replaces the file's contents, and the new image may be shorter or
+      longer than the offset already shipped.  The cursor's offset
+      belongs to one storage :attr:`~Storage.generation`; when
+      ``replace`` has bumped it, the cursor resets to byte 0, and the
+      snapshot record (whose ``lsn`` exceeds anything shipped before
+      the compaction) flows to the replica as a fresh base image.
     """
 
     def __init__(self, storage: Storage):
         self.storage = storage
         self._offset = 0
+        self._generation = storage.generation
 
     @property
     def offset(self) -> int:
@@ -950,8 +967,11 @@ class WalCursor:
 
         ``header`` records (no replayable content) are filtered out.
         Returns ``[]`` when the replica is caught up."""
-        if self.storage.size() < self._offset:
-            self._offset = 0  # the log was compacted under us
+        if self.storage.generation != self._generation:
+            # The log was compacted under us: the offset pointed into
+            # the previous contents.
+            self._generation = self.storage.generation
+            self._offset = 0
         reader = getattr(self.storage, "read_from", None)
         if reader is not None:
             data = reader(self._offset)

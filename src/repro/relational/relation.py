@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.attributes import Attribute, by_name
-from repro.relational.tuples import Tuple, backing
+from repro.relational.tuples import Tuple, backing, values_on
 
 
 class Relation:
@@ -78,9 +78,14 @@ class Relation:
 
     @property
     def mappings(self) -> Iterable[Mapping[str, Any]]:
-        """Each tuple's backing mapping, in the tuple set's order: what
-        column reads take (:func:`~repro.relational.tuples.values_on`)."""
+        """Each tuple's backing mapping, in the tuple set's order."""
         return map(backing, self._tuples)
+
+    def column(self, names: Sequence[str]) -> list:
+        """Each tuple's value on ``names`` (bare for one attribute, a
+        tuple for more), in the tuple set's order: the consistency
+        checker's column read (:func:`~repro.relational.tuples.values_on`)."""
+        return values_on(self.mappings, names)
 
     # -- set interface -----------------------------------------------------
 

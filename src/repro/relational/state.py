@@ -7,7 +7,7 @@ from typing import AbstractSet, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationalSchema
-from repro.relational.tuples import is_null, null_probe, values_on
+from repro.relational.tuples import is_null, null_probe
 
 
 class DatabaseState:
@@ -132,10 +132,9 @@ class Columns:
 
     ``relations`` maps scheme names to relation-like collections -- a
     :class:`DatabaseState`, or the engine's stored tables -- whose
-    ``mappings`` are their rows' attribute mappings.  :meth:`values` is
-    :func:`~repro.relational.tuples.values_on` of one relation, read
-    once per ``(scheme, attrs)`` and shared by every constraint that
-    asks again: a key column is read by its key dependency, by every
+    ``column(names)`` reads their rows' values on ``names``.
+    :meth:`values` is that column, read once per ``(scheme, attrs)``
+    and shared by every constraint that asks again: a key column is read by its key dependency, by every
     inclusion dependency into it and by its nulls-not-allowed
     constraint.  Drop the object when the pass ends; it holds every
     column it has read.
@@ -154,8 +153,8 @@ class Columns:
         key = (scheme_name, tuple(names))
         column = self._values.get(key)
         if column is None:
-            column = self._values[key] = values_on(
-                self.relations[scheme_name].mappings, key[1]
+            column = self._values[key] = self.relations[scheme_name].column(
+                key[1]
             )
         return column
 

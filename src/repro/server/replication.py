@@ -297,9 +297,9 @@ class Replication:
         # No awaits between a mutation's apply and its barrier, so at
         # any scheduling point the live state is exactly the durable
         # prefix: this image covers precisely lsn <= durable_lsn.  It
-        # holds the stored rows themselves (an evolved schema too), and
-        # mutations applied before the frame is written replace rows
-        # without changing the image's.
+        # holds the tables by columns, in fresh lists (an evolved schema
+        # too), so mutations applied before the frame is written do not
+        # change it.
         return ok_frame(
             request_id,
             {
@@ -387,7 +387,9 @@ class Replication:
         ``repl_snapshot`` image.  The install adopts the primary's
         evolved schema first when the image carries one, and logs a
         ``load_state`` record of the rows (and that schema), so the
-        replica's own log recovers to the primary's state."""
+        replica's own log recovers to the primary's state.  The image
+        is a version 4 column image: a replica must run the primary's
+        version."""
         self.db.load_image(snapshot)
         self.db.sync_wal()
         self.applied_lsn = int(snapshot["lsn"])
@@ -409,7 +411,7 @@ class Replication:
         record (of any log version) is read back as its runs and handed
         to ``Database.apply_runs``, the columnar validators a live
         ``apply_batch`` uses, and the replica re-logs it in its own
-        (version 3) format.  Divergence (a record the primary committed
+        (current version) format.  Divergence (a record the primary committed
         but this state rejects) raises :class:`RecoveryError` and the
         replica loop treats it as fatal.
         """

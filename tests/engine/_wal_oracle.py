@@ -27,6 +27,18 @@ from repro.engine.wal import parse_wal
 from repro.io.state_json import decode_value, state_from_dict
 
 
+def _image_state(state: dict) -> dict:
+    """A log image's state with each column relation (log version 4:
+    one value list per attribute) written out as the row list that
+    ``state_from_dict`` reads; row lists (versions 1 to 3) stay."""
+    relations = {}
+    for name, rel in state.get("relations", {}).items():
+        if isinstance(rel, dict):
+            rel = [dict(zip(rel, values)) for values in zip(*rel.values())]
+        relations[name] = rel
+    return {"relations": relations}
+
+
 def oracle_replay(
     data: bytes, schema, null_semantics: str = "distinct"
 ) -> OracleDatabase:
@@ -50,10 +62,14 @@ def oracle_replay(
                 oracle = OracleDatabase(
                     evolved, null_semantics=null_semantics
                 )
-                oracle.load_state(state_from_dict(record["state"], evolved))
+                oracle.load_state(
+                    state_from_dict(_image_state(record["state"]), evolved)
+                )
             else:
                 oracle.load_state(
-                    state_from_dict(record["state"], oracle.schema)
+                    state_from_dict(
+                        _image_state(record["state"]), oracle.schema
+                    )
                 )
         elif op == "begin":
             in_txn, buffered = True, []

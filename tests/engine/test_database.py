@@ -112,6 +112,25 @@ class TestNullableCandidateKeys:
         with pytest.raises(ConstraintViolationError, match="candidate key"):
             db.insert("R", {"R.K": "k4", "R.U": "u1"})
 
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_a_none_primary_key_owns_its_row(self, bulk):
+        """A ``None`` primary key is a value, not an absent entry:
+        deleting its row must not mistake its unfiled ``NULL``
+        candidate key for an entry it owns, and a candidate key it owns
+        binds."""
+        db = Database(self._schema())
+        db.insert("R", {"R.K": None, "R.U": NULL})
+        db.insert("R", {"R.K": "k1", "R.U": "u1"})
+        if bulk:
+            db.apply_batch([("delete", "R", None)])
+        else:
+            db.delete("R", None)
+        assert db.get("R", None) is None
+        assert db.table("R").key_indexes[("R.U",)] == {"u1": "k1"}
+        db.insert("R", {"R.K": None, "R.U": "u0"})
+        with pytest.raises(ConstraintViolationError, match="candidate key"):
+            db.insert("R", {"R.K": "k2", "R.U": "u0"})
+
     def test_merged_schema_rejects_total_duplicates_somehow(
         self, university_schema
     ):

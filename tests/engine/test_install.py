@@ -25,7 +25,6 @@ from hypothesis import given, settings
 
 from repro.constraints.checker import ConsistencyChecker
 from repro.engine.database import ConstraintViolationError, Database
-from repro.engine.plans import attr_extractor
 from repro.engine.recovery import RecoveryError, recover_database
 from repro.engine.wal import MemoryStorage, WriteAheadLog
 from repro.io.state_json import (
@@ -61,7 +60,8 @@ def reference_install(db: Database, state: DatabaseState) -> None:
         plan = table.plan
         rows = {}
         for t in relation:
-            rows[plan.pk(t.mapping)] = t.mapping
+            value = plan.values(t.mapping)
+            rows[plan.pk(value)] = value
         table.rows = rows
         for key_names, extract in plan.candidate_keys:
             index = {}
@@ -95,7 +95,7 @@ def _contents(db: Database) -> dict:
         for key_names, index in t.key_indexes.items():
             for value, pk in index.items():
                 row = t.rows[pk]
-                assert attr_extractor(key_names)(row) == value
+                assert t.plan.getter(key_names)(row) == value
             keys[key_names] = set(index)
         contents[name] = (t.rows, keys, t.group_indexes)
     return contents

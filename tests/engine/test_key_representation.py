@@ -308,9 +308,9 @@ def test_composite_keys_on_random_schemas_stay_tuples(schema, seed):
     db.load_state(state)
     assert assert_key_forms(db)["tuple"] > 0
     for scheme in schema.schemes:
-        rows = db.table(scheme.name).rows
-        keys = list(rows)[:2]
-        removed = [dict(rows[pk]) for pk in keys]
+        table = db.table(scheme.name)
+        keys = list(table.rows)[:2]
+        removed = [table.plan.row_of(table.rows[pk]) for pk in keys]
         try:
             db.apply_batch([("delete", scheme.name, pk) for pk in keys])
         except ConstraintViolationError:

@@ -39,7 +39,7 @@ def _nonkey_nulls(db: Database) -> int:
     count = 0
     for table in db._tables.values():
         keys = set(table.scheme.key_names)
-        for row in table.rows.values():
+        for row in map(table.plan.row_of, table.rows.values()):
             count += sum(
                 1 for a, v in row.items() if v is NULL and a not in keys
             )

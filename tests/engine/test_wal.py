@@ -61,7 +61,7 @@ GOLDEN_RECORDS = [
     ),
     (
         {"op": "header", "version": WAL_VERSION, "lsn": 1},
-        b'00000023 c82daec4 {"lsn":1,"op":"header","version":3}\n',
+        b'00000023 876c3803 {"lsn":1,"op":"header","version":4}\n',
     ),
     (
         {"op": "begin", "txn": 1, "lsn": 5},
@@ -93,6 +93,35 @@ def test_golden_record_bytes(payload, expected):
     parsed = parse_wal(encoded)
     assert parsed.error is None
     assert parsed.records == [payload]
+
+
+#: A version 4 checkpoint: each relation is one value list per
+#: attribute, in table order; an empty relation keeps its columns.
+GOLDEN_SNAPSHOT_BYTES = (
+    b'00000023 8365cb50 {"lsn":6,"op":"header","version":4}\n'
+    b'0000012f 135cfb12 {"lsn":7,"op":"snapshot","state":{"relations":'
+    b'{"ASSIST":{"A.C.NR":[],"A.S.SSN":[]},"COURSE":{"C.NR":["c1","c2"]},'
+    b'"DEPARTMENT":{"D.NAME":["cs"]},"FACULTY":{"F.SSN":[]},'
+    b'"OFFER":{"O.C.NR":["c1","c2"],"O.D.NAME":["cs","cs"]},'
+    b'"PERSON":{"P.SSN":[]},"STUDENT":{"S.SSN":[]},'
+    b'"TEACH":{"T.C.NR":[],"T.F.SSN":[]}}}}\n'
+)
+
+
+def test_golden_snapshot_record_is_written_by_columns():
+    db = Database(university_relational(), wal=WriteAheadLog(MemoryStorage()))
+    db.insert("DEPARTMENT", {"D.NAME": "cs"})
+    db.insert_many("COURSE", [{"C.NR": "c1"}, {"C.NR": "c2"}])
+    db.insert("OFFER", {"O.C.NR": "c1", "O.D.NAME": "cs"})
+    db.insert("OFFER", {"O.C.NR": "c2", "O.D.NAME": "cs"})
+    db.checkpoint()
+    assert db.wal.storage.read() == GOLDEN_SNAPSHOT_BYTES
+    recovered = recover_database(
+        university_relational(), storage=MemoryStorage(GOLDEN_SNAPSHOT_BYTES)
+    ).database
+    assert recovered.state() == db.state()
+    assert recovered.table("OFFER").rows == {"c1": ("c1", "cs"), "c2": ("c2", "cs")}
+    assert recovered.table("COURSE").rows == {"c1": "c1", "c2": "c2"}
 
 
 def test_golden_null_round_trips_as_null():
@@ -206,6 +235,7 @@ def test_replay_decodes_values_only_in_runs_holding_a_null(monkeypatch):
     a NULL marker is rebuilt from the parsed values with no per-value
     decode, and a marker decodes only the column that holds it."""
     import repro.engine.wal as wal
+    import repro.io.state_json as state_json
 
     db = Database(university_relational(), wal=WriteAheadLog(MemoryStorage()))
     db.insert_many("COURSE", [{"C.NR": f"c{i}"} for i in range(50)])
@@ -220,9 +250,10 @@ def test_replay_decodes_values_only_in_runs_holding_a_null(monkeypatch):
     data = db.wal.storage.read()
     calls = []
     decode = wal.decode_value
-    monkeypatch.setattr(
-        wal, "decode_value", lambda v: calls.append(v) or decode(v)
-    )
+    spy = lambda v: calls.append(v) or decode(v)  # noqa: E731
+    # Keys decode in the log module, value columns in the state codec.
+    monkeypatch.setattr(wal, "decode_value", spy)
+    monkeypatch.setattr(state_json, "decode_value", spy)
     recovered = recover_database(
         university_relational(), storage=MemoryStorage(data)
     )

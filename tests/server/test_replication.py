@@ -146,6 +146,25 @@ def test_cursor_detects_checkpoint_compaction():
     assert [r["op"] for r in records] == ["snapshot"]
 
 
+def test_cursor_detects_a_compaction_that_grows_the_log():
+    """A checkpoint can replace a short log with a longer image: the
+    cursor must not read on from its old offset inside the new image."""
+    wal = WriteAheadLog(MemoryStorage())
+    for i in range(3):
+        wal.append(insert_record("COURSE", {"C.NR": f"c{i}"}))
+    wal.sync()
+    cursor = WalCursor(wal.storage)
+    assert len(cursor.read_after(0, wal.durable_lsn)) == 3
+    shipped = cursor.offset
+    db = Database(university_relational())
+    db.load_state(university_state(n_courses=20, seed=1))
+    wal.write_snapshot(db.snapshot_image()["state"])
+    assert wal.storage.size() > shipped
+    records = cursor.read_after(4, wal.durable_lsn)
+    assert [r["op"] for r in records] == ["snapshot"]
+    assert cursor.read_after(records[-1]["lsn"], wal.durable_lsn) == []
+
+
 # -- in-process: catch-up, reads, rejection, promotion -------------------------
 
 
